@@ -12,13 +12,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
-#include "common/logging.hh"
+#include "common/cli.hh"
 #include "noc/packet.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 
 using namespace stacknoc;
 
@@ -32,21 +32,9 @@ struct Result
 };
 
 Result
-measure(const std::string &scenario, Cycle warmup, Cycle cycles,
-        int threads, bool elide)
+measure(system::SystemConfig cfg, Cycle warmup, Cycle cycles, bool elide)
 {
     noc::resetPacketIds();
-    system::SystemConfig cfg;
-    cfg.meshWidth = 4;
-    cfg.meshHeight = 4;
-    cfg.scenario = scenario == "MRAM-64TSB"
-                       ? system::scenarios::sttram64Tsb()
-                       : scenario == "MRAM-4TSB"
-                             ? system::scenarios::sttram4Tsb()
-                             : system::scenarios::sttram4TsbWb();
-    cfg.apps = {"tpcc"};
-    cfg.seed = 1;
-    cfg.threads = threads;
     cfg.elide = elide;
     system::CmpSystem sys(cfg);
     sys.warmup(warmup);
@@ -63,53 +51,46 @@ measure(const std::string &scenario, Cycle warmup, Cycle cycles,
 int
 main(int argc, char **argv)
 {
-    Cycle cycles = 20000, warmup = 2000;
-    std::string scenario = "MRAM-4TSB-WB";
-    int threads = 1;
+    constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
+    system::RunSpec spec; // tpcc, seed 1, MRAM-4TSB-WB by default
+    spec.mesh = {4, 4};
+    spec.cycles = 20000;
+    spec.warmup = 2000;
     bool check = false;
     double tolerance = 0.05;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto need = [&](int at) {
-            fatal_if(at + 1 >= argc, "%s needs a value", argv[at]);
-            return argv[at + 1];
-        };
+    cli::Args args("bench_ticks", {argv + 1, argv + argc});
+    while (!args.done()) {
+        const std::string arg = args.next();
         if (arg == "--cycles") {
-            cycles = std::strtoull(need(i), nullptr, 10);
-            ++i;
+            spec.cycles = args.number(arg, 1, kAny);
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(need(i), nullptr, 10);
-            ++i;
+            spec.warmup = args.number(arg, 0, kAny);
         } else if (arg == "--scenario") {
-            scenario = need(i);
-            ++i;
+            spec.scenario = args.value(arg);
         } else if (arg == "--threads") {
-            threads = std::atoi(need(i));
-            fatal_if(threads < 1, "--threads must be >= 1");
-            ++i;
+            spec.threads = args.number(arg, 1, 1024);
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--tolerance") {
-            tolerance = std::strtod(need(i), nullptr);
-            ++i;
+            tolerance = args.real(arg, 0.0, 1.0);
         } else {
-            std::fprintf(stderr, "bench_ticks: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
+            args.reject("unknown option '" + arg + "'");
         }
     }
+    system::SystemConfig cfg;
+    if (const std::string err = spec.toConfig(cfg); !err.empty())
+        args.reject(err);
 
     // Full walk first so caches are equally warm for the elision leg.
-    const Result off =
-        measure(scenario, warmup, cycles, threads, false);
-    const Result on = measure(scenario, warmup, cycles, threads, true);
+    const Result off = measure(cfg, spec.warmup, spec.cycles, false);
+    const Result on = measure(cfg, spec.warmup, spec.cycles, true);
 
     const double speedup =
         off.ticksPerSec > 0.0 ? on.ticksPerSec / off.ticksPerSec : 0.0;
     std::printf("bench_ticks scenario=%s threads=%d cycles=%llu\n",
-                scenario.c_str(), threads,
-                static_cast<unsigned long long>(cycles));
+                cfg.scenario.name.c_str(), cfg.threads,
+                static_cast<unsigned long long>(spec.cycles));
     std::printf("  no-elide: %.0f ticks/s (wall %.3fs)\n",
                 off.ticksPerSec, off.wallSeconds);
     std::printf("  elide:    %.0f ticks/s (wall %.3fs, "

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "common/cli.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "snapshot/checkpoint.hh"
@@ -14,13 +16,18 @@ namespace stacknoc::bench {
 
 namespace {
 
+/** @p name from the environment, checked like any tool flag. */
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envNumber(const char *name, std::uint64_t fallback, std::uint64_t lo,
+          std::uint64_t hi)
 {
     const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
+    std::uint64_t out = fallback;
+    if (v != nullptr && *v != '\0')
+        if (const std::string err = cli::parseUint(name, v, lo, hi, out);
+            !err.empty())
+            cli::reject("bench", err);
+    return out;
 }
 
 } // namespace
@@ -28,12 +35,13 @@ envU64(const char *name, std::uint64_t fallback)
 BenchEnv
 env()
 {
+    constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
     BenchEnv e;
-    e.warmup = envU64("STTNOC_WARMUP", 3000);
-    e.measure = envU64("STTNOC_CYCLES", 20000);
-    e.case3Mixes = static_cast<int>(envU64("STTNOC_MIXES", 4));
-    e.seed = envU64("STTNOC_SEED", 1);
-    e.appCap = static_cast<int>(envU64("STTNOC_APPS", 0));
+    e.warmup = envNumber("STTNOC_WARMUP", 3000, 0, kAny);
+    e.measure = envNumber("STTNOC_CYCLES", 20000, 1, kAny);
+    e.case3Mixes = static_cast<int>(envNumber("STTNOC_MIXES", 4, 1, 1024));
+    e.seed = envNumber("STTNOC_SEED", 1, 0, kAny);
+    e.appCap = static_cast<int>(envNumber("STTNOC_APPS", 0, 0, 1024));
     if (const char *p = std::getenv("STTNOC_JSON"); p && *p)
         e.jsonPath = p;
     if (const char *p = std::getenv("STTNOC_SERVER"); p && *p)
@@ -54,33 +62,13 @@ namespace {
 /**
  * Submit one run to the campaign server (STTNOC_SERVER). Fills only
  * the headline RunResult fields from the result payload. @return false
- * when the caller should simulate in-process instead: connection or
- * protocol failure, or a scenario the wire protocol cannot express.
+ * when the caller should simulate in-process instead (connection or
+ * protocol failure).
  */
 bool
-runOneViaServer(const system::Scenario &scenario,
-                const std::vector<std::string> &apps, const BenchEnv &e,
+runOneViaServer(const system::RunSpec &spec, const BenchEnv &e,
                 RunResult &r)
 {
-    server::JobRequest req;
-    req.scenario = scenario.name;
-    req.apps = apps;
-    req.seed = e.seed;
-    req.warmup = e.warmup;
-    req.cycles = e.measure;
-
-    // The server resolves scenarios by name; a harness that customised
-    // scenario fields beyond the named design point cannot go over the
-    // wire. Compare canonical warm specs to detect that exactly.
-    system::SystemConfig want;
-    if (!server::buildConfig(req, want).empty())
-        return false;
-    system::SystemConfig have = want;
-    have.scenario = scenario;
-    if (snapshot::canonicalWarmSpec(have, e.warmup) !=
-        snapshot::canonicalWarmSpec(want, e.warmup))
-        return false;
-
     server::Connection conn;
     std::string err;
     if (!conn.connectTo(e.serverSocket, err)) {
@@ -93,7 +81,7 @@ runOneViaServer(const system::Scenario &scenario,
         telemetry::JsonWriter w(os);
         w.beginObject();
         w.kv("cmd", "run");
-        server::writeJobRequestMembers(w, req);
+        server::JobRequest{spec, 0}.write(w);
         w.endObject();
         cmd = os.str();
     }
@@ -146,21 +134,33 @@ runOne(const system::Scenario &scenario,
        const std::vector<std::string> &apps, const BenchEnv &e,
        const std::function<void(system::SystemConfig &)> &mutate)
 {
-    // A mutate hook changes the config in ways a server request cannot
-    // carry, so those runs always simulate in-process.
+    system::RunSpec spec;
+    spec.scenario = scenario.name;
+    spec.apps = apps;
+    spec.seed = e.seed;
+    spec.warmup = e.warmup;
+    spec.cycles = e.measure;
+    system::SystemConfig named;
+    const std::string err = spec.toConfig(named);
+    fatal_if(!err.empty(), "bench: %s", err.c_str());
+
+    system::SystemConfig cfg = named;
+    cfg.scenario = scenario;
     if (!e.serverSocket.empty() && !mutate) {
+        // The harness's design point may tune scenario fields beyond the
+        // named one; the canonical warm specs tell whether it did. Such
+        // runs, and those with a mutate hook, cannot go over the wire.
+        const bool named_point =
+            snapshot::canonicalWarmSpec(cfg, e.warmup) ==
+            snapshot::canonicalWarmSpec(named, e.warmup);
         RunResult r;
-        if (runOneViaServer(scenario, apps, e, r))
+        if (named_point && runOneViaServer(spec, e, r))
             return r;
         std::fprintf(stderr,
                      "bench: falling back to in-process run for %s\n",
                      scenario.name.c_str());
     }
 
-    system::SystemConfig cfg;
-    cfg.scenario = scenario;
-    cfg.apps = apps;
-    cfg.seed = e.seed;
     // Energy numbers (Figure 8) come from the streaming EnergyProbe
     // accumulation path; it reconciles with the end-of-run
     // computeEnergy to below 1e-6 relative (test_power_thermal pins
@@ -230,11 +230,8 @@ runOne(const system::Scenario &scenario,
         if (out) {
             system::RunInfo info;
             info.scenario = scenario.name;
-            for (const auto &a : apps) {
-                if (!info.app.empty())
-                    info.app += ",";
-                info.app += a;
-            }
+            for (const auto &a : apps)
+                info.app += (info.app.empty() ? "" : ",") + a;
             info.seed = e.seed;
             info.warmupCycles = e.warmup;
             info.measuredCycles = e.measure;

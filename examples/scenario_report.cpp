@@ -5,50 +5,23 @@
  * coherence traffic, energy, and the STT-RAM-aware policy counters.
  *
  * Usage: scenario_report [scenario] [app] [cycles]
- *   scenario: SRAM-64TSB | MRAM-64TSB | MRAM-4TSB | MRAM-4TSB-SS |
- *             MRAM-4TSB-RCA | MRAM-4TSB-WB | BUFF-20 | +1VC |
- *             MRAM-RP | MRAM-4TSB-WB+RP
+ *   scenario: any name stacknoc_run accepts (default MRAM-4TSB-WB)
  *   app:      any Table 3 application name (default tpcc)
  *   cycles:   measured cycles (default 20000)
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 #include "workload/app_profiles.hh"
 
 using namespace stacknoc;
 
 namespace {
-
-system::Scenario
-scenarioByName(const std::string &name)
-{
-    using namespace system::scenarios;
-    if (name == "SRAM-64TSB")
-        return sram64Tsb();
-    if (name == "MRAM-64TSB")
-        return sttram64Tsb();
-    if (name == "MRAM-4TSB")
-        return sttram4Tsb();
-    if (name == "MRAM-4TSB-SS")
-        return sttram4TsbSS();
-    if (name == "MRAM-4TSB-RCA")
-        return sttram4TsbRca();
-    if (name == "MRAM-4TSB-WB")
-        return sttram4TsbWb();
-    if (name == "BUFF-20")
-        return sttramBuff20();
-    if (name == "+1VC")
-        return sttram4TsbWbPlus1Vc();
-    if (name == "MRAM-RP")
-        return sttramReadPriority();
-    if (name == "MRAM-4TSB-WB+RP")
-        return sttram4TsbWbReadPriority();
-    fatal("unknown scenario '%s'", name.c_str());
-}
 
 double
 counterOf(const stats::Group &g, const char *name)
@@ -63,22 +36,28 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    const std::string scenario_name = argc > 1 ? argv[1] : "MRAM-4TSB-WB";
-    const std::string app = argc > 2 ? argv[2] : "tpcc";
-    const Cycle cycles = argc > 3
-        ? static_cast<Cycle>(std::strtoull(argv[3], nullptr, 10))
-        : 20000;
-
+    system::RunSpec spec;
+    if (argc > 1)
+        spec.scenario = argv[1];
+    if (argc > 2)
+        spec.apps = {argv[2]};
+    if (argc > 3)
+        if (const std::string err = cli::parseUint(
+                "cycles", argv[3], 1, UINT64_MAX, spec.cycles);
+            !err.empty())
+            cli::reject("scenario_report", err);
     system::SystemConfig cfg;
-    cfg.scenario = scenarioByName(scenario_name);
-    cfg.apps = {app};
+    if (const std::string err = spec.toConfig(cfg); !err.empty())
+        cli::reject("scenario_report", err);
+    const std::string &app = spec.apps.front();
+    const Cycle cycles = spec.cycles;
 
     std::printf("scenario=%s app=%s (64 copies/threads), %llu cycles\n",
                 cfg.scenario.name.c_str(), app.c_str(),
                 static_cast<unsigned long long>(cycles));
 
     system::CmpSystem sys(cfg);
-    sys.warmup(3000);
+    sys.warmup(spec.warmup);
     sys.run(cycles);
     const auto m = sys.metrics();
 

@@ -159,29 +159,6 @@ parseFaultSpec(const std::string &text, FaultSpec &spec, std::string &error)
     return true;
 }
 
-const char *
-faultSpecGrammar()
-{
-    return
-        "fault-spec grammar: comma-separated key=value items\n"
-        "  stt_write_ber=<p>       per-write STT-RAM failure probability "
-        "[0,1]\n"
-        "  stt_write_retries=<n>   retry rounds before ECC abandon [0,64] "
-        "(default 3)\n"
-        "  tsb_flit_ber=<p>        per-flit per-TSB-hop corruption "
-        "probability [0,1]\n"
-        "  link_flit_ber=<p>       per-flit per-mesh-hop corruption "
-        "probability [0,1]\n"
-        "  flit_retries=<n>        retransmissions before packet drop "
-        "[0,64] (default 4)\n"
-        "  flit_retry_penalty=<c>  cycles per retransmission round trip "
-        "[1,65536] (default 48)\n"
-        "  router_stuck=<node>:<from>-<to>  wedge router <node> during "
-        "cycles [from,to]\n"
-        "example: --fault-spec "
-        "stt_write_ber=1e-3,tsb_flit_ber=1e-6,router_stuck=4:2200-2400\n";
-}
-
 std::string
 FaultSpec::toString() const
 {

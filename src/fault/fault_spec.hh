@@ -78,9 +78,6 @@ struct FaultSpec
 bool parseFaultSpec(const std::string &text, FaultSpec &spec,
                     std::string &error);
 
-/** The accepted grammar, suitable for printing after a parse error. */
-const char *faultSpecGrammar();
-
 } // namespace stacknoc::fault
 
 #endif // STACKNOC_FAULT_FAULT_SPEC_HH

@@ -1,9 +1,9 @@
 #include "server/protocol.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
-#include "fault/fault_spec.hh"
 #include "snapshot/checkpoint.hh"
 #include "snapshot/serialize.hh"
 
@@ -13,161 +13,40 @@ using telemetry::JsonValue;
 using telemetry::JsonWriter;
 
 std::string
-parseJobRequest(const JsonValue &v, JobRequest &out)
+JobRequest::read(const JsonValue &v)
 {
-    if (!v.isObject())
-        return "request is not a JSON object";
-
-    const auto str = [&](const char *key, std::string &dst) {
-        if (const JsonValue *m = v.find(key); m != nullptr) {
-            if (!m->isString())
-                return false;
-            dst = m->asString();
-        }
-        return true;
-    };
-    const auto u64 = [&](const char *key, auto &dst) {
-        if (const JsonValue *m = v.find(key); m != nullptr) {
-            if (!m->isNumber() || m->asDouble() < 0)
-                return false;
-            dst = static_cast<std::decay_t<decltype(dst)>>(m->asDouble());
-        }
-        return true;
-    };
-    const auto boolean = [&](const char *key, bool &dst) {
-        if (const JsonValue *m = v.find(key); m != nullptr) {
-            if (m->type() != JsonValue::Type::Bool)
-                return false;
-            dst = m->asBool();
-        }
-        return true;
-    };
-
-    if (!str("scenario", out.scenario))
-        return "scenario must be a string";
-    if (const JsonValue *m = v.find("regions"); m != nullptr) {
-        if (!m->isNumber())
-            return "regions must be a number";
-        out.regions = static_cast<int>(m->asDouble());
-    }
-    if (const JsonValue *m = v.find("apps"); m != nullptr) {
-        if (!m->isArray() || m->size() == 0)
-            return "apps must be a non-empty array of strings";
-        out.apps.clear();
-        for (std::size_t i = 0; i < m->size(); ++i) {
-            const JsonValue *a = m->at(i);
-            if (a == nullptr || !a->isString())
-                return "apps must be a non-empty array of strings";
-            out.apps.push_back(a->asString());
-        }
-    }
-    if (!u64("seed", out.seed))
-        return "seed must be a non-negative number";
-    if (!u64("warmup", out.warmup))
-        return "warmup must be a non-negative number";
-    if (!u64("cycles", out.cycles))
-        return "cycles must be a non-negative number";
-    if (out.cycles == 0)
-        return "cycles must be >= 1";
-    int mesh[2] = {out.meshWidth, out.meshHeight};
-    if (!u64("mesh_width", mesh[0]) || !u64("mesh_height", mesh[1]))
-        return "mesh_width/mesh_height must be non-negative numbers";
-    out.meshWidth = mesh[0];
-    out.meshHeight = mesh[1];
-    if (out.meshWidth < 1 || out.meshHeight < 1)
-        return "mesh dimensions must be >= 1";
-    if (!u64("threads", out.threads))
-        return "threads must be a non-negative number";
-    if (out.threads < 1)
-        return "threads must be >= 1";
-    if (!boolean("elide", out.elide))
-        return "elide must be a bool";
-    if (!u64("interval", out.interval))
-        return "interval must be a non-negative number";
-    if (!str("fault_spec", out.faultSpec))
-        return "fault_spec must be a string";
-    if (!boolean("real_tags", out.realTags))
-        return "real_tags must be a bool";
+    if (std::string err = spec.parseJson(v, system::kWire); !err.empty())
+        return err;
+    const JsonValue *m = v.find("interval");
+    if (m == nullptr)
+        return {};
+    if (!m->isNumber() || m->asDouble() < 0 ||
+        m->asDouble() != std::floor(m->asDouble()))
+        return "interval must be a non-negative integer";
+    interval = static_cast<Cycle>(m->asDouble());
     return {};
 }
 
 void
-writeJobRequestMembers(JsonWriter &w, const JobRequest &req)
+JobRequest::write(JsonWriter &w) const
 {
-    w.kv("scenario", req.scenario);
-    if (req.regions >= 0)
-        w.kv("regions", req.regions);
-    w.key("apps");
-    w.beginArray();
-    for (const auto &a : req.apps)
-        w.value(a);
-    w.endArray();
-    w.kv("seed", req.seed);
-    w.kv("warmup", static_cast<std::uint64_t>(req.warmup));
-    w.kv("cycles", static_cast<std::uint64_t>(req.cycles));
-    w.kv("mesh_width", req.meshWidth);
-    w.kv("mesh_height", req.meshHeight);
-    w.kv("threads", req.threads);
-    w.kv("elide", req.elide);
-    w.kv("interval", static_cast<std::uint64_t>(req.interval));
-    if (!req.faultSpec.empty())
-        w.kv("fault_spec", req.faultSpec);
-    w.kv("real_tags", req.realTags);
-}
-
-std::string
-buildConfig(const JobRequest &req, system::SystemConfig &cfg)
-{
-    cfg = system::SystemConfig{};
-    if (!system::scenarios::byName(req.scenario, cfg.scenario))
-        return "unknown scenario '" + req.scenario + "' (known: " +
-               system::scenarios::knownNames() + ")";
-    if (req.regions >= 0)
-        cfg.scenario.tsbRegions = req.regions;
-    cfg.meshWidth = req.meshWidth;
-    cfg.meshHeight = req.meshHeight;
-    cfg.seed = req.seed;
-    cfg.threads = req.threads;
-    cfg.elide = req.elide;
-    cfg.realTags = req.realTags;
-
-    if (req.apps.empty())
-        return "apps must be non-empty";
-    if (req.apps.size() == 1) {
-        cfg.apps = req.apps;
-    } else {
-        cfg.apps.clear();
-        const int cores = cfg.meshWidth * cfg.meshHeight;
-        for (int c = 0; c < cores; ++c)
-            cfg.apps.push_back(
-                req.apps[static_cast<std::size_t>(c) % req.apps.size()]);
-    }
-
-    if (!req.faultSpec.empty()) {
-        std::string err;
-        if (!fault::parseFaultSpec(req.faultSpec, cfg.faults, err))
-            return "bad fault_spec: " + err;
-        cfg.faultsEnabled = cfg.faults.any();
-        // Fault campaigns run under the liveness guard, like
-        // stacknoc_run does by default.
-        cfg.watchdogEnabled = cfg.faultsEnabled;
-    }
-    return {};
+    spec.writeJson(w, system::kWire);
+    w.kv("interval", static_cast<std::uint64_t>(interval));
 }
 
 std::string
 cacheKeyString(const JobRequest &req)
 {
     system::SystemConfig cfg;
-    const std::string err = buildConfig(req, cfg);
+    const std::string err = req.spec.toConfig(cfg);
     if (!err.empty())
         return "invalid:" + err;
     std::ostringstream os;
-    os << snapshot::canonicalWarmSpec(cfg, req.warmup);
-    os << "|cycles=" << req.cycles;
+    os << snapshot::canonicalWarmSpec(cfg, req.spec.warmup);
+    os << "|cycles=" << req.spec.cycles;
     os << "|interval=" << req.interval;
-    os << "|threads=" << req.threads;
-    os << "|elide=" << (req.elide ? 1 : 0);
+    os << "|threads=" << req.spec.threads;
+    os << "|elide=" << (req.spec.elide ? 1 : 0);
     os << "|proto=" << kProtocolVersion;
     return os.str();
 }

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 #include "telemetry/json.hh"
 
 namespace stacknoc::server {
@@ -46,39 +46,16 @@ constexpr int kProtocolVersion = 1;
 /** One scenario-run request (the "run" command's payload). */
 struct JobRequest
 {
-    std::string scenario = "MRAM-4TSB-WB";
-    int regions = -1; //!< -1 keeps the scenario's default
-    std::vector<std::string> apps{"tpcc"};
-    std::uint64_t seed = 1;
-    Cycle warmup = 3000;
-    Cycle cycles = 20000;
-    int meshWidth = 8;
-    int meshHeight = 8;
-    int threads = 1;
-    bool elide = true;
-    Cycle interval = 0; //!< interval-event period; 0 streams nothing
-    std::string faultSpec; //!< --fault-spec grammar; empty = clean
-    bool realTags = false;
+    system::RunSpec spec; //!< the wire (kWire) fields
+    Cycle interval = 0;   //!< interval-event period; 0 streams nothing
+
+    /** Fill from a request object (unknown members, "cmd"/"id"
+     *  included, are ignored). @return "" or a one-line reason. */
+    std::string read(const telemetry::JsonValue &v);
+
+    /** Emit the request's members into an already-open JSON object. */
+    void write(telemetry::JsonWriter &w) const;
 };
-
-/**
- * Fill @p out from the members of @p v (unknown members are ignored,
- * "cmd"/"id" included). @return empty string on success, else a
- * one-line reason.
- */
-std::string parseJobRequest(const telemetry::JsonValue &v,
-                            JobRequest &out);
-
-/** Emit @p req's members into an already-open JSON object. */
-void writeJobRequestMembers(telemetry::JsonWriter &w,
-                            const JobRequest &req);
-
-/**
- * Resolve @p req into a full SystemConfig (scenario lookup, app
- * round-robin expansion, fault-spec parse). @return empty string on
- * success, else a one-line reason.
- */
-std::string buildConfig(const JobRequest &req, system::SystemConfig &cfg);
 
 /** The canonical cache-key rendering (documented in docs/SERVER.md). */
 std::string cacheKeyString(const JobRequest &req);

@@ -585,7 +585,7 @@ CampaignServer::workerLineFor(const Job &job) const
     w.kv("attempt", job.attempt);
     if (job.forceCold)
         w.kv("cold", true);
-    writeJobRequestMembers(w, job.req);
+    job.req.write(w);
     w.endObject();
     return os.str();
 }
@@ -896,21 +896,16 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
             sendToClient(clientFd, ev);
     };
 
-    JobRequest req;
-    if (const std::string err = parseJobRequest(doc, req);
-        !err.empty()) {
-        reject(err);
-        return;
-    }
     // Resolve the config now so bad requests fail at submission, not
     // in a worker.
-    {
-        system::SystemConfig cfg;
-        if (const std::string err = buildConfig(req, cfg);
-            !err.empty()) {
-            reject(err);
-            return;
-        }
+    JobRequest req;
+    system::SystemConfig cfg;
+    std::string err = req.read(doc);
+    if (err.empty())
+        err = req.spec.toConfig(cfg);
+    if (!err.empty()) {
+        reject(err);
+        return;
     }
 
     const std::uint64_t key = cacheKeyDigest(req);

@@ -107,8 +107,9 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
        const std::string &ckptDir, const ChaosSpec &chaos, int attempt,
        bool forceCold)
 {
+    const system::RunSpec &spec = req.spec;
     system::SystemConfig cfg;
-    if (const std::string err = buildConfig(req, cfg); !err.empty()) {
+    if (const std::string err = spec.toConfig(cfg); !err.empty()) {
         emitError(out, id, err);
         return;
     }
@@ -117,7 +118,7 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
     auto sysPtr = std::make_unique<system::CmpSystem>(cfg);
 
     const std::uint64_t warmKey =
-        snapshot::warmConfigDigest(cfg, req.warmup);
+        snapshot::warmConfigDigest(cfg, spec.warmup);
     const std::filesystem::path ckptPath =
         ckptDir.empty()
             ? std::filesystem::path{}
@@ -170,7 +171,7 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
     if (!warmRestored) {
         const auto t0 = Clock::now();
         sys.warmupBegin();
-        sys.run(req.warmup);
+        sys.run(spec.warmup);
         sys.warmupEnd();
         warmUs = usBetween(t0, Clock::now());
         const auto tPub = Clock::now();
@@ -210,12 +211,12 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
     // equivalent to one call — the engine has no run()-boundary state.
     const auto tMeasure = Clock::now();
     Cycle done = 0;
-    const Cycle step = req.interval > 0 ? req.interval : req.cycles;
-    while (done < req.cycles) {
-        const Cycle n = std::min<Cycle>(step, req.cycles - done);
+    const Cycle step = req.interval > 0 ? req.interval : spec.cycles;
+    while (done < spec.cycles) {
+        const Cycle n = std::min<Cycle>(step, spec.cycles - done);
         sys.run(n);
         done += n;
-        if (!chaosFired && done * 2 >= req.cycles) {
+        if (!chaosFired && done * 2 >= spec.cycles) {
             chaosFired = true;
             if (chaosKill) {
                 out.flush();
@@ -224,7 +225,7 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
             if (chaosSlow)
                 ::usleep(static_cast<useconds_t>(kSlowStallMs) * 1000);
         }
-        if (req.interval > 0 && done < req.cycles) {
+        if (req.interval > 0 && done < spec.cycles) {
             const auto m = sys.metrics();
             std::ostringstream os;
             JsonWriter w(os);
@@ -263,18 +264,15 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
     w.kv("scenario", cfg.scenario.name);
     {
         std::string joined;
-        for (const auto &a : req.apps) {
-            if (!joined.empty())
-                joined += ",";
-            joined += a;
-        }
+        for (const auto &a : spec.apps)
+            joined += (joined.empty() ? "" : ",") + a;
         w.kv("apps", joined);
     }
-    w.kv("seed", req.seed);
-    w.kv("warmup", static_cast<std::uint64_t>(req.warmup));
-    w.kv("cycles", static_cast<std::uint64_t>(req.cycles));
-    w.kv("threads", req.threads);
-    w.kv("elide", req.elide);
+    w.kv("seed", spec.seed);
+    w.kv("warmup", spec.warmup);
+    w.kv("cycles", spec.cycles);
+    w.kv("threads", spec.threads);
+    w.kv("elide", spec.elide);
     w.kv("mean_ipc", m.meanIpc());
     w.kv("min_ipc", m.minIpc());
     w.kv("instruction_throughput", m.instructionThroughput());
@@ -328,8 +326,7 @@ runWorkerLoop(std::istream &in, std::ostream &out,
             m != nullptr && m->type() == JsonValue::Type::Bool)
             forceCold = m->asBool();
         JobRequest req;
-        if (const std::string err = parseJobRequest(*doc, req);
-            !err.empty()) {
+        if (const std::string err = req.read(*doc); !err.empty()) {
             emitError(out, id, err);
             continue;
         }

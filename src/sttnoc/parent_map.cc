@@ -26,7 +26,7 @@ xyStep(Coord c, const Coord &to)
 ParentMap::ParentMap(const RegionMap &regions, int hops)
     : regions_(regions), hops_(hops)
 {
-    fatal_if(hops_ < 1, "parent distance must be >= 1 hop");
+    panic_if(hops_ < 1, "parent distance must be >= 1 hop");
     const MeshShape &shape = regions_.shape();
     parentOfBank_.assign(static_cast<std::size_t>(regions_.numBanks()),
                          kInvalidNode);

@@ -7,11 +7,57 @@
 
 namespace stacknoc::sttnoc {
 
+namespace {
+
+/**
+ * Factor @p n regions into rx columns x (n / rx) rows that tile a
+ * @p w x @p h mesh evenly, preferring the squarest tiling. @return rx,
+ * or 0 when no tiling exists.
+ */
+int
+regionColumns(int w, int h, int n)
+{
+    if (w < 1 || h < 1 || n < 1)
+        return 0;
+    // For the paper's 8-region case this yields 2 columns x 4 rows of
+    // 4x2 tiles, matching Figure 11(c).
+    if (n == 8 && w == 8 && h == 8)
+        return 2;
+    for (int cand = static_cast<int>(std::sqrt(static_cast<double>(n)));
+         cand >= 1; --cand) {
+        if (n % cand != 0)
+            continue;
+        const int ry = n / cand;
+        // Prefer more columns when the square root is not exact.
+        const int cols = std::max(cand, ry);
+        const int rows = n / cols;
+        if (w % cols == 0 && h % rows == 0)
+            return cols;
+        if (w % cand == 0 && h % ry == 0)
+            return cand;
+    }
+    return 0;
+}
+
+} // namespace
+
+std::string
+RegionMap::tilingError(int width, int height, int numRegions)
+{
+    if (regionColumns(width, height, numRegions) != 0)
+        return {};
+    return "regions: mesh " + std::to_string(width) + "x" +
+           std::to_string(height) + " cannot be tiled into " +
+           std::to_string(numRegions) + " equal regions";
+}
+
 RegionMap::RegionMap(const MeshShape &shape, const RegionConfig &config)
     : shape_(shape), config_(config), numRegions_(config.numRegions)
 {
-    fatal_if(shape_.layers() != 2, "RegionMap expects a two-layer stack");
-    fatal_if(numRegions_ < 1, "numRegions must be >= 1");
+    panic_if(shape_.layers() != 2, "RegionMap expects a two-layer stack");
+    const std::string err =
+        tilingError(shape_.width(), shape_.height(), numRegions_);
+    panic_if(!err.empty(), "%s", err.c_str());
     buildRegions();
     placeTsbs();
 }
@@ -21,37 +67,8 @@ RegionMap::buildRegions()
 {
     const int w = shape_.width();
     const int h = shape_.height();
-
-    // Factor numRegions into a grid of rx columns x ry rows of regions,
-    // preferring the squarest tiling that divides the mesh evenly.
-    int rx = 0;
-    for (int cand = static_cast<int>(std::sqrt(
-             static_cast<double>(numRegions_))); cand >= 1; --cand) {
-        if (numRegions_ % cand != 0)
-            continue;
-        const int ry = numRegions_ / cand;
-        // Prefer more columns when the square root is not exact.
-        const int cols = std::max(cand, ry);
-        const int rows = numRegions_ / cols;
-        if (w % cols == 0 && h % rows == 0) {
-            rx = cols;
-            break;
-        }
-        if (w % cand == 0 && h % ry == 0) {
-            rx = cand;
-            break;
-        }
-    }
-    fatal_if(rx == 0, "cannot tile %dx%d mesh into %d regions", w, h,
-             numRegions_);
-    // For the paper's 8-region case this yields 2 columns x 4 rows of
-    // 4x2 tiles, matching Figure 11(c).
-    if (numRegions_ == 8 && w == 8 && h == 8)
-        rx = 2;
-
+    const int rx = regionColumns(w, h, numRegions_);
     const int ry = numRegions_ / rx;
-    fatal_if(w % rx != 0 || h % ry != 0,
-             "region grid %dx%d does not divide mesh %dx%d", rx, ry, w, h);
     const int tile_w = w / rx;
     const int tile_h = h / ry;
 

@@ -8,6 +8,7 @@
 #ifndef STACKNOC_STTNOC_REGION_MAP_HH
 #define STACKNOC_STTNOC_REGION_MAP_HH
 
+#include <string>
 #include <vector>
 
 #include "common/geometry.hh"
@@ -36,7 +37,15 @@ struct RegionConfig
 class RegionMap
 {
   public:
+    /** Panics unless tilingError() accepts the shape; check it first. */
     RegionMap(const MeshShape &shape, const RegionConfig &config);
+
+    /**
+     * @return an empty string when a @p width x @p height mesh tiles
+     * evenly into @p numRegions rectangular regions, else a one-line
+     * reason naming the region count.
+     */
+    static std::string tilingError(int width, int height, int numRegions);
 
     int numRegions() const { return numRegions_; }
     const RegionConfig &config() const { return config_; }

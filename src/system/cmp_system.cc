@@ -11,23 +11,59 @@
 
 namespace stacknoc::system {
 
+std::string
+checkConfig(const SystemConfig &cfg)
+{
+    const std::string mesh = std::to_string(cfg.meshWidth) + "x" +
+                             std::to_string(cfg.meshHeight);
+    if (cfg.meshWidth < 1 || cfg.meshHeight < 1)
+        return "mesh: " + mesh + " has no cores";
+    const int cores = cfg.meshWidth * cfg.meshHeight;
+    // The directory's sharer set is one 64-bit mask.
+    if (cores > kMaxCores)
+        return "mesh: " + mesh + " has " + std::to_string(cores) +
+               " cores; at most " + std::to_string(kMaxCores) +
+               " are supported";
+    if (cfg.apps.empty())
+        return "apps: no applications configured";
+    if (cfg.apps.size() != 1 && static_cast<int>(cfg.apps.size()) != cores)
+        return "apps must have 1 or " + std::to_string(cores) +
+               " entries (got " + std::to_string(cfg.apps.size()) + ")";
+
+    const Scenario &sc = cfg.scenario;
+    // The region map and parent map exist even for unrestricted
+    // (0-region) scenarios, over the default four regions.
+    const int regions = sc.tsbRegions > 0 ? sc.tsbRegions : 4;
+    if (std::string err = sttnoc::RegionMap::tilingError(
+            cfg.meshWidth, cfg.meshHeight, regions);
+        !err.empty())
+        return err;
+    if (sc.scheme.has_value() && sc.tsbRegions <= 0)
+        return "regions: the STT-RAM-aware scheme requires region TSBs "
+               "(regions must be >= 1)";
+    if (sc.parentHops < 1 || sc.parentHops > 3)
+        return "hops: parent distance H=" + std::to_string(sc.parentHops) +
+               " is outside the modelled 1..3";
+
+    const int nodes = 2 * cores;
+    if (cfg.faultsEnabled && cfg.faults.stuckRouter != kInvalidNode &&
+        (cfg.faults.stuckRouter < 0 || cfg.faults.stuckRouter >= nodes))
+        return "fault_spec: router_stuck node " +
+               std::to_string(cfg.faults.stuckRouter) +
+               " out of range (mesh has " + std::to_string(nodes) +
+               " nodes)";
+    return {};
+}
+
 CmpSystem::CmpSystem(const SystemConfig &config)
     : config_(config),
       shape_(config.meshWidth, config.meshHeight, 2),
       cacheStats_("cache"), coreStats_("core"), memStats_("mem")
 {
-    fatal_if(config_.apps.empty(), "no applications configured");
-    fatal_if(config_.apps.size() != 1 &&
-                 static_cast<int>(config_.apps.size()) != numCores(),
-             "apps must have 1 or %d entries", numCores());
+    const std::string err = checkConfig(config_);
+    fatal_if(!err.empty(), "%s", err.c_str());
 
     if (config_.faultsEnabled) {
-        fatal_if(config_.faults.stuckRouter != kInvalidNode &&
-                     (config_.faults.stuckRouter < 0 ||
-                      config_.faults.stuckRouter >= shape_.totalNodes()),
-                 "router_stuck node %d out of range (mesh has %d nodes)",
-                 static_cast<int>(config_.faults.stuckRouter),
-                 shape_.totalNodes());
         faults_ = std::make_unique<fault::FaultInjector>(
             config_.faults, config_.seed, shape_, numBanks());
     }
@@ -206,8 +242,6 @@ CmpSystem::buildNetwork()
 
     noc::ArbitrationPolicy *policy = nullptr;
     if (sc.scheme.has_value()) {
-        fatal_if(sc.tsbRegions <= 0,
-                 "the STT-RAM-aware scheme requires region TSBs");
         sttnoc::SttAwareParams params;
         params.estimator = *sc.scheme;
         params.delayMode = sc.delayMode;

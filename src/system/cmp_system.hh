@@ -153,6 +153,17 @@ struct SystemConfig
     bool watchdogEnabled = false;
 };
 
+/** Largest core count the directory's 64-bit sharer set can track. */
+constexpr int kMaxCores = 64;
+
+/**
+ * Every legality rule on a SystemConfig: mesh size and core count, app
+ * count, region tiling, scheme-needs-regions, parent distance H in
+ * 1..3, and the stuck-router node range. @return an empty string for a
+ * config CmpSystem can build, else a one-line reason naming the field.
+ */
+std::string checkConfig(const SystemConfig &cfg);
+
 /** The system. Construct, warmup(), run(), then read metrics(). */
 class CmpSystem
 {

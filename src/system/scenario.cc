@@ -1,128 +1,120 @@
 #include "system/scenario.hh"
 
+#include <algorithm>
+#include <span>
+
 namespace stacknoc::system::scenarios {
+
+namespace {
+
+using sttnoc::EstimatorKind;
+
+/** Every named scenario, by the name a run prints; the first six are
+ *  the Figure 6/8 scenarios in presentation order. (A function-local
+ *  static, so other static initialisers may call the factories.) */
+std::span<const Scenario>
+all()
+{
+    static const Scenario kAll[] = {
+        {.name = "SRAM-64TSB", .tech = mem::CacheTech::Sram, .tsbRegions = 0,
+         .scheme = std::nullopt},
+        {.name = "MRAM-64TSB", .tsbRegions = 0, .scheme = std::nullopt},
+        {.name = "MRAM-4TSB", .scheme = std::nullopt},
+        {.name = "MRAM-4TSB-SS", .scheme = EstimatorKind::Simple},
+        {.name = "MRAM-4TSB-RCA", .scheme = EstimatorKind::Rca},
+        {.name = "MRAM-4TSB-WB", .scheme = EstimatorKind::Window},
+        {.name = "BUFF-20", .tsbRegions = 0, .scheme = std::nullopt,
+         .writeBuffer = true},
+        {.name = "MRAM-4TSB-WB+1VC", .vcsPerVnet = {2, 3, 1, 1}},
+        {.name = "MRAM-RP", .tsbRegions = 0, .scheme = std::nullopt,
+         .readPriority = true},
+        {.name = "MRAM-4TSB-WB+RP", .readPriority = true},
+    };
+    return kAll;
+}
+
+/** The short name the docs use for MRAM-4TSB-WB+1VC. */
+constexpr const char *kPlus1VcAlias = "+1VC";
+
+} // namespace
 
 Scenario
 sram64Tsb()
 {
-    Scenario s;
-    s.name = "SRAM-64TSB";
-    s.tech = mem::CacheTech::Sram;
-    s.tsbRegions = 0;
-    s.scheme.reset();
-    return s;
+    return all()[0];
 }
 
 Scenario
 sttram64Tsb()
 {
-    Scenario s;
-    s.name = "MRAM-64TSB";
-    s.tech = mem::CacheTech::SttRam;
-    s.tsbRegions = 0;
-    s.scheme.reset();
-    return s;
+    return all()[1];
 }
 
 Scenario
 sttram4Tsb()
 {
-    Scenario s;
-    s.name = "MRAM-4TSB";
-    s.tsbRegions = 4;
-    s.scheme.reset();
-    return s;
+    return all()[2];
 }
 
 Scenario
 sttram4TsbSS()
 {
-    Scenario s;
-    s.name = "MRAM-4TSB-SS";
-    s.scheme = sttnoc::EstimatorKind::Simple;
-    return s;
+    return all()[3];
 }
 
 Scenario
 sttram4TsbRca()
 {
-    Scenario s;
-    s.name = "MRAM-4TSB-RCA";
-    s.scheme = sttnoc::EstimatorKind::Rca;
-    return s;
+    return all()[4];
 }
 
 Scenario
 sttram4TsbWb()
 {
-    Scenario s;
-    s.name = "MRAM-4TSB-WB";
-    s.scheme = sttnoc::EstimatorKind::Window;
-    return s;
+    return all()[5];
 }
 
 Scenario
 sttramBuff20()
 {
-    Scenario s;
-    s.name = "BUFF-20";
-    s.tsbRegions = 0;
-    s.scheme.reset();
-    s.writeBuffer = true;
-    return s;
+    return all()[6];
 }
 
 Scenario
 sttram4TsbWbPlus1Vc()
 {
-    Scenario s = sttram4TsbWb();
-    s.name = "MRAM-4TSB-WB+1VC";
-    s.vcsPerVnet = {2, 3, 1, 1};
-    return s;
+    return all()[7];
 }
 
 Scenario
 sttramReadPriority()
 {
-    Scenario s;
-    s.name = "MRAM-RP";
-    s.tsbRegions = 0;
-    s.scheme.reset();
-    s.readPriority = true;
-    return s;
+    return all()[8];
 }
 
 Scenario
 sttram4TsbWbReadPriority()
 {
-    Scenario s = sttram4TsbWb();
-    s.name = "MRAM-4TSB-WB+RP";
-    s.readPriority = true;
-    return s;
+    return all()[9];
 }
 
 std::array<Scenario, 6>
 figureSix()
 {
-    return {sram64Tsb(),    sttram64Tsb(),    sttram4Tsb(),
-            sttram4TsbSS(), sttram4TsbRca(), sttram4TsbWb()};
+    std::array<Scenario, 6> six;
+    std::copy_n(all().begin(), six.size(), six.begin());
+    return six;
 }
 
 bool
 byName(const std::string &name, Scenario &out)
 {
-    if (name == "SRAM-64TSB") { out = sram64Tsb(); return true; }
-    if (name == "MRAM-64TSB") { out = sttram64Tsb(); return true; }
-    if (name == "MRAM-4TSB") { out = sttram4Tsb(); return true; }
-    if (name == "MRAM-4TSB-SS") { out = sttram4TsbSS(); return true; }
-    if (name == "MRAM-4TSB-RCA") { out = sttram4TsbRca(); return true; }
-    if (name == "MRAM-4TSB-WB") { out = sttram4TsbWb(); return true; }
-    if (name == "BUFF-20") { out = sttramBuff20(); return true; }
-    if (name == "+1VC") { out = sttram4TsbWbPlus1Vc(); return true; }
-    if (name == "MRAM-RP") { out = sttramReadPriority(); return true; }
-    if (name == "MRAM-4TSB-WB+RP") {
-        out = sttram4TsbWbReadPriority();
-        return true;
+    for (const Scenario &s : all()) {
+        if (s.name == name ||
+            (name == kPlus1VcAlias && s.name == "MRAM-4TSB-WB+1VC")) {
+            out = s;
+            return true;
+        }
     }
     return false;
 }
@@ -130,9 +122,13 @@ byName(const std::string &name, Scenario &out)
 const char *
 knownNames()
 {
-    return "SRAM-64TSB, MRAM-64TSB, MRAM-4TSB, MRAM-4TSB-SS, "
-           "MRAM-4TSB-RCA, MRAM-4TSB-WB, BUFF-20, +1VC, MRAM-RP, "
-           "MRAM-4TSB-WB+RP";
+    static const std::string names = [] {
+        std::string joined;
+        for (const Scenario &s : all())
+            joined += s.name + ", ";
+        return joined + kPlus1VcAlias;
+    }();
+    return names.c_str();
 }
 
 } // namespace stacknoc::system::scenarios

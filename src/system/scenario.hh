@@ -98,7 +98,8 @@ Scenario sttram4TsbWbReadPriority();
 std::array<Scenario, 6> figureSix();
 
 /**
- * Look up a scenario by its CLI name (e.g. "MRAM-4TSB-WB").
+ * Look up a scenario by the name a run prints (e.g. "MRAM-4TSB-WB");
+ * "+1VC" is accepted as an alias of "MRAM-4TSB-WB+1VC".
  * @return true and fill @p out on success; false for unknown names.
  */
 bool byName(const std::string &name, Scenario &out);

@@ -275,7 +275,7 @@ def test_event_log_and_trace():
     try:
         srv.client("run", *JOB)
         srv.client("run", *JOB)
-        srv.client("run", "--scenario", "NOPE", expect_rc=1)
+        srv.client("run", "--scenario", "NOPE", expect_rc=2)
 
         kinds = []
         with open(srv.log_path, encoding="utf-8") as f:
@@ -383,10 +383,11 @@ def test_client_watch_and_error_exit():
 
         # Any error event exits non-zero (audited in
         # tools/stacknoc_client.cpp: the event loop returns 1 on
-        # kind == "error" for every subcommand).
+        # kind == "error" for every subcommand); a job the client can
+        # reject itself exits 2 before connecting.
         bad = srv.client("run", "--fault-spec", "not-a-spec",
-                         expect_rc=1)
-        assert events_of(bad, "error"), bad
+                         expect_rc=2)
+        assert bad == [], bad
     finally:
         srv.shutdown()
 

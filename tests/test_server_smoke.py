@@ -19,6 +19,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -63,6 +64,15 @@ class Server:
              f"(want {expect_rc}):\n{proc.stdout}\n{proc.stderr}")
         return [json.loads(line) for line in
                 proc.stdout.splitlines() if line.strip()]
+
+    def raw(self, request):
+        """Send one command straight to the socket, bypassing the
+        client's own checks; return the first reply event."""
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.settimeout(60)
+            s.connect(self.socket)
+            s.sendall((json.dumps(request) + "\n").encode())
+            return json.loads(s.makefile().readline())
 
     def shutdown(self):
         try:
@@ -135,9 +145,14 @@ def test_server_end_to_end():
         assert status["cache_hits"] == 1
         assert status["cache_entries"] == 2
 
-        # Submission-time validation fails fast with exit 1.
-        bad = srv.client("run", "--scenario", "NOPE", expect_rc=1)
-        assert events_of(bad, "error"), bad
+        # The client rejects a bad job before connecting (exit 2); the
+        # server rejects one sent raw at submission, before any worker.
+        srv.client("run", "--scenario", "NOPE", expect_rc=2)
+        bad = srv.raw({"cmd": "run", "scenario": "NOPE"})
+        assert bad["event"] == "error", bad
+        assert "unknown scenario" in bad["reason"], bad
+        bad = srv.raw({"cmd": "run", "mesh_width": 3, "mesh_height": 3})
+        assert bad["event"] == "error" and "3x3" in bad["reason"], bad
     finally:
         srv.shutdown()
 

@@ -8,7 +8,8 @@
  *
  * "run" submits one job and prints every server event for it (one JSON
  * object per line) until the result or an error arrives. Exit code: 0
- * on result, 1 on an error event or connection failure, 2 on usage.
+ * on result, 1 on an error event or connection failure, 2 on usage or
+ * a bad job (checked locally, before connecting).
  *
  * "status --watch SEC" polls the server every SEC seconds (fractional
  * ok) and prints a one-line human summary per poll until interrupted
@@ -17,12 +18,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/cli.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "telemetry/json.hh"
@@ -37,59 +38,31 @@ namespace {
 void
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s --socket PATH run [job flags]\n"
-        "       %s --socket PATH status [--watch SEC]\n"
-        "       %s --socket PATH shutdown\n"
-        "\n"
-        "job flags (defaults in brackets):\n"
-        "  --scenario NAME     scenario [MRAM-4TSB-WB]\n"
-        "  --regions N         TSB region override [scenario default]\n"
-        "  --apps A,B,...      app mix, round-robin over cores [tpcc]\n"
-        "  --seed N            workload seed [1]\n"
-        "  --warmup N          warm-up cycles [3000]\n"
-        "  --cycles N          measured cycles [20000]\n"
-        "  --mesh WxH          mesh dimensions [8x8]\n"
-        "  --threads N         engine threads [1]\n"
-        "  --no-elide          disable idle elision\n"
-        "  --interval N        stream interval events every N cycles [off]\n"
-        "  --fault-spec SPEC   fault campaign spec [clean]\n"
-        "  --real-tags         use the real L2 tag model\n"
-        "\n"
-        "status flags:\n"
-        "  --watch SEC         poll every SEC seconds (fractional ok)\n"
-        "                      and print a one-line summary per poll\n"
-        "\n"
-        "connection flags (any subcommand):\n"
-        "  --connect-retries N    re-attempt a refused/missing socket\n"
-        "                         up to N times [0]\n"
-        "  --connect-backoff-ms N base retry backoff, doubled per\n"
-        "                         retry [100]\n",
-        argv0, argv0, argv0);
-}
-
-bool
-parseMesh(const std::string &s, int &w, int &h)
-{
-    const std::size_t x = s.find('x');
-    if (x == std::string::npos)
-        return false;
-    w = std::atoi(s.substr(0, x).c_str());
-    h = std::atoi(s.substr(x + 1).c_str());
-    return w >= 1 && h >= 1;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, ','))
-        if (!cur.empty())
-            out.push_back(cur);
-    return out;
+    std::fprintf(stderr,
+                 "usage: %s --socket PATH run [job flags]\n"
+                 "       %s --socket PATH status [--watch SEC]\n"
+                 "       %s --socket PATH shutdown\n"
+                 "\n"
+                 "job flags (bad values exit 2 before connecting):\n%s"
+                 "  --interval N      stream interval events every N "
+                 "cycles (default 0 = off)\n"
+                 "\n"
+                 "status flags:\n"
+                 "  --watch SEC         poll every SEC seconds (fractional "
+                 "ok)\n"
+                 "                      and print a one-line summary per "
+                 "poll\n"
+                 "\n"
+                 "connection flags (any subcommand):\n"
+                 "  --connect-retries N    re-attempt a refused/missing "
+                 "socket\n"
+                 "                         up to N times [0]\n"
+                 "  --connect-backoff-ms N base retry backoff, doubled per\n"
+                 "                         retry [100]\n",
+                 argv0, argv0, argv0,
+                 stacknoc::system::RunSpec::usage(
+                     stacknoc::system::kClientArgs)
+                     .c_str());
 }
 
 double
@@ -167,6 +140,7 @@ pollStatusOnce(const char *argv0, const std::string &socketPath,
 int
 main(int argc, char **argv)
 {
+    constexpr const char *kTool = "stacknoc_client";
     std::string socketPath;
     std::string subcommand;
     double watchSec = -1.0;
@@ -174,68 +148,38 @@ main(int argc, char **argv)
     int connectBackoffMs = 100;
     JobRequest req;
 
-    int i = 1;
-    const auto need = [&](const char *what) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s requires a value\n", argv[0],
-                         what);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
+    std::vector<std::string> rest;
+    if (const std::string err = req.spec.parseArgs(
+            {argv + 1, argv + argc}, stacknoc::system::kClientArgs, rest);
+        !err.empty())
+        stacknoc::cli::reject(kTool, err);
+    stacknoc::cli::Args args(kTool, rest);
+    while (!args.done()) {
+        const std::string arg = args.next();
         if (arg == "--socket") {
-            socketPath = need("--socket");
-        } else if (arg == "--scenario") {
-            req.scenario = need("--scenario");
-        } else if (arg == "--regions") {
-            req.regions = std::atoi(need("--regions"));
-        } else if (arg == "--apps") {
-            req.apps = splitCsv(need("--apps"));
-        } else if (arg == "--seed") {
-            req.seed = std::strtoull(need("--seed"), nullptr, 10);
-        } else if (arg == "--warmup") {
-            req.warmup = std::strtoull(need("--warmup"), nullptr, 10);
-        } else if (arg == "--cycles") {
-            req.cycles = std::strtoull(need("--cycles"), nullptr, 10);
-        } else if (arg == "--mesh") {
-            if (!parseMesh(need("--mesh"), req.meshWidth,
-                           req.meshHeight)) {
-                std::fprintf(stderr, "%s: bad --mesh (want WxH)\n",
-                             argv[0]);
-                return 2;
-            }
-        } else if (arg == "--threads") {
-            req.threads = std::atoi(need("--threads"));
-        } else if (arg == "--no-elide") {
-            req.elide = false;
+            socketPath = args.value(arg);
         } else if (arg == "--interval") {
-            req.interval = std::strtoull(need("--interval"), nullptr, 10);
-        } else if (arg == "--fault-spec") {
-            req.faultSpec = need("--fault-spec");
-        } else if (arg == "--real-tags") {
-            req.realTags = true;
+            req.interval = args.number(arg, 0, 1'000'000'000'000);
         } else if (arg == "--connect-retries") {
-            connectRetries = std::atoi(need("--connect-retries"));
+            connectRetries = static_cast<int>(args.number(arg, 0, 1000000));
         } else if (arg == "--connect-backoff-ms") {
-            connectBackoffMs = std::atoi(need("--connect-backoff-ms"));
+            connectBackoffMs =
+                static_cast<int>(args.number(arg, 0, 3600000));
         } else if (arg == "--watch") {
-            watchSec = std::atof(need("--watch"));
-            if (watchSec <= 0) {
-                std::fprintf(stderr, "%s: --watch wants seconds > 0\n",
-                             argv[0]);
-                return 2;
-            }
+            watchSec = args.real(arg, 1e-3, 1e6);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (!arg.empty() && arg[0] != '-' && subcommand.empty()) {
             subcommand = arg;
         } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         arg.c_str());
-            usage(argv[0]);
+            // One line, like every other rejection (--help has usage).
+            std::vector<std::string> known = stacknoc::system::RunSpec::flags(
+                stacknoc::system::kClientArgs);
+            known.insert(known.end(), {"--socket", "--interval", "--watch",
+                                       "--connect-retries",
+                                       "--connect-backoff-ms", "--help"});
+            stacknoc::cli::reportUnknownOption(kTool, arg, known);
             return 2;
         }
     }
@@ -246,10 +190,13 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    if (watchSec > 0 && subcommand != "status") {
-        std::fprintf(stderr, "%s: --watch only applies to status\n",
-                     argv[0]);
-        return 2;
+    if (watchSec > 0 && subcommand != "status")
+        stacknoc::cli::reject(kTool, "--watch only applies to status");
+    // Resolve the job locally, so a bad one fails before connecting.
+    if (subcommand == "run") {
+        stacknoc::system::SystemConfig cfg;
+        if (const std::string err = req.spec.toConfig(cfg); !err.empty())
+            stacknoc::cli::reject(kTool, err);
     }
 
     if (watchSec > 0) {
@@ -282,7 +229,7 @@ main(int argc, char **argv)
         w.beginObject();
         w.kv("cmd", subcommand);
         if (subcommand == "run")
-            stacknoc::server::writeJobRequestMembers(w, req);
+            req.write(w);
         w.endObject();
         cmdLine = os.str();
     }

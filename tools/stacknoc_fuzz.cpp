@@ -9,7 +9,7 @@
  * seed, builds the system with every checker enabled, and simulates.
  * Any invariant violation fails the run; the fuzzer then bisects the
  * duration down to the shortest failing prefix and writes a replayable
- * key=value reproducer file.
+ * reproducer file: the case's RunSpec key=value rendering.
  *
  *   stacknoc_fuzz                         # 50 runs from seed 1
  *   stacknoc_fuzz --runs 200 --seed 7
@@ -22,9 +22,9 @@
  * so the artifacts are deterministic too.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -38,39 +38,18 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "fault/fault_spec.hh"
 #include "noc/packet.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 
 using namespace stacknoc;
 
 namespace {
 
 /** Engine threads for every fuzz run (--threads). */
-int g_threads = 1;
+std::uint64_t g_threads = 1;
 
-/** Everything needed to rebuild one fuzz run exactly. */
-struct FuzzCase
-{
-    int mesh = 4;
-    int regions = 4;      //!< 0 = unrestricted vertical links
-    std::string scheme = "ss"; //!< none | ss | rca | wb
-    std::string delayMode = "priority"; //!< priority | hold
-    int hops = 2;
-    std::string tech = "sttram"; //!< sttram | sram
-    std::string placement = "corner"; //!< corner | stagger
-    bool writeBuffer = false;
-    int writeBufferEntries = 20;
-    bool readPriority = false;
-    int requestCap = 8;
-    int writeCap = 32;
-    std::string apps = "tpcc";
-    std::uint64_t seed = 1;
-    Cycle warmup = 0;
-    Cycle cycles = 4000;
-    bool elide = true;     //!< idle-elision engine mode (--no-elide off)
-    std::string faultSpec; //!< empty = no fault injection
-};
+constexpr const char *kTool = "stacknoc_fuzz";
 
 /** Bounded fault campaign: write BER and link/TSB BER compositions
  *  high enough to exercise every recovery path in a ~4000-cycle run.
@@ -103,7 +82,9 @@ drawFaultSpec(std::mt19937_64 &rng)
     return spec;
 }
 
-FuzzCase
+/** Draw one case. The draw order is fixed: case lists stay identical
+ *  for a given master seed. */
+system::RunSpec
 drawCase(std::mt19937_64 &rng, bool with_faults)
 {
     auto pick = [&](auto... vals) {
@@ -112,23 +93,25 @@ drawCase(std::mt19937_64 &rng, bool with_faults)
         return arr[rng() % (sizeof...(vals))];
     };
 
-    FuzzCase fc;
-    fc.mesh = 4;
+    system::RunSpec fc;
+    fc.mesh = {4, 4};
     fc.regions = pick(0, 4, 8, 16);
-    fc.scheme = fc.regions == 0
-                    ? "none"
-                    : std::string(pick("none", "ss", "rca", "wb"));
+    fc.scheme = *fc.regions == 0 ? "none"
+                                 : pick("none", "ss", "rca", "wb");
     fc.delayMode = pick("priority", "hold");
     fc.hops = pick(1, 2, 3);
     fc.tech = pick("sttram", "sttram", "sram"); // bias toward STT-RAM
     fc.placement = pick("corner", "stagger");
-    fc.writeBuffer = pick(0, 0, 1) != 0;
+    fc.writeBuffer = pick(0, 0, 1);
     fc.writeBufferEntries = pick(4, 20);
-    fc.readPriority = pick(0, 0, 1) != 0;
+    fc.readPriority = pick(0, 0, 1);
     fc.requestCap = pick(4, 8);
     fc.writeCap = pick(16, 32);
-    fc.apps = pick("tpcc", "sjbb", "lbm", "mcf", "libquantum",
-                   "tpcc,lbm,mcf,libquantum", "sap,sjbb,tpcc,milc");
+    fc.parseKeyValues(std::string("apps=") +
+                          pick("tpcc", "sjbb", "lbm", "mcf", "libquantum",
+                               "tpcc,lbm,mcf,libquantum",
+                               "sap,sjbb,tpcc,milc"),
+                      system::kRepro);
     fc.seed = rng();
     fc.warmup = pick(Cycle{0}, Cycle{500});
     fc.cycles = 2000 + rng() % 6000;
@@ -140,83 +123,27 @@ drawCase(std::mt19937_64 &rng, bool with_faults)
     return fc;
 }
 
-system::SystemConfig
-toConfig(const FuzzCase &fc)
+/** One-line description for progress output. */
+std::string
+describe(const system::RunSpec &fc)
 {
-    system::SystemConfig cfg;
-    cfg.meshWidth = fc.mesh;
-    cfg.meshHeight = fc.mesh;
-
-    system::Scenario sc;
-    sc.name = "fuzz";
-    sc.tech = fc.tech == "sram" ? mem::CacheTech::Sram
-                                : mem::CacheTech::SttRam;
-    sc.tsbRegions = fc.regions;
-    sc.placement = fc.placement == "stagger"
-                       ? sttnoc::TsbPlacement::Stagger
-                       : sttnoc::TsbPlacement::Corner;
-    if (fc.scheme == "none")
-        sc.scheme.reset();
-    else if (fc.scheme == "ss")
-        sc.scheme = sttnoc::EstimatorKind::Simple;
-    else if (fc.scheme == "rca")
-        sc.scheme = sttnoc::EstimatorKind::Rca;
-    else if (fc.scheme == "wb")
-        sc.scheme = sttnoc::EstimatorKind::Window;
-    else
-        fatal("unknown scheme '%s'", fc.scheme.c_str());
-    sc.parentHops = fc.hops;
-    sc.delayMode = fc.delayMode == "hold" ? sttnoc::DelayMode::Hold
-                                          : sttnoc::DelayMode::Priority;
-    sc.writeBuffer = fc.writeBuffer;
-    sc.writeBufferEntries = fc.writeBufferEntries;
-    sc.readPriority = fc.readPriority;
-    cfg.scenario = sc;
-
-    cfg.bankRequestCap = fc.requestCap;
-    cfg.bankWriteCap = fc.writeCap;
-    cfg.seed = fc.seed;
-
-    std::vector<std::string> apps;
-    std::stringstream ss(fc.apps);
-    for (std::string item; std::getline(ss, item, ',');)
-        apps.push_back(item);
-    if (apps.size() > 1) {
-        cfg.apps.clear();
-        const int cores = cfg.meshWidth * cfg.meshHeight;
-        for (int c = 0; c < cores; ++c)
-            cfg.apps.push_back(
-                apps[static_cast<std::size_t>(c) % apps.size()]);
-    } else {
-        cfg.apps = apps;
-    }
-
-    if (!fc.faultSpec.empty()) {
-        std::string err;
-        fatal_if(!fault::parseFaultSpec(fc.faultSpec, cfg.faults, err),
-                 "bad fault_spec '%s': %s", fc.faultSpec.c_str(),
-                 err.c_str());
-        cfg.faultsEnabled = cfg.faults.any();
-        // Recovery must never hang: any fuzz deadlock is a finding.
-        cfg.watchdogEnabled = cfg.faultsEnabled;
-    }
-
-    cfg.validate = true;
-    cfg.validation.failFast = false; // collect, then minimize
-    cfg.threads = g_threads;
-    cfg.elide = fc.elide;
-    return cfg;
+    return fc.toKeyValues(system::kRepro, ' ');
 }
 
 /** @return violations seen when running @p fc for @p cycles cycles. */
 std::size_t
-runCase(const FuzzCase &fc, Cycle cycles)
+runCase(system::RunSpec fc, Cycle cycles, bool fail_fast = false)
 {
     // Fresh id streams per run, so bisection replays the exact packets
     // of the original failure and consecutive runs can't overflow a
     // stream.
     noc::resetPacketIds();
-    system::SystemConfig cfg = toConfig(fc);
+    fc.threads = g_threads;
+    system::SystemConfig cfg;
+    if (const std::string err = fc.toConfig(cfg); !err.empty())
+        cli::reject(kTool, err);
+    cfg.validate = true;
+    cfg.validation.failFast = fail_fast; // else collect, then minimize
     system::CmpSystem sys(cfg);
     if (fc.warmup > 0)
         sys.warmup(fc.warmup);
@@ -224,89 +151,30 @@ runCase(const FuzzCase &fc, Cycle cycles)
     return sys.validation()->violations().size();
 }
 
+/** Write @p fc as a reproducer: its RunSpec key=value rendering. */
 void
-writeCase(const FuzzCase &fc, const std::string &path)
+writeCase(const system::RunSpec &fc, const std::string &path)
 {
     std::ofstream out(path);
+    out << fc.toKeyValues(system::kRepro) << "\n";
     fatal_if(!out, "cannot write reproducer '%s'", path.c_str());
-    out << "mesh=" << fc.mesh << "\n"
-        << "regions=" << fc.regions << "\n"
-        << "scheme=" << fc.scheme << "\n"
-        << "delay_mode=" << fc.delayMode << "\n"
-        << "hops=" << fc.hops << "\n"
-        << "tech=" << fc.tech << "\n"
-        << "placement=" << fc.placement << "\n"
-        << "write_buffer=" << (fc.writeBuffer ? 1 : 0) << "\n"
-        << "write_buffer_entries=" << fc.writeBufferEntries << "\n"
-        << "read_priority=" << (fc.readPriority ? 1 : 0) << "\n"
-        << "request_cap=" << fc.requestCap << "\n"
-        << "write_cap=" << fc.writeCap << "\n"
-        << "apps=" << fc.apps << "\n"
-        << "seed=" << fc.seed << "\n"
-        << "warmup=" << fc.warmup << "\n"
-        << "cycles=" << fc.cycles << "\n"
-        << "elide=" << (fc.elide ? 1 : 0) << "\n";
-    if (!fc.faultSpec.empty())
-        out << "fault_spec=" << fc.faultSpec << "\n";
 }
 
-FuzzCase
+/** Read a reproducer; a bad file exits 2 with a one-line reason. */
+system::RunSpec
 readCase(const std::string &path)
 {
     std::ifstream in(path);
-    fatal_if(!in, "cannot read reproducer '%s'", path.c_str());
-    FuzzCase fc;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        const std::size_t eq = line.find('=');
-        fatal_if(eq == std::string::npos, "bad reproducer line '%s'",
-                 line.c_str());
-        const std::string key = line.substr(0, eq);
-        const std::string val = line.substr(eq + 1);
-        if (key == "mesh") fc.mesh = std::stoi(val);
-        else if (key == "regions") fc.regions = std::stoi(val);
-        else if (key == "scheme") fc.scheme = val;
-        else if (key == "delay_mode") fc.delayMode = val;
-        else if (key == "hops") fc.hops = std::stoi(val);
-        else if (key == "tech") fc.tech = val;
-        else if (key == "placement") fc.placement = val;
-        else if (key == "write_buffer") fc.writeBuffer = val != "0";
-        else if (key == "write_buffer_entries")
-            fc.writeBufferEntries = std::stoi(val);
-        else if (key == "read_priority") fc.readPriority = val != "0";
-        else if (key == "request_cap") fc.requestCap = std::stoi(val);
-        else if (key == "write_cap") fc.writeCap = std::stoi(val);
-        else if (key == "apps") fc.apps = val;
-        else if (key == "seed") fc.seed = std::stoull(val);
-        else if (key == "warmup") fc.warmup = std::stoull(val);
-        else if (key == "cycles") fc.cycles = std::stoull(val);
-        else if (key == "elide") fc.elide = val != "0";
-        else if (key == "fault_spec") fc.faultSpec = val;
-        else fatal("unknown reproducer key '%s'", key.c_str());
-    }
+    if (!in)
+        cli::reject(kTool, "cannot read reproducer '" + path + "'");
+    std::stringstream text;
+    text << in.rdbuf();
+    system::RunSpec fc;
+    if (const std::string err =
+            fc.parseKeyValues(text.str(), system::kRepro);
+        !err.empty())
+        cli::reject(kTool, path + ": " + err);
     return fc;
-}
-
-std::string
-describeCase(const FuzzCase &fc)
-{
-    std::string desc = detail::format(
-        "mesh=%dx%d regions=%d scheme=%s delay=%s hops=%d tech=%s "
-        "place=%s buf=%d/%d rp=%d caps=%d/%d apps=%s seed=%llu "
-        "warmup=%llu cycles=%llu elide=%d",
-        fc.mesh, fc.mesh, fc.regions, fc.scheme.c_str(),
-        fc.delayMode.c_str(), fc.hops, fc.tech.c_str(),
-        fc.placement.c_str(), fc.writeBuffer ? 1 : 0,
-        fc.writeBufferEntries, fc.readPriority ? 1 : 0, fc.requestCap,
-        fc.writeCap, fc.apps.c_str(),
-        static_cast<unsigned long long>(fc.seed),
-        static_cast<unsigned long long>(fc.warmup),
-        static_cast<unsigned long long>(fc.cycles), fc.elide ? 1 : 0);
-    if (!fc.faultSpec.empty())
-        desc += " faults=" + fc.faultSpec;
-    return desc;
 }
 
 /**
@@ -315,8 +183,8 @@ describeCase(const FuzzCase &fc)
  * so a failure at N cycles implies the same violation at every
  * duration >= its detection cycle).
  */
-FuzzCase
-minimizeCase(FuzzCase fc)
+system::RunSpec
+minimizeCase(system::RunSpec fc)
 {
     Cycle lo = 1;
     Cycle hi = fc.cycles;
@@ -368,13 +236,13 @@ const std::vector<std::string> kKnownOptions = {
  * the full-length run.
  */
 std::size_t
-fuzzOne(const FuzzCase &fc, const std::string &repro_path)
+fuzzOne(const system::RunSpec &fc, const std::string &repro_path)
 {
     const std::size_t n = runCase(fc, fc.cycles);
     if (n == 0)
         return 0;
     std::fprintf(stderr, "  FAILED: %zu violation(s); minimizing\n", n);
-    const FuzzCase min = minimizeCase(fc);
+    const system::RunSpec min = minimizeCase(fc);
     writeCase(min, repro_path);
     std::fprintf(stderr,
                  "  reproducer written to %s (%llu cycles); replay "
@@ -400,38 +268,29 @@ main(int argc, char **argv)
     std::string one_path;     //!< internal: child worker case file
     std::string repro_prefix; //!< internal: child reproducer prefix
 
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            usage();
-        return std::string(argv[i + 1]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    cli::Args args(kTool, {argv + 1, argv + argc});
+    while (!args.done()) {
+        const std::string arg = args.next();
         if (arg == "--runs") {
-            runs = std::atoi(need(i).c_str()); ++i;
+            runs = static_cast<int>(args.number(arg, 0, 1000000));
         } else if (arg == "--seed") {
-            master_seed = std::strtoull(need(i).c_str(), nullptr, 10);
-            ++i;
+            master_seed = args.number(arg, 0, UINT64_MAX);
         } else if (arg == "--out") {
-            out_prefix = need(i); ++i;
+            out_prefix = args.value(arg);
         } else if (arg == "--replay") {
-            replay_path = need(i); ++i;
+            replay_path = args.value(arg);
         } else if (arg == "--threads") {
-            g_threads = std::atoi(need(i).c_str());
-            fatal_if(g_threads < 1, "--threads must be >= 1");
-            ++i;
+            g_threads = args.number(arg, 1, 1024);
         } else if (arg == "--jobs") {
-            jobs = std::atoi(need(i).c_str());
-            fatal_if(jobs < 0, "--jobs must be >= 0");
-            ++i;
+            jobs = static_cast<int>(args.number(arg, 0, 4096));
         } else if (arg == "--faults") {
             with_faults = true;
         } else if (arg == "--one") {
-            one_path = need(i); ++i;
+            one_path = args.value(arg);
         } else if (arg == "--repro") {
-            repro_prefix = need(i); ++i;
+            repro_prefix = args.value(arg);
         } else {
-            cli::reportUnknownOption("stacknoc_fuzz", arg, kKnownOptions);
+            cli::reportUnknownOption(kTool, arg, kKnownOptions);
             usage();
         }
     }
@@ -439,8 +298,8 @@ main(int argc, char **argv)
     // Internal worker mode (spawned by --jobs): run one case file,
     // minimize on failure, exit 1 so the parent can count it.
     if (!one_path.empty()) {
-        const FuzzCase fc = readCase(one_path);
-        std::fprintf(stderr, "[worker] %s\n", describeCase(fc).c_str());
+        const system::RunSpec fc = readCase(one_path);
+        std::fprintf(stderr, "[worker] %s\n", describe(fc).c_str());
         const std::string repro = (repro_prefix.empty()
                                        ? one_path + ".repro"
                                        : repro_prefix) + ".txt";
@@ -448,18 +307,11 @@ main(int argc, char **argv)
     }
 
     if (!replay_path.empty()) {
-        const FuzzCase fc = readCase(replay_path);
-        std::fprintf(stderr, "replaying: %s\n",
-                     describeCase(fc).c_str());
+        const system::RunSpec fc = readCase(replay_path);
+        std::fprintf(stderr, "replaying: %s\n", describe(fc).c_str());
         // Fail fast: the hub dumps cycle-stamped diagnostics and
         // aborts at the first violating sweep.
-        noc::resetPacketIds();
-        system::SystemConfig cfg = toConfig(fc);
-        cfg.validation.failFast = true;
-        system::CmpSystem sys(cfg);
-        if (fc.warmup > 0)
-            sys.warmup(fc.warmup);
-        sys.run(fc.cycles);
+        runCase(fc, fc.cycles, true);
         std::printf("replay clean: no violations in %llu cycles\n",
                     static_cast<unsigned long long>(fc.cycles));
         return 0;
@@ -469,7 +321,7 @@ main(int argc, char **argv)
     // it is identical whatever --jobs is; reproducer names are keyed
     // by case index for the same reason.
     std::mt19937_64 rng(master_seed);
-    std::vector<FuzzCase> cases;
+    std::vector<system::RunSpec> cases;
     cases.reserve(static_cast<std::size_t>(runs));
     for (int r = 0; r < runs; ++r)
         cases.push_back(drawCase(rng, with_faults));
@@ -478,9 +330,9 @@ main(int argc, char **argv)
     if (jobs == 1) {
         // Historical in-process path (also the debuggable one).
         for (int r = 0; r < runs; ++r) {
-            const FuzzCase &fc = cases[static_cast<std::size_t>(r)];
+            const system::RunSpec &fc = cases[static_cast<std::size_t>(r)];
             std::fprintf(stderr, "[%3d/%d] %s\n", r + 1, runs,
-                         describeCase(fc).c_str());
+                         describe(fc).c_str());
             if (fuzzOne(fc, detail::format("%s-%d.txt",
                                            out_prefix.c_str(), r)) > 0)
                 ++failures;
@@ -518,14 +370,16 @@ main(int argc, char **argv)
                     idx = next++;
                 }
                 std::string cmd = self + " --one " + case_paths[idx] +
-                    detail::format(" --repro %s-%zu --threads %d",
-                                   out_prefix.c_str(), idx, g_threads) +
+                    detail::format(" --repro %s-%zu --threads %llu",
+                                   out_prefix.c_str(), idx,
+                                   static_cast<unsigned long long>(
+                                       g_threads)) +
                     " > /dev/null 2>&1";
                 rcs[idx] = std::system(cmd.c_str());
                 std::lock_guard<std::mutex> lk(m);
                 std::fprintf(
                     stderr, "  [%zu/%zu] %s %s\n", idx + 1, cases.size(),
-                    describeCase(cases[idx]).c_str(),
+                    describe(cases[idx]).c_str(),
                     rcs[idx] == 0
                         ? "ok"
                         : detail::format("FAILED (reproducer %s-%zu.txt)",

@@ -9,27 +9,30 @@
  *   stacknoc_run --scenario BUFF-20 --apps tpcc,lbm,mcf,libquantum
  *   stacknoc_run --scenario MRAM-4TSB-WB --delay-mode hold --stats
  *
- * --apps takes a comma list replicated round-robin across the 64 cores.
+ * --apps takes a comma list replicated round-robin across the cores.
+ * The shared run flags come from system::RunSpec; any bad value exits 2
+ * with a one-line reason.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
-#include "fault/fault_spec.hh"
 #include "snapshot/checkpoint.hh"
 #include "snapshot/state_io.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/trace.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 #include "system/stats_export.hh"
 #include "workload/app_profiles.hh"
 
@@ -40,22 +43,9 @@ namespace {
 [[noreturn]] void
 usage()
 {
-    std::fprintf(stderr, R"(usage: stacknoc_run [options]
-  --scenario NAME   SRAM-64TSB | MRAM-64TSB | MRAM-4TSB | MRAM-4TSB-SS |
-                    MRAM-4TSB-RCA | MRAM-4TSB-WB | BUFF-20 | +1VC |
-                    MRAM-RP | MRAM-4TSB-WB+RP      (default MRAM-4TSB-WB)
-  --app NAME        one Table 3 application for all cores (default tpcc)
-  --apps A,B,...    comma list, replicated round-robin across cores
-  --cycles N        measured cycles (default 20000)
-  --warmup N        warm-up cycles (default 3000)
-  --seed N          experiment seed (default 1)
-  --mesh WxH        mesh size (default 8x8)
-  --regions N       cache regions: 4, 8 or 16
-  --placement P     corner | stagger
-  --hops H          parent distance (1..3)
-  --delay-mode M    priority | hold
-  --real-tags       use real L2 tag arrays instead of annotations
-  --stats           dump every statistics group after the run
+    std::fprintf(stderr, "usage: stacknoc_run [options]\n%s",
+                 system::RunSpec::usage(system::kRunArgs).c_str());
+    std::fprintf(stderr, R"(  --stats           dump every statistics group after the run
   --json-stats FILE write run metrics + all stats groups as JSON
   --trace FILE      stream packet-lifecycle events to a CSV file
   --trace-sample N  trace packets whose id is divisible by N (default 1)
@@ -80,16 +70,9 @@ usage()
   --progress        live cycle/rate/IPC/ETA line on stderr
   --validate        run the runtime invariant checkers (abort on failure)
   --validate-period N  checker sweep period in cycles (default 1)
-  --threads N       execution-engine threads (default 1; results are
-                    bit-identical for any N, see docs/ENGINE.md)
-  --no-elide        tick every component every cycle instead of skipping
-                    quiescent ones (results are bit-identical either
-                    way; escape hatch / perf baseline)
-  --fault-spec SPEC fault-injection campaign, e.g.
-                    stt_write_ber=1e-3,tsb_flit_ber=1e-6 (implies the
-                    watchdog; see docs/RESILIENCE.md for the grammar)
   --watchdog N      deadlock watchdog: fail fast when no packet ejects
-                    for N cycles with traffic in flight (0 disables)
+                    for N cycles with traffic in flight (0 disables; a
+                    --fault-spec run has it on by default)
   --timeout-sec S   wall-clock guard: stop the run after S seconds,
                     flush partial stats, exit 124
   --save-checkpoint FILE  serialise the full warm state to FILE right
@@ -103,53 +86,20 @@ usage()
                     over every stats group; bit-identity comparator)
   --list-apps       print the Table 3 application names and exit
 
-All observability flags are strict observers: simulation results are
-bit-identical with any combination on or off, at any --threads.
+Bad values exit 2 with a one-line reason. All observability flags are
+strict observers: simulation results are bit-identical with any
+combination on or off, at any --threads.
 )");
     std::exit(2);
 }
 
-const std::vector<std::string> kKnownOptions = {
-    "--scenario", "--app", "--apps", "--cycles", "--warmup", "--seed",
-    "--mesh", "--regions", "--placement", "--hops", "--delay-mode",
-    "--real-tags", "--stats", "--json-stats", "--trace", "--trace-sample",
-    "--interval", "--profile", "--chrome-trace", "--heatmap",
-    "--heatmap-period", "--power", "--thermal", "--thermal-period",
-    "--progress", "--validate", "--validate-period",
-    "--threads", "--no-elide", "--fault-spec", "--watchdog",
-    "--timeout-sec", "--save-checkpoint", "--restore", "--digest",
-    "--list-apps",
+const std::vector<std::string> kToolOptions = {
+    "--stats", "--json-stats", "--trace", "--trace-sample", "--interval",
+    "--profile", "--chrome-trace", "--heatmap", "--heatmap-period",
+    "--power", "--thermal", "--thermal-period", "--progress",
+    "--validate", "--validate-period", "--watchdog", "--timeout-sec",
+    "--save-checkpoint", "--restore", "--digest", "--list-apps",
 };
-
-system::Scenario
-scenarioByName(const std::string &name)
-{
-    system::Scenario s;
-    fatal_if(!system::scenarios::byName(name, s),
-             "unknown scenario '%s' (known: %s)", name.c_str(),
-             system::scenarios::knownNames());
-    return s;
-}
-
-std::vector<std::string>
-splitApps(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string item =
-            list.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
 
 } // namespace
 
@@ -157,10 +107,14 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    system::SystemConfig cfg;
-    cfg.scenario = system::scenarios::sttram4TsbWb();
-    Cycle cycles = 20000;
-    Cycle warmup = 3000;
+    constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
+    system::RunSpec spec;
+    std::vector<std::string> rest;
+    if (const std::string err = spec.parseArgs({argv + 1, argv + argc},
+                                               system::kRunArgs, rest);
+        !err.empty())
+        cli::reject("stacknoc_run", err);
+
     bool dump_stats = false;
     std::string json_path;
     std::string trace_path;
@@ -168,148 +122,60 @@ main(int argc, char **argv)
     std::string heatmap_prefix;
     Cycle heatmap_period = 1024;
     std::uint64_t trace_sample = 1;
-    std::vector<std::string> app_list{"tpcc"};
-    long long watchdog_opt = -1; // -1 unset, 0 off, >0 stallCycles
+    Cycle interval = 0;
+    bool profile = false, power = false, thermal = false;
+    bool progress = false, validate = false;
+    Cycle thermal_period = 1024;
+    Cycle validate_period = 1;
+    std::optional<Cycle> watchdog; // unset: on for fault runs only
     double timeout_sec = 0.0;
     std::string save_ckpt_path;
     std::string restore_path;
     bool print_digest = false;
 
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            usage();
-        return std::string(argv[i + 1]);
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--scenario") {
-            cfg.scenario = scenarioByName(need(i)); ++i;
-        } else if (arg == "--app") {
-            app_list = {need(i)}; ++i;
-        } else if (arg == "--apps") {
-            app_list = splitApps(need(i)); ++i;
-        } else if (arg == "--cycles") {
-            cycles = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--mesh") {
-            int w = 0, h = 0;
-            fatal_if(std::sscanf(need(i).c_str(), "%dx%d", &w, &h) != 2,
-                     "--mesh expects WxH");
-            cfg.meshWidth = w;
-            cfg.meshHeight = h;
-            ++i;
-        } else if (arg == "--regions") {
-            cfg.scenario.tsbRegions =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            ++i;
-        } else if (arg == "--placement") {
-            const std::string p = need(i);
-            fatal_if(p != "corner" && p != "stagger",
-                     "--placement: corner|stagger");
-            cfg.scenario.placement = p == "corner"
-                                         ? sttnoc::TsbPlacement::Corner
-                                         : sttnoc::TsbPlacement::Stagger;
-            ++i;
-        } else if (arg == "--hops") {
-            cfg.scenario.parentHops =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            ++i;
-        } else if (arg == "--delay-mode") {
-            const std::string m = need(i);
-            fatal_if(m != "priority" && m != "hold",
-                     "--delay-mode: priority|hold");
-            cfg.scenario.delayMode = m == "priority"
-                                         ? sttnoc::DelayMode::Priority
-                                         : sttnoc::DelayMode::Hold;
-            ++i;
-        } else if (arg == "--real-tags") {
-            cfg.realTags = true;
-        } else if (arg == "--stats") {
+    cli::Args args("stacknoc_run", rest);
+    while (!args.done()) {
+        const std::string arg = args.next();
+        if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--json-stats") {
-            json_path = need(i); ++i;
+            json_path = args.value(arg);
         } else if (arg == "--trace") {
-            trace_path = need(i); ++i;
+            trace_path = args.value(arg);
         } else if (arg == "--trace-sample") {
-            trace_sample = std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(trace_sample == 0, "--trace-sample must be >= 1");
-            ++i;
+            trace_sample = args.number(arg, 1, kAny);
         } else if (arg == "--interval") {
-            cfg.intervalPeriod =
-                std::strtoull(need(i).c_str(), nullptr, 10);
-            ++i;
+            interval = args.number(arg, 0, kAny);
         } else if (arg == "--profile") {
-            cfg.profile = true;
+            profile = true;
         } else if (arg == "--chrome-trace") {
-            chrome_path = need(i); ++i;
-            cfg.profile = true;
-            // Retain phase spans for the trace's engine tracks.
-            cfg.profileSpanCapacity = std::size_t{1} << 20;
+            chrome_path = args.value(arg);
+            profile = true;
         } else if (arg == "--heatmap") {
-            heatmap_prefix = need(i); ++i;
+            heatmap_prefix = args.value(arg);
         } else if (arg == "--heatmap-period") {
-            heatmap_period = std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(heatmap_period == 0,
-                     "--heatmap-period must be >= 1");
-            ++i;
+            heatmap_period = args.number(arg, 1, kAny);
         } else if (arg == "--power") {
-            cfg.power = true;
+            power = true;
         } else if (arg == "--thermal") {
-            cfg.thermal = true;
-            cfg.power = true;
+            thermal = power = true;
         } else if (arg == "--thermal-period") {
-            cfg.powerPeriod =
-                std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(cfg.powerPeriod == 0,
-                     "--thermal-period must be >= 1");
-            ++i;
+            thermal_period = args.number(arg, 1, kAny);
         } else if (arg == "--progress") {
-            cfg.progress = true;
+            progress = true;
         } else if (arg == "--validate") {
-            cfg.validate = true;
+            validate = true;
         } else if (arg == "--validate-period") {
-            cfg.validation.period =
-                std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(cfg.validation.period == 0,
-                     "--validate-period must be >= 1");
-            cfg.validate = true;
-            ++i;
-        } else if (arg == "--threads") {
-            cfg.threads =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            fatal_if(cfg.threads < 1, "--threads must be >= 1");
-            ++i;
-        } else if (arg == "--no-elide") {
-            cfg.elide = false;
-        } else if (arg == "--fault-spec") {
-            std::string err;
-            if (!fault::parseFaultSpec(need(i), cfg.faults, err)) {
-                std::fprintf(stderr, "stacknoc_run: bad --fault-spec: "
-                                     "%s\n%s",
-                             err.c_str(), fault::faultSpecGrammar());
-                return 2;
-            }
-            cfg.faultsEnabled = true;
-            ++i;
+            validate_period = args.number(arg, 1, kAny);
+            validate = true;
         } else if (arg == "--watchdog") {
-            watchdog_opt = std::strtoll(need(i).c_str(), nullptr, 10);
-            fatal_if(watchdog_opt < 0, "--watchdog must be >= 0");
-            ++i;
+            watchdog = args.number(arg, 0, kAny);
         } else if (arg == "--timeout-sec") {
-            timeout_sec = std::strtod(need(i).c_str(), nullptr);
-            fatal_if(timeout_sec <= 0.0, "--timeout-sec must be > 0");
-            ++i;
+            timeout_sec = args.real(arg, 1e-9, 1e9);
         } else if (arg == "--save-checkpoint") {
-            save_ckpt_path = need(i); ++i;
+            save_ckpt_path = args.value(arg);
         } else if (arg == "--restore") {
-            restore_path = need(i); ++i;
+            restore_path = args.value(arg);
         } else if (arg == "--digest") {
             print_digest = true;
         } else if (arg == "--list-apps") {
@@ -318,56 +184,57 @@ main(int argc, char **argv)
                             workload::suiteName(a.suite));
             return 0;
         } else {
-            cli::reportUnknownOption("stacknoc_run", arg, kKnownOptions);
+            std::vector<std::string> known =
+                system::RunSpec::flags(system::kRunArgs);
+            known.insert(known.end(), kToolOptions.begin(),
+                         kToolOptions.end());
+            cli::reportUnknownOption("stacknoc_run", arg, known);
             usage();
         }
     }
 
-    // Expand the app list round-robin over all cores.
+    system::SystemConfig cfg;
+    if (const std::string err = spec.toConfig(cfg); !err.empty())
+        cli::reject("stacknoc_run", err);
+    const Cycle cycles = spec.cycles;
+    const Cycle warmup = spec.warmup;
     const int cores = cfg.meshWidth * cfg.meshHeight;
-    if (app_list.size() == 1) {
-        cfg.apps = app_list;
-    } else {
-        cfg.apps.clear();
-        for (int c = 0; c < cores; ++c)
-            cfg.apps.push_back(
-                app_list[static_cast<std::size_t>(c) % app_list.size()]);
-    }
 
+    cfg.intervalPeriod = interval;
+    cfg.profile = profile;
+    // Retain phase spans for the Chrome trace's engine tracks.
+    if (!chrome_path.empty())
+        cfg.profileSpanCapacity = std::size_t{1} << 20;
     if (!heatmap_prefix.empty())
         cfg.heatmapPeriod = heatmap_period;
-    if (cfg.progress)
+    cfg.power = power;
+    cfg.thermal = thermal;
+    cfg.powerPeriod = thermal_period;
+    cfg.progress = progress;
+    if (progress)
         cfg.progressTotalCycles = warmup + cycles;
-
-    // An all-zero spec injects nothing; drop the injector entirely so
-    // the artifacts are bit-identical to a run without --fault-spec.
-    if (cfg.faultsEnabled && !cfg.faults.any())
-        cfg.faultsEnabled = false;
-
-    // A fault campaign always runs under the liveness guard unless the
-    // user explicitly disabled it with --watchdog 0.
-    cfg.watchdogEnabled = watchdog_opt > 0 ||
-                          (watchdog_opt == -1 && cfg.faultsEnabled);
-    if (watchdog_opt > 0)
-        cfg.watchdog.stallCycles = static_cast<Cycle>(watchdog_opt);
+    cfg.validate = validate;
+    cfg.validation.period = validate_period;
+    // --watchdog overrides the fault-run default; 0 turns it off.
+    if (watchdog) {
+        cfg.watchdogEnabled = *watchdog > 0;
+        if (*watchdog > 0)
+            cfg.watchdog.stallCycles = *watchdog;
+    }
 
     // Checkpoints exclude the validation hub's census state, so neither
     // end of the snapshot path may run with the checkers on.
     if (cfg.validate &&
-        (!restore_path.empty() || !save_ckpt_path.empty())) {
-        std::fprintf(stderr,
-                     "stacknoc_run: --validate is incompatible with "
-                     "--restore/--save-checkpoint (checker state is not "
-                     "checkpointed)\n");
-        return 2;
-    }
-    if (!restore_path.empty() && !save_ckpt_path.empty()) {
-        std::fprintf(stderr,
-                     "stacknoc_run: --restore and --save-checkpoint are "
-                     "mutually exclusive (checkpoints are taken at the "
-                     "warm-up boundary, which a restored run skips)\n");
-        return 2;
-    }
+        (!restore_path.empty() || !save_ckpt_path.empty()))
+        cli::reject("stacknoc_run",
+                    "--validate is incompatible with "
+                    "--restore/--save-checkpoint (checker state is not "
+                    "checkpointed)");
+    if (!restore_path.empty() && !save_ckpt_path.empty())
+        cli::reject("stacknoc_run",
+                    "--restore and --save-checkpoint are mutually "
+                    "exclusive (checkpoints are taken at the warm-up "
+                    "boundary, which a restored run skips)");
 
     std::unique_ptr<telemetry::CsvTraceSink> trace_sink;
     std::unique_ptr<telemetry::MemoryTraceSink> chrome_sink;
@@ -575,11 +442,8 @@ main(int argc, char **argv)
         fatal_if(!out, "cannot open json file '%s'", json_path.c_str());
         system::RunInfo info;
         info.scenario = cfg.scenario.name;
-        for (const auto &a : app_list) {
-            if (!info.app.empty())
-                info.app += ",";
-            info.app += a;
-        }
+        for (const auto &a : spec.apps)
+            info.app += (info.app.empty() ? "" : ",") + a;
         info.seed = cfg.seed;
         info.warmupCycles = warmup;
         info.measuredCycles = cycles;

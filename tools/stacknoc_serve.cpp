@@ -12,14 +12,15 @@
  * server spawns its pool that way, so there is exactly one binary.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "server/server.hh"
 #include "server/worker.hh"
 
@@ -87,9 +88,9 @@ main(int argc, char **argv)
     std::string logJsonPath;
     std::string storeDir;
     std::string chaosSpec;
-    unsigned long long ckptCapBytes = 0;
-    unsigned long long logRotateBytes = 0;
-    unsigned long long chaosSeed = 1;
+    std::uint64_t ckptCapBytes = 0;
+    std::uint64_t logRotateBytes = 0;
+    std::uint64_t chaosSeed = 1;
     int workers = 1;
     int httpPort = -1;
     int maxQueue = 0;
@@ -98,47 +99,41 @@ main(int argc, char **argv)
     int jobDeadlineSec = 0;
     bool workerMode = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto need = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s requires a value\n",
-                             argv[0], what);
-                std::exit(2);
-            }
-            return argv[++i];
+    constexpr auto kAny = std::numeric_limits<std::uint64_t>::max();
+    stacknoc::cli::Args args("stacknoc_serve", {argv + 1, argv + argc});
+    while (!args.done()) {
+        const std::string arg = args.next();
+        const auto intArg = [&](std::uint64_t lo, std::uint64_t hi) {
+            return static_cast<int>(args.number(arg, lo, hi));
         };
         if (arg == "--socket") {
-            socketPath = need("--socket");
+            socketPath = args.value(arg);
         } else if (arg == "--workers") {
-            workers = std::atoi(need("--workers"));
+            workers = intArg(1, 1024);
         } else if (arg == "--ckpt-dir") {
-            ckptDir = need("--ckpt-dir");
+            ckptDir = args.value(arg);
         } else if (arg == "--ckpt-cap-bytes") {
-            ckptCapBytes = std::strtoull(need("--ckpt-cap-bytes"),
-                                         nullptr, 10);
+            ckptCapBytes = args.number(arg, 0, kAny);
         } else if (arg == "--http") {
-            httpPort = std::atoi(need("--http"));
+            httpPort = intArg(0, 65535);
         } else if (arg == "--log-json") {
-            logJsonPath = need("--log-json");
+            logJsonPath = args.value(arg);
         } else if (arg == "--log-rotate-bytes") {
-            logRotateBytes = std::strtoull(need("--log-rotate-bytes"),
-                                           nullptr, 10);
+            logRotateBytes = args.number(arg, 0, kAny);
         } else if (arg == "--store-dir") {
-            storeDir = need("--store-dir");
+            storeDir = args.value(arg);
         } else if (arg == "--max-queue") {
-            maxQueue = std::atoi(need("--max-queue"));
+            maxQueue = intArg(0, 1000000);
         } else if (arg == "--job-retries") {
-            jobRetries = std::atoi(need("--job-retries"));
+            jobRetries = intArg(0, 1000);
         } else if (arg == "--job-backoff-ms") {
-            jobBackoffMs = std::atoi(need("--job-backoff-ms"));
+            jobBackoffMs = intArg(0, 3600000);
         } else if (arg == "--job-deadline-sec") {
-            jobDeadlineSec = std::atoi(need("--job-deadline-sec"));
+            jobDeadlineSec = intArg(0, 31536000);
         } else if (arg == "--chaos") {
-            chaosSpec = need("--chaos");
+            chaosSpec = args.value(arg);
         } else if (arg == "--chaos-seed") {
-            chaosSeed =
-                std::strtoull(need("--chaos-seed"), nullptr, 10);
+            chaosSeed = args.number(arg, 0, kAny);
         } else if (arg == "--worker") {
             workerMode = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -171,22 +166,6 @@ main(int argc, char **argv)
 
     if (socketPath.empty()) {
         usage(argv[0]);
-        return 2;
-    }
-    if (workers < 1) {
-        std::fprintf(stderr, "%s: --workers must be >= 1\n", argv[0]);
-        return 2;
-    }
-    if (httpPort > 65535) {
-        std::fprintf(stderr, "%s: --http port out of range\n", argv[0]);
-        return 2;
-    }
-    if (jobRetries < 0 || jobBackoffMs < 0 || jobDeadlineSec < 0 ||
-        maxQueue < 0) {
-        std::fprintf(stderr,
-                     "%s: --job-retries/--job-backoff-ms/"
-                     "--job-deadline-sec/--max-queue must be >= 0\n",
-                     argv[0]);
         return 2;
     }
 

@@ -24,12 +24,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,6 +44,7 @@
 #include "common/logging.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
+#include "system/run_spec.hh"
 #include "telemetry/json.hh"
 
 using namespace stacknoc;
@@ -52,12 +53,10 @@ namespace {
 
 struct SweepJob
 {
-    std::string scenario;
-    int regions = 4;
-    std::string mix;       //!< comma list passed to --apps
-    std::uint64_t seed = 1;
-    int threads = 1;
-    std::string tag;       //!< "grid" or "speedup"
+    system::RunSpec spec;
+    std::string mix;  //!< spec.apps as the comma list given
+    int regions = 0;  //!< effective region count (for the record)
+    std::string tag;  //!< "grid" or "speedup"
 };
 
 struct SweepResult
@@ -85,13 +84,12 @@ struct SweepOptions
 {
     std::vector<std::string> schemes{"MRAM-64TSB", "MRAM-4TSB",
                                      "MRAM-4TSB-WB"};
-    std::vector<int> regions{4};
+    /** Region overrides; empty keeps each scenario's own count. */
+    std::vector<std::uint64_t> regions;
     std::vector<std::string> mixes{"tpcc", "tpcc,lbm,mcf,libquantum"};
     int seeds = 1;
-    Cycle cycles = 20000;
-    Cycle warmup = 3000;
+    system::RunSpec base; //!< --cycles/--warmup/--threads for every point
     int jobs = 0; //!< 0 = hardware concurrency
-    int threads = 1;
     std::string runner;
     std::string out = "BENCH_throughput.json";
     std::string speedupScenario = "MRAM-4TSB-WB";
@@ -121,14 +119,11 @@ usage()
 {
     std::fprintf(stderr, R"(usage: stacknoc_sweep [options]
   --schemes A,B,..   scenario names (default MRAM-64TSB,MRAM-4TSB,MRAM-4TSB-WB)
-  --regions N,..     region counts (default 4)
+  --regions N,..     region counts (default: each scenario's own)
   --mixes M1:M2:..   app mixes, ':'-separated, each a comma list
                      (default tpcc:tpcc,lbm,mcf,libquantum)
   --seeds N          seeds 1..N per design point (default 1)
-  --cycles N         measured cycles per run (default 20000)
-  --warmup N         warm-up cycles per run (default 3000)
-  --jobs N           parallel child processes (default: hw threads)
-  --threads N        engine threads inside each child (default 1)
+%s  --jobs N           parallel child processes (default: hw threads)
   --runner PATH      stacknoc_run binary (default: next to this binary)
   --out FILE         merged artifact (default BENCH_throughput.json)
   --speedup-scenario NAME  fig6 scenario for the 1-vs-N thread speedup
@@ -149,7 +144,8 @@ usage()
                      socket up to N times (default 0)
   --connect-backoff-ms N base connect retry backoff, doubled per retry
                      (default 100)
-)");
+)",
+                 system::RunSpec::usage(system::kSweepArgs).c_str());
     std::exit(2);
 }
 
@@ -161,19 +157,11 @@ const std::vector<std::string> kKnownOptions = {
     "--connect-retries", "--connect-backoff-ms",
 };
 
-/** The campaign-server request equivalent to one sweep job. */
-server::JobRequest
-toRequest(const SweepOptions &opt, const SweepJob &job)
+/** The campaign-server cache key of @p job, as the artifact records it. */
+std::string
+configDigest(const SweepJob &job)
 {
-    server::JobRequest req;
-    req.scenario = job.scenario;
-    req.regions = job.regions;
-    req.apps = splitList(job.mix, ',');
-    req.seed = job.seed;
-    req.warmup = opt.warmup;
-    req.cycles = opt.cycles;
-    req.threads = job.threads;
-    return req;
+    return server::hexKey(server::cacheKeyDigest({job.spec, 0}));
 }
 
 /**
@@ -219,8 +207,7 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
 {
     SweepResult res;
     res.job = job;
-    res.configDigest =
-        server::hexKey(server::cacheKeyDigest(toRequest(opt, job)));
+    res.configDigest = configDigest(job);
 
     const std::string json_path =
         (std::filesystem::temp_directory_path() /
@@ -228,23 +215,10 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
                         static_cast<int>(::getpid()), idx))
             .string();
 
-    std::vector<std::string> args{
-        opt.runner,
-        "--scenario", job.scenario,
-        "--regions", detail::format("%d", job.regions),
-        "--apps", job.mix,
-        "--seed",
-        detail::format("%llu", static_cast<unsigned long long>(job.seed)),
-        "--cycles",
-        detail::format("%llu",
-                       static_cast<unsigned long long>(opt.cycles)),
-        "--warmup",
-        detail::format("%llu",
-                       static_cast<unsigned long long>(opt.warmup)),
-        "--threads", detail::format("%d", job.threads),
-        "--digest",
-        "--json-stats", json_path,
-    };
+    std::vector<std::string> args{opt.runner};
+    for (std::string &a : job.spec.toArgv(system::kRunArgs))
+        args.push_back(std::move(a));
+    args.insert(args.end(), {"--digest", "--json-stats", json_path});
     if (opt.profile)
         args.push_back("--profile");
     if (opt.thermal)
@@ -254,9 +228,9 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     res.exitCode = rc;
     if (rc != 0) {
         warn("sweep: child failed (exit=%d): %s %s r%d %s seed=%llu",
-             rc, opt.runner.c_str(), job.scenario.c_str(), job.regions,
-             job.mix.c_str(),
-             static_cast<unsigned long long>(job.seed));
+             rc, opt.runner.c_str(), job.spec.scenario.c_str(),
+             job.regions, job.mix.c_str(),
+             static_cast<unsigned long long>(job.spec.seed));
         return res;
     }
 
@@ -269,8 +243,8 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     const auto doc = telemetry::JsonValue::parse(buf.str(), &err);
     if (!doc) {
         warn("sweep: bad child json (%s) for %s seed=%llu", err.c_str(),
-             job.scenario.c_str(),
-             static_cast<unsigned long long>(job.seed));
+             job.spec.scenario.c_str(),
+             static_cast<unsigned long long>(job.spec.seed));
         return res;
     }
 
@@ -278,7 +252,7 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     const auto *perf = doc->find("perf");
     if (!metrics || !perf) {
         warn("sweep: child json missing metrics/perf for %s",
-             job.scenario.c_str());
+             job.spec.scenario.c_str());
         return res;
     }
     auto num = [](const telemetry::JsonValue *obj, const char *key) {
@@ -339,14 +313,12 @@ runJobsViaServer(const SweepOptions &opt,
     std::deque<std::size_t> awaitingAccept;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         results[i].job = jobs[i];
-        const server::JobRequest req = toRequest(opt, jobs[i]);
-        results[i].configDigest =
-            server::hexKey(server::cacheKeyDigest(req));
+        results[i].configDigest = configDigest(jobs[i]);
         std::ostringstream os;
         telemetry::JsonWriter w(os);
         w.beginObject();
         w.kv("cmd", "run");
-        server::writeJobRequestMembers(w, req);
+        server::JobRequest{jobs[i].spec, 0}.write(w);
         w.endObject();
         if (!conn.sendLine(os.str(), err)) {
             warn("sweep: %s", err.c_str());
@@ -384,7 +356,7 @@ runJobsViaServer(const SweepOptions &opt,
         if (kind == "error") {
             const auto *reason = doc->find("reason");
             warn("sweep: server error on %s: %s",
-                 res.job.scenario.c_str(),
+                 res.job.spec.scenario.c_str(),
                  reason && reason->isString()
                      ? reason->asString().c_str()
                      : "?");
@@ -465,11 +437,11 @@ void
 writeRun(telemetry::JsonWriter &w, const SweepResult &r)
 {
     w.beginObject();
-    w.kv("scenario", r.job.scenario);
+    w.kv("scenario", r.job.spec.scenario);
     w.kv("regions", r.job.regions);
     w.kv("mix", r.job.mix);
-    w.kv("seed", static_cast<std::uint64_t>(r.job.seed));
-    w.kv("threads", r.job.threads);
+    w.kv("seed", r.job.spec.seed);
+    w.kv("threads", r.job.spec.threads);
     w.kv("ok", r.ok);
     w.kv("exit_code", r.exitCode);
     w.kv("config_digest", r.configDigest);
@@ -501,49 +473,43 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    constexpr const char *kTool = "stacknoc_sweep";
     SweepOptions opt;
 
-    auto need = [&](int i) {
-        if (i + 1 >= argc)
-            usage();
-        return std::string(argv[i + 1]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    std::vector<std::string> rest;
+    if (const std::string err = opt.base.parseArgs(
+            {argv + 1, argv + argc}, system::kSweepArgs, rest);
+        !err.empty())
+        cli::reject(kTool, err);
+    cli::Args args(kTool, rest);
+    while (!args.done()) {
+        const std::string arg = args.next();
         if (arg == "--schemes") {
-            opt.schemes = splitList(need(i), ','); ++i;
+            opt.schemes = splitList(args.value(arg), ',');
         } else if (arg == "--regions") {
             opt.regions.clear();
-            for (const auto &r : splitList(need(i), ','))
-                opt.regions.push_back(std::stoi(r));
-            ++i;
+            for (const auto &r : splitList(args.value(arg), ',')) {
+                std::uint64_t n = 0;
+                if (const std::string err =
+                        cli::parseUint(arg, r, 0, system::kMaxCores, n);
+                    !err.empty())
+                    cli::reject(kTool, err);
+                opt.regions.push_back(n);
+            }
         } else if (arg == "--mixes") {
-            opt.mixes = splitList(need(i), ':'); ++i;
+            opt.mixes = splitList(args.value(arg), ':');
         } else if (arg == "--seeds") {
-            opt.seeds = std::atoi(need(i).c_str());
-            fatal_if(opt.seeds < 1, "--seeds must be >= 1");
-            ++i;
-        } else if (arg == "--cycles") {
-            opt.cycles = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--warmup") {
-            opt.warmup = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
+            opt.seeds = static_cast<int>(args.number(arg, 1, 1000000));
         } else if (arg == "--jobs") {
-            opt.jobs = std::atoi(need(i).c_str()); ++i;
-        } else if (arg == "--threads") {
-            opt.threads = std::atoi(need(i).c_str());
-            fatal_if(opt.threads < 1, "--threads must be >= 1");
-            ++i;
+            opt.jobs = static_cast<int>(args.number(arg, 0, 4096));
         } else if (arg == "--runner") {
-            opt.runner = need(i); ++i;
+            opt.runner = args.value(arg);
         } else if (arg == "--out") {
-            opt.out = need(i); ++i;
+            opt.out = args.value(arg);
         } else if (arg == "--speedup-scenario") {
-            opt.speedupScenario = need(i); ++i;
+            opt.speedupScenario = args.value(arg);
         } else if (arg == "--speedup-threads") {
-            opt.speedupThreads = std::atoi(need(i).c_str());
-            fatal_if(opt.speedupThreads < 2,
-                     "--speedup-threads must be >= 2");
-            ++i;
+            opt.speedupThreads = static_cast<int>(args.number(arg, 2, 1024));
         } else if (arg == "--no-speedup") {
             opt.speedup = false;
         } else if (arg == "--no-profile") {
@@ -553,14 +519,15 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             opt.resume = true;
         } else if (arg == "--server") {
-            opt.server = need(i); ++i;
+            opt.server = args.value(arg);
         } else if (arg == "--connect-retries") {
-            opt.connectRetries = std::atoi(need(i).c_str()); ++i;
+            opt.connectRetries =
+                static_cast<int>(args.number(arg, 0, 1000000));
         } else if (arg == "--connect-backoff-ms") {
-            opt.connectBackoffMs = std::atoi(need(i).c_str()); ++i;
+            opt.connectBackoffMs =
+                static_cast<int>(args.number(arg, 0, 3600000));
         } else {
-            cli::reportUnknownOption("stacknoc_sweep", arg,
-                                     kKnownOptions);
+            cli::reportUnknownOption(kTool, arg, kKnownOptions);
             usage();
         }
     }
@@ -580,33 +547,43 @@ main(int argc, char **argv)
             opt.jobs = 4;
     }
 
-    // Build the job list: the full grid, then the speedup pair.
+    // Build the job list: the full grid, then the speedup pair. A
+    // point without --regions keeps its scenario's own region count.
     std::vector<SweepJob> jobs;
+    auto add = [&](const std::string &scenario,
+                   std::optional<std::uint64_t> regions,
+                   const std::string &mix, std::uint64_t seed,
+                   std::uint64_t threads, const char *tag) {
+        SweepJob j;
+        j.spec = opt.base;
+        j.spec.scenario = scenario;
+        j.spec.regions = regions;
+        j.spec.apps = splitList(mix, ',');
+        j.spec.seed = seed;
+        j.spec.threads = threads;
+        j.mix = mix;
+        j.tag = tag;
+        system::SystemConfig cfg;
+        if (const std::string err = j.spec.toConfig(cfg); !err.empty())
+            cli::reject(kTool, err);
+        j.regions = cfg.scenario.tsbRegions;
+        jobs.push_back(std::move(j));
+    };
+    std::vector<std::optional<std::uint64_t>> regionAxis(
+        opt.regions.begin(), opt.regions.end());
+    if (regionAxis.empty())
+        regionAxis.emplace_back();
     for (const auto &scheme : opt.schemes)
-        for (const int regions : opt.regions)
+        for (const auto &regions : regionAxis)
             for (const auto &mix : opt.mixes)
-                for (int s = 1; s <= opt.seeds; ++s) {
-                    SweepJob j;
-                    j.scenario = scheme;
-                    j.regions = regions;
-                    j.mix = mix;
-                    j.seed = static_cast<std::uint64_t>(s);
-                    j.threads = opt.threads;
-                    j.tag = "grid";
-                    jobs.push_back(j);
-                }
-    if (opt.speedup) {
-        for (const int t : {1, opt.speedupThreads}) {
-            SweepJob j;
-            j.scenario = opt.speedupScenario;
-            j.regions = opt.regions.front();
-            j.mix = opt.mixes.front();
-            j.seed = 1;
-            j.threads = t;
-            j.tag = "speedup";
-            jobs.push_back(j);
-        }
-    }
+                for (int s = 1; s <= opt.seeds; ++s)
+                    add(scheme, regions, mix, static_cast<std::uint64_t>(s),
+                        opt.base.threads, "grid");
+    if (opt.speedup)
+        for (const std::uint64_t t :
+             {std::uint64_t{1}, std::uint64_t(opt.speedupThreads)})
+            add(opt.speedupScenario, regionAxis.front(), opt.mixes.front(),
+                1, t, "speedup");
 
     // --resume: skip grid points an earlier (interrupted) campaign
     // already completed; their records are re-emitted verbatim.
@@ -617,9 +594,7 @@ main(int argc, char **argv)
             std::vector<SweepJob> pending;
             for (const auto &j : jobs) {
                 if (j.tag == "grid") {
-                    const std::string digest = server::hexKey(
-                        server::cacheKeyDigest(toRequest(opt, j)));
-                    if (const auto it = prior.find(digest);
+                    if (const auto it = prior.find(configDigest(j));
                         it != prior.end()) {
                         resumedRecords.push_back(it->second);
                         continue;
@@ -645,10 +620,10 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  [%zu/%zu] %s r%d %s seed=%llu "
                          "t%d %s\n",
                          i + 1, results.size(),
-                         jobs[i].scenario.c_str(), jobs[i].regions,
+                         jobs[i].spec.scenario.c_str(), jobs[i].regions,
                          jobs[i].mix.c_str(),
-                         static_cast<unsigned long long>(jobs[i].seed),
-                         jobs[i].threads,
+                         static_cast<unsigned long long>(jobs[i].spec.seed),
+                         static_cast<int>(jobs[i].spec.threads),
                          results[i].ok ? "ok" : "FAILED");
     } else {
         std::fprintf(stderr,
@@ -671,12 +646,12 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "  [%zu/%zu] %s r%d %s seed=%llu "
                              "t%d %s\n",
                              idx + 1, jobs.size(),
-                             jobs[idx].scenario.c_str(),
+                             jobs[idx].spec.scenario.c_str(),
                              jobs[idx].regions,
                              jobs[idx].mix.c_str(),
                              static_cast<unsigned long long>(
-                                 jobs[idx].seed),
-                             jobs[idx].threads,
+                                 jobs[idx].spec.seed),
+                             static_cast<int>(jobs[idx].spec.threads),
                              results[idx].ok ? "ok" : "FAILED");
             }
         };
@@ -713,10 +688,10 @@ main(int argc, char **argv)
     w.kv("schema_version", 5);
     w.key("grid");
     w.beginObject();
-    w.kv("cycles", static_cast<std::uint64_t>(opt.cycles));
-    w.kv("warmup", static_cast<std::uint64_t>(opt.warmup));
+    w.kv("cycles", opt.base.cycles);
+    w.kv("warmup", opt.base.warmup);
     w.kv("seeds", opt.seeds);
-    w.kv("threads", opt.threads);
+    w.kv("threads", opt.base.threads);
     // Interprets the speedup number: a 4-thread engine on a 1-core host
     // cannot beat sequential no matter how good the sharding is.
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -748,16 +723,16 @@ main(int argc, char **argv)
     for (const auto &r : results) {
         if (r.job.tag != "speedup")
             continue;
-        (r.job.threads == 1 ? base : par) = &r;
+        (r.job.spec.threads == 1 ? base : par) = &r;
     }
     if (base && par && base->ok && par->ok) {
         w.beginObject();
-        w.kv("scenario", base->job.scenario);
+        w.kv("scenario", base->job.spec.scenario);
         w.kv("mix", base->job.mix);
-        w.kv("cycles", static_cast<std::uint64_t>(opt.cycles));
+        w.kv("cycles", opt.base.cycles);
         w.kv("base_threads", 1);
         w.kv("base_ticks_per_sec", base->ticksPerSec);
-        w.kv("par_threads", par->job.threads);
+        w.kv("par_threads", par->job.spec.threads);
         w.kv("par_ticks_per_sec", par->ticksPerSec);
         const double speedup = base->ticksPerSec > 0.0
                                    ? par->ticksPerSec / base->ticksPerSec
@@ -767,7 +742,8 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "sweep: speedup %dT vs 1T on %s = %.2fx "
                      "(%.0f vs %.0f ticks/s)\n",
-                     par->job.threads, base->job.scenario.c_str(),
+                     static_cast<int>(par->job.spec.threads),
+                     base->job.spec.scenario.c_str(),
                      speedup, par->ticksPerSec, base->ticksPerSec);
     } else {
         w.null();
