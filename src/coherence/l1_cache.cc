@@ -201,7 +201,7 @@ L1Cache::completeMiss(BlockAddr addr, L1State final_state, Cycle now)
         e->state = static_cast<std::uint8_t>(L1State::M);
         e->dirty = true;
     }
-    missLatency_.sample(static_cast<double>(now - it->second.startedAt));
+    missLatency_.sample(now - it->second.startedAt);
     missLatencyHist_.sample(now - it->second.startedAt);
     if (it->second.onDone)
         it->second.onDone(now);

@@ -61,81 +61,48 @@ void
 SequentialEngine::run(Cycle cycles)
 {
     ensureSchedule();
-    if (profiler_ == nullptr) {
-        runPlain(cycles);
-        return;
-    }
-    if (!kindsSet_) {
-        profiler_->setKinds(kKindNames);
+    telemetry::CycleProfiler *prof = profiler_;
+    if (prof != nullptr && !kindsSet_) {
+        prof->setKinds(kKindNames);
         kindsSet_ = true;
     }
-    runProfiled(cycles);
-}
 
-void
-SequentialEngine::runPlain(Cycle cycles)
-{
     const std::size_t n = order_.size();
     for (Cycle i = 0; i < cycles; ++i) {
         const Cycle now = sim_.now();
-        if (elide_) {
-            std::uint64_t ticked = 0;
-            for (std::size_t s = 0; s < n; ++s) {
-                if (!active_[s])
-                    continue;
-                const ShardItem &item = order_[s];
-                tickByKind(item, now);
-                ++ticked;
-                if (quiescentByKind(item, now))
-                    active_[s] = 0;
-            }
-            ticked_ += ticked;
-        } else {
-            for (std::size_t s = 0; s < n; ++s)
-                tickByKind(order_[s], now);
-            ticked_ += n;
-        }
-        slots_ += n;
-        sim_.completeCycle();
-    }
-}
-
-void
-SequentialEngine::runProfiled(Cycle cycles)
-{
-    telemetry::CycleProfiler &prof = *profiler_;
-    const std::size_t n = order_.size();
-
-    for (Cycle i = 0; i < cycles; ++i) {
-        const Cycle now = sim_.now();
-        // Chained timestamps: each clock read ends one measurement and
-        // starts the next, so the phase durations tile the loop and
-        // their sum tracks wall time.
-        const double cycle_start = prof.nowSeconds();
+        // With a profiler, chained timestamps: each clock read ends one
+        // measurement and starts the next, so the phase durations tile
+        // the loop and their sum tracks wall time.
+        const double cycle_start = prof ? prof->nowSeconds() : 0.0;
         double t_prev = cycle_start;
         std::uint64_t ticked = 0;
         for (std::size_t s = 0; s < n; ++s) {
-            if (elide_ && !active_[s])
+            if (!active_[s])
                 continue;
             const ShardItem &item = order_[s];
             tickByKind(item, now);
             ++ticked;
             if (elide_ && quiescentByKind(item, now))
                 active_[s] = 0;
-            const double t = prof.nowSeconds();
-            prof.addKindSeconds(static_cast<std::uint8_t>(item.kind),
-                                t - t_prev);
-            t_prev = t;
+            if (prof) {
+                const double t = prof->nowSeconds();
+                prof->addKindSeconds(static_cast<std::uint8_t>(item.kind),
+                                     t - t_prev);
+                t_prev = t;
+            }
         }
         ticked_ += ticked;
         slots_ += n;
-        prof.addPhase(telemetry::EnginePhase::Compute, cycle_start,
-                      t_prev);
 
+        if (prof)
+            prof->addPhase(telemetry::EnginePhase::Compute, cycle_start,
+                           t_prev);
         sim_.completeCycle();
-        const double t_end = prof.nowSeconds();
-        prof.addPhase(telemetry::EnginePhase::CycleEnd, t_prev, t_end);
-        prof.addCycles(1);
+        if (prof) {
+            prof->addPhase(telemetry::EnginePhase::CycleEnd, t_prev,
+                           prof->nowSeconds());
+            prof->addCycles(1);
+        }
     }
 }
 

@@ -29,11 +29,10 @@ namespace stacknoc::engine {
  * contract, so results match the full walk exactly. With elision off
  * every component ticks every cycle, in the same schedule order.
  *
- * With a profiler installed the engine runs an instrumented copy of
- * the same loop that additionally attributes compute time to component
- * kinds with chained timestamps, so phase durations tile the measured
- * wall time. Tick order, and therefore every simulation result, is
- * identical either way.
+ * With a profiler installed the same loop additionally attributes
+ * compute time to component kinds with chained timestamps, so phase
+ * durations tile the measured wall time. Tick order, and therefore
+ * every simulation result, is identical either way.
  */
 class SequentialEngine : public ExecutionEngine
 {
@@ -53,9 +52,6 @@ class SequentialEngine : public ExecutionEngine
     /** (Re)build the schedule when the registry changed; rebind flags. */
     void ensureSchedule();
     void unbindFlags();
-
-    void runPlain(Cycle cycles);
-    void runProfiled(Cycle cycles);
 
     /** The kind-batched schedule, parallel items then serial items. */
     std::vector<ShardItem> order_;

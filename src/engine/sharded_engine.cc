@@ -41,7 +41,6 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     shard_state_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
         shard_state_.push_back(std::make_unique<ShardState>());
-        tick_logs_.push_back(&shard_state_.back()->tick_log);
         trace_logs_.push_back(&shard_state_.back()->trace_log);
         // Everything starts awake; the first tick proves quiescence.
         shard_state_.back()->active.assign(plan_.shards[s].size(), 1);
@@ -136,28 +135,18 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
     stats::setTickLog(&st.tick_log);
     telemetry::setTraceLog(&st.trace_log);
     const std::vector<ShardItem> &items = plan_.shards[shard];
-    if (elide_) {
-        std::uint64_t ticked = 0;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (!st.active[i])
-                continue;
-            const ShardItem &item = items[i];
-            st.tick_log.beginComponent(item.ordinal);
-            st.trace_log.beginComponent(item.ordinal);
-            tickByKind(item, now);
-            ++ticked;
-            if (quiescentByKind(item, now))
-                st.active[i] = 0;
-        }
-        st.ticked += ticked;
-    } else {
-        for (const ShardItem &item : items) {
-            st.tick_log.beginComponent(item.ordinal);
-            st.trace_log.beginComponent(item.ordinal);
-            tickByKind(item, now);
-        }
-        st.ticked += items.size();
+    std::uint64_t ticked = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!st.active[i])
+            continue;
+        const ShardItem &item = items[i];
+        st.trace_log.beginComponent(item.ordinal);
+        tickByKind(item, now);
+        ++ticked;
+        if (elide_ && quiescentByKind(item, now))
+            st.active[i] = 0;
     }
+    st.ticked += ticked;
     ChannelBase::setStagingList(nullptr);
     stats::setTickLog(nullptr);
     telemetry::setTraceLog(nullptr);
@@ -167,107 +156,85 @@ void
 ShardedParallelEngine::runSerial(Cycle now)
 {
     const std::vector<ShardItem> &items = plan_.serial;
-    if (elide_) {
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (!serial_active_[i])
-                continue;
-            const ShardItem &item = items[i];
-            tickByKind(item, now);
-            ++ticked_;
-            if (quiescentByKind(item, now))
-                serial_active_[i] = 0;
-        }
-    } else {
-        for (const ShardItem &item : items)
-            tickByKind(item, now);
-        ticked_ += items.size();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!serial_active_[i])
+            continue;
+        const ShardItem &item = items[i];
+        tickByKind(item, now);
+        ++ticked_;
+        if (elide_ && quiescentByKind(item, now))
+            serial_active_[i] = 0;
     }
 }
 
 void
 ShardedParallelEngine::commitStagedState()
 {
-    // Commit phase: channel splices first (cheap, order-free — each
-    // channel is enrolled in exactly one shard's list because channels
-    // are single-sender), then the ordinal-ordered stat/trace replay.
+    // Commit phase. Channel splices and stat replay are order-free:
+    // each channel is enrolled in exactly one shard's list (channels
+    // are single-sender), and every stat mutation commutes. Only the
+    // trace logs need the ordinal merge.
     for (auto &st : shard_state_) {
         for (ChannelBase *ch : st->staged_channels)
             ch->commitStaged();
         st->staged_channels.clear();
+        st->tick_log.replay();
     }
-    if (!tick_logs_.empty()) {
-        stats::TickLog::applyInOrder(tick_logs_.data(), tick_logs_.size());
+    if (!trace_logs_.empty())
         telemetry::TraceLog::applyInOrder(trace_logs_.data(),
                                           trace_logs_.size());
-    }
 }
 
 void
 ShardedParallelEngine::runCycle()
 {
-    const Cycle now = sim_.now();
-    cycle_ = now;
-    done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-
-    if (!plan_.shards.empty())
-        runShard(0, now);
-
-    const std::size_t nworkers = workers_.size();
-    spinWait(spin_iters_, [&] {
-        return done_.load(std::memory_order_acquire) == nworkers;
-    });
-
-    commitStagedState();
-
-    runSerial(now);
-
-    slots_ += plan_.parallelCount() + plan_.serial.size();
-    sim_.completeCycle();
-}
-
-void
-ShardedParallelEngine::runCycleProfiled()
-{
-    // Identical to runCycle() plus chained wall-clock stamps around
-    // each phase, so phase durations tile the cycle. The extra clock
-    // reads are observer-only: the tick/commit/serial sequence — and
-    // therefore every simulation result — is byte-for-byte the same.
+    // With a profiler installed, chained wall-clock stamps tile the
+    // cycle into phases. The clock reads are observer-only: the
+    // tick/commit/serial sequence, and therefore every simulation
+    // result, is the same with or without them.
     using telemetry::EnginePhase;
-    telemetry::CycleProfiler &prof = *profiler_;
+    telemetry::CycleProfiler *prof = profiler_;
+    double t = prof ? prof->nowSeconds() : 0.0;
+    const auto stamp = [&](EnginePhase phase) {
+        const double t_next = prof->nowSeconds();
+        prof->addPhase(phase, t, t_next);
+        t = t_next;
+    };
 
     const Cycle now = sim_.now();
     cycle_ = now;
     done_.store(0, std::memory_order_relaxed);
-
-    const double t0 = prof.nowSeconds();
     epoch_.fetch_add(1, std::memory_order_release);
 
     if (!plan_.shards.empty())
         runShard(0, now);
-    const double t1 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Compute, t0, t1);
-    prof.addShardPhase(0, EnginePhase::Compute, t0, t1);
+    if (prof) {
+        const double t0 = t;
+        stamp(EnginePhase::Compute);
+        prof->addShardPhase(0, EnginePhase::Compute, t0, t);
+    }
 
     const std::size_t nworkers = workers_.size();
     spinWait(spin_iters_, [&] {
         return done_.load(std::memory_order_acquire) == nworkers;
     });
-    const double t2 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Barrier, t1, t2);
+    if (prof)
+        stamp(EnginePhase::Barrier);
 
     commitStagedState();
-    const double t3 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Commit, t2, t3);
+    if (prof)
+        stamp(EnginePhase::Commit);
 
     runSerial(now);
-    const double t4 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Serial, t3, t4);
+    if (prof)
+        stamp(EnginePhase::Serial);
 
     slots_ += plan_.parallelCount() + plan_.serial.size();
     sim_.completeCycle();
-    prof.addPhase(EnginePhase::CycleEnd, t4, prof.nowSeconds());
-    prof.addCycles(1);
+    if (prof) {
+        stamp(EnginePhase::CycleEnd);
+        prof->addCycles(1);
+    }
 }
 
 void
@@ -275,11 +242,6 @@ ShardedParallelEngine::run(Cycle cycles)
 {
     panic_if(sim_.registryVersion() != registry_version_,
              "components were registered after the shard plan was built");
-    if (profiler_ != nullptr) {
-        for (Cycle i = 0; i < cycles; ++i)
-            runCycleProfiled();
-        return;
-    }
     for (Cycle i = 0; i < cycles; ++i)
         runCycle();
 }

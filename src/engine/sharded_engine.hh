@@ -37,9 +37,10 @@ namespace stacknoc::engine {
  *     set until a wake re-arms it.
  *  2. Barrier (sense = epoch counter, spin with yield fallback).
  *  3. Commit phase (main thread): staged channel values are spliced
- *     into the live queues (waking each channel's receiver); stat and
- *     trace logs are merged by schedule ordinal — the exact sequential
- *     application order — and replayed.
+ *     into the live queues (waking each channel's receiver); each
+ *     shard's stat log is replayed front to back (every stat mutation
+ *     commutes); trace logs are merged by schedule ordinal — the exact
+ *     sequential recording order — and replayed.
  *  4. Serial phase (main thread): components registered with
  *     kSerialAffinity tick with staging off.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
@@ -100,12 +101,12 @@ class ShardedParallelEngine : public ExecutionEngine
         std::uint64_t ticked = 0;
     };
 
+    /** One cycle; stamps phase times when a profiler is installed. */
     void runCycle();
-    void runCycleProfiled();
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Commit phase body shared by the plain and profiled cycles. */
+    /** Commit phase: splice channels, replay stat and trace logs. */
     void commitStagedState();
 
     /** Serial-phase body: tick (active) serial components. */
@@ -120,7 +121,6 @@ class ShardedParallelEngine : public ExecutionEngine
     int spin_iters_ = 0;
 
     std::vector<std::unique_ptr<ShardState>> shard_state_;
-    std::vector<stats::TickLog *> tick_logs_;
     std::vector<telemetry::TraceLog *> trace_logs_;
 
     // Cycle handshake: the main thread publishes cycle_ then bumps

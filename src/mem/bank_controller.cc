@@ -188,7 +188,7 @@ BankController::startPlain(Cycle now)
     if (current_ || queue_.empty() || bank_.busy(now))
         return;
     BankRequest req = takeNextPlain();
-    queueLatency_.sample(static_cast<double>(now - req.enqueuedAt));
+    queueLatency_.sample(now - req.enqueuedAt);
     noteServiceStart(req, now);
     const Cycle done =
         req.isWrite ? bank_.startWrite(now) : bank_.startRead(now);
@@ -222,8 +222,7 @@ BankController::startBuffered(Cycle now)
             BankRequest req = std::move(front);
             queue_.pop_front();
             buffer_.push_back(BufferedWrite{req.addr, false});
-            queueLatency_.sample(static_cast<double>(
-                now - req.enqueuedAt));
+            queueLatency_.sample(now - req.enqueuedAt);
             noteServiceStart(req, now);
             delayed_.push_back(
                 DelayedDone{now + config_.bufferAccessCycles,
@@ -235,8 +234,7 @@ BankController::startBuffered(Cycle now)
             BankRequest req = std::move(front);
             queue_.pop_front();
             bufferHits_.inc();
-            queueLatency_.sample(static_cast<double>(
-                now - req.enqueuedAt));
+            queueLatency_.sample(now - req.enqueuedAt);
             noteServiceStart(req, now);
             delayed_.push_back(
                 DelayedDone{now + config_.bufferAccessCycles,
@@ -262,7 +260,7 @@ BankController::startBuffered(Cycle now)
         BankRequest req = std::move(front);
         queue_.pop_front();
         const Cycle done = bank_.startRead(now);
-        queueLatency_.sample(static_cast<double>(now - req.enqueuedAt));
+        queueLatency_.sample(now - req.enqueuedAt);
         noteServiceStart(req, now);
         current_ = InFlight{std::move(req), done};
         break;

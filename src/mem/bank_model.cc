@@ -41,8 +41,7 @@ void
 BankModel::abort(Cycle now)
 {
     panic_if(!busy(now), "abort with no access in flight");
-    // Return the unused busy cycles to the accounting.
-    busyCycles_.inc(0); // busy cycles already charged; keep conservative
+    // The aborted access stays fully charged in bank_busy_cycles.
     busyUntil_ = now;
     aborts_.inc();
 }

@@ -56,7 +56,7 @@ MemoryController::tick(Cycle now)
            static_cast<int>(inflight_.size()) < params_.maxInFlight) {
         noc::PacketPtr pkt = std::move(queue_.front());
         queue_.pop_front();
-        queueLatency_.sample(static_cast<double>(now - pkt->ejectedAt));
+        queueLatency_.sample(now - pkt->ejectedAt);
         inflight_.push_back(Access{std::move(pkt),
                                    now + params_.accessCycles});
     }

@@ -199,10 +199,8 @@ NetworkInterface::drainEjectBuffers(Cycle now)
                 pkt->ejectedAt = now;
                 packetsEjected_.inc();
                 if (pkt->injectedAt != kCycleNever) {
-                    netLatency_.sample(
-                        static_cast<double>(now - pkt->injectedAt));
-                    totalLatency_.sample(
-                        static_cast<double>(now - pkt->createdAt));
+                    netLatency_.sample(now - pkt->injectedAt);
+                    totalLatency_.sample(now - pkt->createdAt);
                     netLatencyHist_.sample(now - pkt->injectedAt);
                     totalLatencyHist_.sample(now - pkt->createdAt);
                     if (auto *t = telemetry::tracer();
@@ -339,8 +337,7 @@ NetworkInterface::inject(Cycle now)
         if (flit.head()) {
             vc.pkt->injectedAt = now;
             packetsInjected_.inc();
-            niQueueLatency_.sample(
-                static_cast<double>(now - vc.pkt->createdAt));
+            niQueueLatency_.sample(now - vc.pkt->createdAt);
             if (auto *t = telemetry::tracer();
                 t && t->tracked(vc.pkt->id)) {
                 t->record(telemetry::TraceEvent::Inject, vc.pkt->id,

@@ -9,68 +9,27 @@
 namespace stacknoc::stats {
 
 void
-TickLog::averageSample(Average *a, double v)
-{
-    entries_.push_back(
-        {ordinal_, Op::AvgSample, a, std::bit_cast<std::uint64_t>(v), 0});
-}
-
-void
-TickLog::apply(const Entry &e)
-{
-    switch (e.op) {
-      case Op::CounterInc:
-        static_cast<Counter *>(e.target)->inc(e.a);
-        break;
-      case Op::CounterSet:
-        static_cast<Counter *>(e.target)->set(e.a);
-        break;
-      case Op::AvgSample:
-        static_cast<Average *>(e.target)->sample(std::bit_cast<double>(e.a));
-        break;
-      case Op::DistSample:
-        static_cast<Distribution *>(e.target)->sample(e.a, e.b);
-        break;
-      case Op::HistSample:
-        static_cast<Histogram *>(e.target)->sample(e.a, e.b);
-        break;
-    }
-}
-
-void
-TickLog::applyInOrder(TickLog *const *logs, std::size_t n)
+TickLog::replay()
 {
     panic_if(tickLog() != nullptr,
-             "TickLog::applyInOrder would re-defer into an installed log");
-
-    // K-way merge by component ordinal. Within one log, entries are
-    // already in tick order (a shard ticks its components in ascending
-    // ordinal order), so each log is consumed front-to-back; across
-    // logs, the run with the smallest front ordinal goes first. Each
-    // ordinal lives in exactly one log, so the merge is a total order —
-    // the same order the sequential engine would have produced.
-    std::vector<std::size_t> pos(n, 0);
-    for (;;) {
-        std::size_t best = n;
-        std::uint32_t best_ord = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pos[i] >= logs[i]->entries_.size())
-                continue;
-            const std::uint32_t ord = logs[i]->entries_[pos[i]].ordinal;
-            if (best == n || ord < best_ord) {
-                best = i;
-                best_ord = ord;
-            }
-        }
-        if (best == n)
+             "TickLog::replay would re-defer into an installed log");
+    for (const Entry &e : entries_) {
+        switch (e.op) {
+          case Op::CounterInc:
+            static_cast<Counter *>(e.target)->inc(e.a);
             break;
-        auto &entries = logs[best]->entries_;
-        std::size_t &p = pos[best];
-        while (p < entries.size() && entries[p].ordinal == best_ord)
-            apply(entries[p++]);
+          case Op::AvgSample:
+            static_cast<Average *>(e.target)->sample(e.a);
+            break;
+          case Op::DistSample:
+            static_cast<Distribution *>(e.target)->sample(e.a, e.b);
+            break;
+          case Op::HistSample:
+            static_cast<Histogram *>(e.target)->sample(e.a, e.b);
+            break;
+        }
     }
-    for (std::size_t i = 0; i < n; ++i)
-        logs[i]->clear();
+    entries_.clear();
 }
 
 Distribution::Distribution(std::vector<std::uint64_t> edges)

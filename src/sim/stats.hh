@@ -27,71 +27,56 @@ class Histogram;
 /**
  * A deferred statistics-mutation log, the mechanism that keeps shared
  * stat objects (one Counter referenced by all 64 routers, one Average
- * sampled by every NI, ...) both data-race free and bit-identical under
- * the sharded parallel execution engine.
+ * sampled by every NI, ...) data-race free under the sharded parallel
+ * execution engine.
  *
  * Each worker thread installs one TickLog via setTickLog(); while
  * installed, every Counter::inc / Average::sample / Histogram::sample /
- * Distribution::sample records an entry tagged with the ordinal of the
- * component currently ticking (beginComponent()) instead of mutating the
- * stat. After the phase barrier the engine merges all per-thread logs by
- * component ordinal — the exact order the sequential engine would have
- * applied them in — and replays them single-threaded. Integer counters
- * would be order-insensitive anyway, but Average accumulates a double
- * sum, where addition order changes the rounding; ordinal-ordered replay
- * makes even those bits identical.
+ * Distribution::sample appends an entry instead of mutating the stat.
+ * After the phase barrier the engine replays each shard's log on one
+ * thread. Every mutation is an integer add, min or max, so the replay
+ * order cannot change any result: the log needs no ordering and the
+ * shards' logs need no merge.
  *
  * With no log installed (the default) every stat mutates immediately.
  */
 class TickLog
 {
   public:
-    /** Tag subsequent entries with component ordinal @p ordinal. */
-    void beginComponent(std::uint32_t ordinal) { ordinal_ = ordinal; }
-
-    bool empty() const { return entries_.empty(); }
-    void clear() { entries_.clear(); }
-    std::size_t size() const { return entries_.size(); }
-
     void
     counterInc(Counter *c, std::uint64_t n)
     {
-        entries_.push_back({ordinal_, Op::CounterInc, c, n, 0});
+        entries_.push_back({Op::CounterInc, c, n, 0});
     }
 
     void
-    counterSet(Counter *c, std::uint64_t v)
+    averageSample(Average *a, std::uint64_t v)
     {
-        entries_.push_back({ordinal_, Op::CounterSet, c, v, 0});
+        entries_.push_back({Op::AvgSample, a, v, 0});
     }
-
-    void averageSample(Average *a, double v);
 
     void
     distributionSample(Distribution *d, std::uint64_t v, std::uint64_t w)
     {
-        entries_.push_back({ordinal_, Op::DistSample, d, v, w});
+        entries_.push_back({Op::DistSample, d, v, w});
     }
 
     void
     histogramSample(Histogram *h, std::uint64_t v, std::uint64_t w)
     {
-        entries_.push_back({ordinal_, Op::HistSample, h, v, w});
+        entries_.push_back({Op::HistSample, h, v, w});
     }
 
     /**
-     * Merge @p n logs by component ordinal and apply them. Must run with
-     * no TickLog installed on the calling thread (entries are replayed
-     * through the ordinary stat mutators). Each component ordinal may
-     * appear in at most one log (a component ticks on exactly one
-     * shard), so the merge needs no tie-breaking.
+     * Apply every entry front to back, then clear the log. Must run
+     * with no TickLog installed on the calling thread (entries are
+     * replayed through the ordinary stat mutators).
      */
-    static void applyInOrder(TickLog *const *logs, std::size_t n);
+    void replay();
 
   private:
     enum class Op : std::uint8_t {
         CounterInc,
-        CounterSet,
         AvgSample,
         DistSample,
         HistSample,
@@ -99,17 +84,13 @@ class TickLog
 
     struct Entry
     {
-        std::uint32_t ordinal;
         Op op;
         void *target;
-        std::uint64_t a; //!< count / value / bit-cast double
+        std::uint64_t a; //!< count / value
         std::uint64_t b; //!< weight
     };
 
-    static void apply(const Entry &e);
-
     std::vector<Entry> entries_;
-    std::uint32_t ordinal_ = 0;
 };
 
 namespace detail {
@@ -144,16 +125,6 @@ class Counter
         value_ += n;
     }
 
-    void
-    set(std::uint64_t v)
-    {
-        if (TickLog *log = tickLog()) {
-            log->counterSet(this, v);
-            return;
-        }
-        value_ = v;
-    }
-
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
@@ -161,12 +132,16 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** An accumulating mean (sum / count). */
+/**
+ * An accumulating mean (sum / count) of integer samples. The sum is an
+ * integer, so samples commute; mean() converts it to double, which is
+ * exact below 2^53.
+ */
 class Average
 {
   public:
     void
-    sample(double v)
+    sample(std::uint64_t v)
     {
         if (TickLog *log = tickLog()) {
             log->averageSample(this, v);
@@ -176,19 +151,23 @@ class Average
         ++count_;
     }
 
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double sum() const { return sum_; }
+    double
+    mean() const
+    {
+        return count_ ? static_cast<double>(sum_) / count_ : 0.0;
+    }
+    std::uint64_t sum() const { return sum_; }
     std::uint64_t count() const { return count_; }
 
     void
     reset()
     {
-        sum_ = 0.0;
+        sum_ = 0;
         count_ = 0;
     }
 
   private:
-    double sum_ = 0.0;
+    std::uint64_t sum_ = 0;
     std::uint64_t count_ = 0;
 };
 

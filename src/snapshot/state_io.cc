@@ -854,9 +854,11 @@ StateIO::loadEngine(Loader &l, system::CmpSystem &sys)
         f = l.u8();
 
     // A spurious wake is harmless (quiescent ticks are no-ops) but a
-    // missed wake diverges, so the flags are applied exactly. Engines
-    // that ignore the flags (elision off) tick everything anyway.
+    // missed wake diverges, so the flags are applied exactly. An engine
+    // with elision off keeps every flag set and ticks everything.
     engine::ExecutionEngine *eng = sys.engine_.get();
+    if (eng == nullptr || !eng->elides())
+        return;
     if (auto *seq = dynamic_cast<engine::SequentialEngine *>(eng)) {
         seq->ensureSchedule();
         for (std::size_t i = 0; i < seq->order_.size(); ++i)
@@ -1022,7 +1024,8 @@ StateIO::digest(const system::CmpSystem &sys)
         for (const auto &[name, a] : g.allAverages()) {
             mixStr(name);
             mix64(a.count());
-            mix64(std::bit_cast<std::uint64_t>(a.sum()));
+            // Mixed as double bits so recorded digests stay valid.
+            mix64(std::bit_cast<std::uint64_t>(static_cast<double>(a.sum())));
         }
         for (const auto &[name, d] : g.allDistributions()) {
             mixStr(name);

@@ -155,7 +155,7 @@ BankAwarePolicy::onForward(NodeId router, noc::Packet &pkt, Cycle now)
                   params_.writeServiceCycles +
                   holdMargin_[static_cast<std::size_t>(bank)];
         busyMarks_.inc();
-        busyDuration_.sample(static_cast<double>(horizon - now));
+        busyDuration_.sample(horizon - now);
     }
 }
 

@@ -61,7 +61,8 @@ IntervalSampler::takeSnapshot(Cycle now)
                                      static_cast<double>(c.value()));
         }
         for (const auto &[n, a] : g->allAverages()) {
-            snap.values.emplace_back(prefix + n + ".sum", a.sum());
+            snap.values.emplace_back(prefix + n + ".sum",
+                                     static_cast<double>(a.sum()));
             snap.values.emplace_back(prefix + n + ".count",
                                      static_cast<double>(a.count()));
         }

@@ -444,7 +444,9 @@ writeGroupJson(JsonWriter &w, const stats::Group &group)
     w.key("averages").beginObject();
     for (const auto &[n, a] : group.allAverages()) {
         w.key(n).beginObject();
-        w.kv("sum", a.sum());
+        // Rendered as a double so exports stay comparable with
+        // recorded ones.
+        w.kv("sum", static_cast<double>(a.sum()));
         w.kv("count", a.count());
         w.kv("mean", a.mean());
         w.endObject();

@@ -78,9 +78,12 @@ TraceLog::applyInOrder(TraceLog *const *logs, std::size_t n)
     panic_if(traceLog() != nullptr,
              "TraceLog::applyInOrder would re-defer into an installed log");
 
-    // K-way merge by component ordinal; see stats::TickLog::applyInOrder
-    // for the ordering argument (entries within one log are already in
-    // ascending-ordinal tick order, each ordinal lives in one log).
+    // K-way merge by component ordinal. Within one log, entries are
+    // already in tick order (a shard ticks its components in ascending
+    // ordinal order), so each log is consumed front-to-back; across
+    // logs, the run with the smallest front ordinal goes first. Each
+    // ordinal lives in exactly one log, so the merge is a total order —
+    // the same order the sequential engine would have produced.
     std::vector<std::size_t> pos(n, 0);
     for (;;) {
         std::size_t best = n;

@@ -139,9 +139,10 @@ class PacketTracer;
 
 /**
  * A deferred trace-record log, the tracing counterpart of
- * stats::TickLog. The PacketTracer ring is a single shared buffer whose
- * contents (and overwrite order) must be bit-identical between the
- * sequential and sharded engines, so during a parallel compute phase
+ * stats::TickLog. Unlike stat mutations, trace records do not commute:
+ * the PacketTracer ring is a single shared buffer whose contents (and
+ * overwrite order) must be bit-identical between the sequential and
+ * sharded engines. So during a parallel compute phase
  * each worker thread installs a TraceLog via setTraceLog();
  * PacketTracer::record then appends here, tagged with the ordinal of
  * the component currently ticking, and after the phase barrier the

