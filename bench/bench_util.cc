@@ -161,11 +161,6 @@ runOne(const system::Scenario &scenario,
                      scenario.name.c_str());
     }
 
-    // Energy numbers (Figure 8) come from the streaming EnergyProbe
-    // accumulation path; it reconciles with the end-of-run
-    // computeEnergy to below 1e-6 relative (test_power_thermal pins
-    // the two paths together).
-    cfg.power = true;
     if (mutate)
         mutate(cfg);
 
@@ -182,9 +177,7 @@ runOne(const system::Scenario &scenario,
     r.netLatency = r.metrics.avgNetworkLatency;
     r.queueLatency = r.metrics.avgBankQueueLatency;
     r.uncoreLatency = r.metrics.avgUncoreLatency;
-    r.energyUJ = sys.power() != nullptr
-                     ? sys.power()->totalUJ()
-                     : r.metrics.energy.totalUJ();
+    r.energyUJ = r.metrics.energy.totalUJ();
 
     if (const auto *gap =
             sys.cacheStats().findDistribution("gap_after_write")) {

@@ -4,10 +4,10 @@
  * scenarios, normalised to SRAM-64TSB. The paper's key result is the
  * ~54% average reduction from STT-RAM's low leakage.
  *
- * Energy is taken from the streaming EnergyProbe accumulation
- * (telemetry/power.hh) rather than the end-of-run scalar; the two
- * paths reconcile to below 1e-6 relative error, a bound enforced by
- * tests/test_power_thermal.cc so they can never drift apart.
+ * Energy is the run's metrics().energy: telemetry::energyOf() over
+ * the window's event counters, the same formula every power frame
+ * uses (tests/test_power_thermal.cc pins the counters and the frame
+ * sums together).
  */
 
 #include <cstdio>

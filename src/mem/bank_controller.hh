@@ -105,8 +105,8 @@ class BankController
 
     /** Write rounds re-run after a failed verify since construction
      *  (the rounds counted into stt_write_retry_rounds). Plain counter
-     *  for cycle-end probes: the EnergyProbe charges the verify-sense
-     *  overhead of each retry round from per-bank deltas of this. */
+     *  for the activity table (system/heatmap.hh): the verify-sense
+     *  overhead of each retry round is priced from its deltas. */
     std::uint64_t retryRoundsTotal() const { return retryRoundsTotal_; }
 
     /** Predicted completion of the write occupying the bank (now when

@@ -212,8 +212,8 @@ class NetworkInterface final : public Ticking, public PacketSender
     /**
      * Flits re-sent over the link because a reassembled packet failed
      * its CRC check at this NI, since construction. Plain counter for
-     * cycle-end probes (the EnergyProbe's retransmit-flit energy
-     * term); written only by the owning tick.
+     * the activity table (system/heatmap.hh), which prices the
+     * retransmit-flit energy term; written only by the owning tick.
      */
     std::uint64_t flitsRetransmittedTotal() const
     {

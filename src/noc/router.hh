@@ -111,8 +111,8 @@ class Router final : public Ticking
     /**
      * Flits this router has accepted into its input buffers since
      * construction. Same contract as flitsSwitchedTotal(): written
-     * only by the owning tick, read from cycle-end probes (the
-     * per-router buffer-write energy term of the EnergyProbe).
+     * only by the owning tick, read by the activity table
+     * (system/heatmap.hh) for the buffer-write energy term.
      */
     std::uint64_t flitsBufferedTotal() const { return flitsBufferedTotal_; }
 

@@ -52,6 +52,9 @@ checkConfig(const SystemConfig &cfg)
                std::to_string(cfg.faults.stuckRouter) +
                " out of range (mesh has " + std::to_string(nodes) +
                " nodes)";
+    if ((cfg.power || cfg.thermal) && cfg.heatmapPeriod == 0)
+        return "power: power and thermal telemetry need a sampling period "
+               "(heatmap period must be >= 1)";
     return {};
 }
 
@@ -79,7 +82,7 @@ CmpSystem::CmpSystem(const SystemConfig &config)
     }
     if (config_.intervalPeriod > 0) {
         sampler_ = std::make_unique<telemetry::IntervalSampler>(
-            config_.intervalPeriod, config_.intervalMaxSnapshots);
+            config_.intervalPeriod);
         sampler_->addGroup(&cacheStats_);
         sampler_->addGroup(&coreStats_);
         sampler_->addGroup(&memStats_);
@@ -91,72 +94,23 @@ CmpSystem::CmpSystem(const SystemConfig &config)
         hub_.add(sampler_.get());
     }
     if (config_.heatmapPeriod > 0) {
+        std::vector<const mem::BankController *> banks;
+        for (const auto &bank : banks_)
+            banks.push_back(&bank->bankController());
         heatmap_ = std::make_unique<HeatmapCollector>(
-            *net_, bankAwarePolicy_.get(), regions_.get(), shape_,
-            config_.heatmapPeriod, config_.heatmapMaxFrames);
-        hub_.add(heatmap_.get());
-    }
-    if (config_.power || config_.thermal) {
-        // Streaming energy accumulation over the same counters and
-        // constants computeEnergy() reads at end of run, so the two
-        // paths reconcile (tests pin the drift below 1e-6 relative).
-        const NocEnergyParams noc_energy{};
-        const mem::BankTechParams &bank_tech =
-            mem::bankTech(config_.scenario.tech);
-        telemetry::PowerParams pp;
-        pp.bankReadNJ = bank_tech.readEnergyNJ;
-        pp.bankWriteNJ = bank_tech.writeEnergyNJ;
-        pp.bankLeakageMW = bank_tech.leakagePowerMW;
-        pp.retryWriteNJ = noc_energy.retryWriteNJ;
-        pp.bufferWriteNJ = noc_energy.bufferWriteNJ;
-        pp.bufferReadNJ = noc_energy.bufferReadNJ;
-        pp.crossbarNJ = noc_energy.crossbarNJ;
-        pp.arbiterNJ = noc_energy.arbiterNJ;
-        pp.linkNJ = noc_energy.linkNJ;
-        pp.routerLeakageMW = noc_energy.routerLeakageMW;
-        pp.retransmitFlitNJ = noc_energy.retransmitFlitNJ;
-        pp.clockGHz = mem::kClockGHz;
-
-        power_ = std::make_unique<telemetry::EnergyProbe>(
-            shape_.width(), shape_.height(), shape_.layers(), pp,
-            config_.powerPeriod, config_.powerMaxFrames);
-        for (NodeId n = 0; n < shape_.totalNodes(); ++n) {
-            const Coord c = shape_.coord(n);
-            const noc::Router *router = &net_->router(n);
-            const noc::NetworkInterface *ni = &net_->ni(n);
-            power_->addRouter(c.x, c.y, c.layer, [router, ni] {
-                telemetry::RouterActivity a;
-                a.flitsBuffered = router->flitsBufferedTotal();
-                a.flitsSwitched = router->flitsSwitchedTotal();
-                a.flitsRetransmitted = ni->flitsRetransmittedTotal();
-                return a;
-            });
-        }
-        for (BankId b = 0; b < numBanks(); ++b) {
-            const Coord c = shape_.coord(regions_->nodeOfBank(b));
-            const coherence::L2Bank *bank =
-                banks_.at(static_cast<std::size_t>(b)).get();
-            power_->addBank(c.x, c.y, c.layer, [bank] {
-                const mem::BankController &ctrl =
-                    bank->bankController();
-                telemetry::BankActivity a;
-                a.reads = ctrl.bank().readsTotal();
-                a.writes = ctrl.bank().writesTotal();
-                a.retryRounds = ctrl.retryRoundsTotal();
-                return a;
-            });
-        }
+            *net_, std::move(banks), bankAwarePolicy_.get(), *regions_,
+            config_.heatmapPeriod);
         if (config_.thermal) {
             thermal_ = std::make_unique<telemetry::ThermalProbe>(
-                shape_.width(), shape_.height(), shape_.layers(),
-                config_.thermalParams, config_.powerMaxFrames);
-            for (BankId b = 0; b < numBanks(); ++b) {
-                const Coord c = shape_.coord(regions_->nodeOfBank(b));
-                thermal_->addBank(b, c.x, c.y, c.layer);
-            }
-            power_->setSink(thermal_.get());
+                shape_, config_.thermalParams, heatmap_->bankNodes());
         }
-        hub_.add(power_.get());
+        if (config_.power || config_.thermal) {
+            power_ = std::make_unique<telemetry::EnergyProbe>(
+                shape_, energyParams(config_.scenario.tech),
+                thermal_.get());
+            heatmap_->setEnergyProbe(power_.get());
+        }
+        hub_.add(heatmap_.get());
     }
     if (config_.progress) {
         progress_ = std::make_unique<ProgressReporter>(
@@ -467,7 +421,6 @@ CmpSystem::metrics() const
     m.energy = computeEnergy(cacheStats_, net_->stats(),
                              config_.scenario.tech, numBanks(),
                              shape_.totalNodes(), m.cycles,
-                             NocEnergyParams{},
                              faults_ ? &faults_->stats() : nullptr);
     return m;
 }
@@ -475,8 +428,8 @@ CmpSystem::metrics() const
 void
 CmpSystem::finalizeTelemetry()
 {
-    if (power_)
-        power_->finalize(sim_.now());
+    if (heatmap_)
+        heatmap_->finalize(sim_.now());
 }
 
 void

@@ -83,9 +83,6 @@ struct SystemConfig
     /** Interval time-series period (0 disables the sampler). */
     Cycle intervalPeriod = 0;
 
-    /** Cap on retained interval snapshots. */
-    std::size_t intervalMaxSnapshots = std::size_t{1} << 16;
-
     /** Enable the engine cycle-accounting profiler (observer-only). */
     bool profile = false;
 
@@ -93,23 +90,18 @@ struct SystemConfig
      *  by the Chrome-trace exporter path. */
     std::size_t profileSpanCapacity = 0;
 
-    /** Spatial heatmap sampling period (0 disables the collector). */
+    /**
+     * Sampling period of the per-node activity table behind the
+     * heatmap, power and thermal views (0 turns all three off).
+     */
     Cycle heatmapPeriod = 0;
 
-    /** Cap on retained heatmap frames. */
-    std::size_t heatmapMaxFrames = std::size_t{1} << 14;
-
-    /** Streaming per-interval energy telemetry (observer-only). */
+    /** Streaming per-interval energy telemetry (observer-only; needs
+     *  heatmapPeriod > 0). */
     bool power = false;
 
     /** Thermal RC grid fed by the power frames (implies power). */
     bool thermal = false;
-
-    /** Power/thermal sampling period in cycles. */
-    Cycle powerPeriod = 1024;
-
-    /** Cap on retained power/thermal frames (totals keep streaming). */
-    std::size_t powerMaxFrames = std::size_t{1} << 14;
 
     /** Thermal solver constants (see telemetry/thermal.hh). */
     telemetry::ThermalParams thermalParams{};
@@ -159,7 +151,8 @@ constexpr int kMaxCores = 64;
 /**
  * Every legality rule on a SystemConfig: mesh size and core count, app
  * count, region tiling, scheme-needs-regions, parent distance H in
- * 1..3, and the stuck-router node range. @return an empty string for a
+ * 1..3, the stuck-router node range, and power/thermal needing a
+ * sampling period. @return an empty string for a
  * config CmpSystem can build, else a one-line reason naming the field.
  */
 std::string checkConfig(const SystemConfig &cfg);
@@ -250,7 +243,7 @@ class CmpSystem
         return profiler_.get();
     }
 
-    /** The heatmap collector, or nullptr when heatmapPeriod == 0. */
+    /** The activity table, or nullptr when heatmapPeriod == 0. */
     const HeatmapCollector *heatmap() const { return heatmap_.get(); }
 
     /** The streaming energy probe, or nullptr when power is off. */
@@ -263,10 +256,10 @@ class CmpSystem
     }
 
     /**
-     * Close the open partial interval of the streaming telemetry so
-     * its totals cover exactly the measured window. Call once after
-     * the final run() chunk, before exporting or reading power/thermal
-     * results; idempotent, no-op when the probes are off.
+     * Close the activity table's open partial interval so the heatmap,
+     * power and thermal frames cover exactly the measured window. Call
+     * once after the final run() chunk, before exporting or reading
+     * them; idempotent, no-op when the table is off.
      */
     void finalizeTelemetry();
 

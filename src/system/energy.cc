@@ -2,51 +2,41 @@
 
 namespace stacknoc::system {
 
+telemetry::EnergyParams
+energyParams(mem::CacheTech tech)
+{
+    const mem::BankTechParams &bank = mem::bankTech(tech);
+    telemetry::EnergyParams p;
+    p.bankReadNJ = bank.readEnergyNJ;
+    p.bankWriteNJ = bank.writeEnergyNJ;
+    p.bankLeakageMW = bank.leakagePowerMW;
+    p.clockGHz = mem::kClockGHz;
+    return p;
+}
+
 EnergyBreakdown
 computeEnergy(const stats::Group &cache_stats,
               const stats::Group &net_stats, mem::CacheTech tech,
               int num_banks, int num_routers, Cycle cycles,
-              const NocEnergyParams &noc_params,
               const stats::Group *fault_stats)
 {
-    const mem::BankTechParams &bank = mem::bankTech(tech);
-    const double seconds =
-        static_cast<double>(cycles) / (mem::kClockGHz * 1e9);
-
-    auto counter = [](const stats::Group &g, const char *statname) {
-        const stats::Counter *c = g.findCounter(statname);
-        return c ? static_cast<double>(c->value()) : 0.0;
+    auto counter = [](const stats::Group *g, const char *statname) {
+        const stats::Counter *c =
+            g != nullptr ? g->findCounter(statname) : nullptr;
+        return c != nullptr ? c->value() : std::uint64_t{0};
     };
 
-    EnergyBreakdown e;
-    e.cacheDynamicUJ = (counter(cache_stats, "bank_reads") *
-                            bank.readEnergyNJ +
-                        counter(cache_stats, "bank_writes") *
-                            bank.writeEnergyNJ) *
-                       1e-3;
-    e.cacheLeakageUJ = bank.leakagePowerMW * 1e-3 * num_banks * seconds *
-                       1e6;
-
-    const double buffered = counter(net_stats, "flits_buffered");
-    const double switched = counter(net_stats, "flits_switched");
-    e.netDynamicUJ = (buffered * noc_params.bufferWriteNJ +
-                      switched * (noc_params.bufferReadNJ +
-                                  noc_params.crossbarNJ +
-                                  noc_params.arbiterNJ +
-                                  noc_params.linkNJ)) *
-                     1e-3;
-    e.netLeakageUJ = noc_params.routerLeakageMW * 1e-3 * num_routers *
-                     seconds * 1e6;
-
-    if (fault_stats != nullptr) {
-        e.retryWriteUJ = counter(*fault_stats,
-                                 "stt_write_retry_rounds") *
-                         noc_params.retryWriteNJ * 1e-3;
-        e.retransmitFlitUJ = counter(*fault_stats,
-                                     "link_flits_retransmitted") *
-                             noc_params.retransmitFlitNJ * 1e-3;
-    }
-    return e;
+    telemetry::Activity a;
+    a.banks = num_banks;
+    a.routers = num_routers;
+    a.events.bankReads = counter(&cache_stats, "bank_reads");
+    a.events.bankWrites = counter(&cache_stats, "bank_writes");
+    a.events.retryRounds = counter(fault_stats, "stt_write_retry_rounds");
+    a.events.flitsBuffered = counter(&net_stats, "flits_buffered");
+    a.events.flitsSwitched = counter(&net_stats, "flits_switched");
+    a.events.flitsRetransmitted =
+        counter(fault_stats, "link_flits_retransmitted");
+    return telemetry::energyOf(a, cycles, energyParams(tech));
 }
 
 } // namespace stacknoc::system

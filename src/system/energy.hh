@@ -1,58 +1,24 @@
 /**
  * @file
- * Uncore (cache + interconnect) energy accounting, the quantity of the
- * paper's Figure 8. Cache energies come from Table 2; router and link
- * event energies are Orion-style 32 nm constants.
+ * Uncore (cache + interconnect) energy of a run, the quantity of the
+ * paper's Figure 8: the telemetry energy model (telemetry/energy.hh)
+ * applied to the statistics groups' event counters.
  */
 
 #ifndef STACKNOC_SYSTEM_ENERGY_HH
 #define STACKNOC_SYSTEM_ENERGY_HH
 
 #include "common/types.hh"
-#include "sim/stats.hh"
 #include "mem/tech.hh"
+#include "sim/stats.hh"
+#include "telemetry/energy.hh"
 
 namespace stacknoc::system {
 
-/** Per-event network energies (nJ) and leakage (mW) at 32 nm, 3 GHz. */
-struct NocEnergyParams
-{
-    double bufferWriteNJ = 0.012; //!< per flit buffered
-    double bufferReadNJ = 0.010;  //!< per flit read for traversal
-    double crossbarNJ = 0.015;    //!< per flit switched
-    double arbiterNJ = 0.001;     //!< per allocation
-    double linkNJ = 0.017;        //!< per flit-hop on a 128-bit link
-    double routerLeakageMW = 5.0; //!< per router
+using telemetry::EnergyBreakdown;
 
-    // Fault-path event energies. A failed STT-RAM write verify re-runs
-    // the write itself through BankModel::startWrite (already counted
-    // in bank_writes); retryWriteNJ is the *additional* verify-sense
-    // read and control overhead per retry round, sized like an STT-RAM
-    // array read (Table 2). retransmitFlitNJ charges the NACK plus the
-    // re-serialisation of one flit over the last-hop link; the
-    // retransmission is otherwise modelled as a pure latency penalty,
-    // so without this term fault recovery would look energy-free.
-    double retryWriteNJ = 0.4;      //!< per failed-verify write round
-    double retransmitFlitNJ = 0.055; //!< per retransmitted flit
-};
-
-/** Uncore energy split, in microjoules. */
-struct EnergyBreakdown
-{
-    double cacheDynamicUJ = 0.0;
-    double cacheLeakageUJ = 0.0;
-    double netDynamicUJ = 0.0;
-    double netLeakageUJ = 0.0;
-    double retryWriteUJ = 0.0;     //!< STT-RAM verify-retry overhead
-    double retransmitFlitUJ = 0.0; //!< CRC-failure retransmissions
-
-    double
-    totalUJ() const
-    {
-        return cacheDynamicUJ + cacheLeakageUJ + netDynamicUJ +
-               netLeakageUJ + retryWriteUJ + retransmitFlitUJ;
-    }
-};
+/** The energy model with @p tech's Table 2 bank energies. */
+telemetry::EnergyParams energyParams(mem::CacheTech tech);
 
 /**
  * Compute the uncore energy of a run.
@@ -63,17 +29,15 @@ struct EnergyBreakdown
  * @param num_banks banks in the system.
  * @param num_routers routers in the system.
  * @param cycles measured cycles (at 3 GHz).
- * @param noc_params event energy constants.
  * @param fault_stats fault-injector group holding
  *        stt_write_retry_rounds / link_flits_retransmitted, or null
  *        when no faults are configured (the fault terms stay zero).
  */
-EnergyBreakdown
-computeEnergy(const stats::Group &cache_stats,
-              const stats::Group &net_stats, mem::CacheTech tech,
-              int num_banks, int num_routers, Cycle cycles,
-              const NocEnergyParams &noc_params = NocEnergyParams{},
-              const stats::Group *fault_stats = nullptr);
+EnergyBreakdown computeEnergy(const stats::Group &cache_stats,
+                              const stats::Group &net_stats,
+                              mem::CacheTech tech, int num_banks,
+                              int num_routers, Cycle cycles,
+                              const stats::Group *fault_stats = nullptr);
 
 } // namespace stacknoc::system
 

@@ -1,111 +1,118 @@
 #include "system/heatmap.hh"
 
-#include <fstream>
-
 #include "common/logging.hh"
-#include "telemetry/json.hh"
+#include "mem/bank_controller.hh"
 #include "noc/network.hh"
 #include "sttnoc/bank_aware_policy.hh"
 #include "sttnoc/region_map.hh"
+#include "telemetry/power.hh"
 
 namespace stacknoc::system {
 
-HeatmapCollector::HeatmapCollector(const noc::Network &net,
-                                   const sttnoc::BankAwarePolicy *policy,
-                                   const sttnoc::RegionMap *regions,
-                                   const MeshShape &shape, Cycle period,
-                                   std::size_t max_frames)
-    : net_(net), policy_(policy), regions_(regions), shape_(shape),
-      period_(period), maxFrames_(max_frames)
+HeatmapCollector::HeatmapCollector(
+    const noc::Network &net, std::vector<const mem::BankController *> banks,
+    const sttnoc::BankAwarePolicy *policy, const sttnoc::RegionMap &regions,
+    Cycle period)
+    : net_(net), banks_(std::move(banks)), policy_(policy),
+      shape_(net.shape()), period_(period)
 {
     panic_if(period_ < 1, "heatmap period must be >= 1");
-    flitsBase_.resize(static_cast<std::size_t>(shape_.totalNodes()), 0);
-    holdsBase_.resize(
-        policy_ != nullptr && regions_ != nullptr
-            ? static_cast<std::size_t>(regions_->numBanks())
-            : 0,
-        0);
+    const auto nodes = static_cast<std::size_t>(shape_.totalNodes());
+    bankAt_.assign(nodes, kInvalidBank);
+    for (BankId b = 0; b < static_cast<BankId>(banks_.size()); ++b) {
+        bankNodes_.push_back(regions.nodeOfBank(b));
+        bankAt_[static_cast<std::size_t>(bankNodes_.back())] = b;
+    }
+    window_.resize(nodes);
+    for (std::size_t n = 0; n < nodes; ++n) {
+        window_[n].routers = 1;
+        window_[n].banks = bankAt_[n] != kInvalidBank ? 1 : 0;
+    }
+    base_.resize(nodes);
+    rebase();
+}
+
+HeatmapCollector::Totals
+HeatmapCollector::read(NodeId n) const
+{
+    Totals t;
+    const noc::Router &r = net_.router(n);
+    t.events.flitsBuffered = r.flitsBufferedTotal();
+    t.events.flitsSwitched = r.flitsSwitchedTotal();
+    t.events.flitsRetransmitted = net_.ni(n).flitsRetransmittedTotal();
+    const BankId b = bankAt_[static_cast<std::size_t>(n)];
+    if (b != kInvalidBank) {
+        const mem::BankController &ctrl =
+            *banks_[static_cast<std::size_t>(b)];
+        t.events.bankReads = ctrl.bank().readsTotal();
+        t.events.bankWrites = ctrl.bank().writesTotal();
+        t.events.retryRounds = ctrl.retryRoundsTotal();
+        if (policy_ != nullptr)
+            t.holdCycles = policy_->holdCyclesOfBank(b);
+    }
+    return t;
 }
 
 void
-HeatmapCollector::captureBaseline()
+HeatmapCollector::rebase()
 {
     for (NodeId n = 0; n < shape_.totalNodes(); ++n)
-        flitsBase_[static_cast<std::size_t>(n)] =
-            net_.router(n).flitsSwitchedTotal();
-    for (BankId b = 0; b < static_cast<BankId>(holdsBase_.size()); ++b)
-        holdsBase_[static_cast<std::size_t>(b)] =
-            policy_->holdCyclesOfBank(b);
+        base_[static_cast<std::size_t>(n)] = read(n);
 }
 
-HeatmapCollector::Frame
-HeatmapCollector::sampleFrame(Cycle now)
+void
+HeatmapCollector::sample(Cycle end)
 {
-    const std::size_t per =
-        static_cast<std::size_t>(shape_.nodesPerLayer());
-    const int layers = shape_.layers();
+    const auto per = static_cast<std::size_t>(shape_.nodesPerLayer());
 
     Frame f;
     f.start = frameStart_;
-    f.end = now;
-    f.flits.assign(static_cast<std::size_t>(layers),
+    f.end = end;
+    f.flits.assign(static_cast<std::size_t>(shape_.layers()),
                    std::vector<std::uint64_t>(per, 0));
     f.occupancy = f.flits;
     f.tsb = f.flits;
     f.holds = f.flits;
 
     for (NodeId n = 0; n < shape_.totalNodes(); ++n) {
-        const Coord c = shape_.coord(n);
-        const auto layer = static_cast<std::size_t>(c.layer);
-        const auto cell =
-            static_cast<std::size_t>(c.y * shape_.width() + c.x);
+        const auto i = static_cast<std::size_t>(n);
+        const std::size_t layer = i / per;
+        const std::size_t cell = i % per;
+        const Totals now = read(n);
+        window_[i].events = now.events.since(base_[i].events);
+        f.flits[layer][cell] = window_[i].events.flitsSwitched;
+        f.holds[layer][cell] = now.holdCycles - base_[i].holdCycles;
+        base_[i] = now;
+
         const noc::Router &r = net_.router(n);
-
-        const std::uint64_t total = r.flitsSwitchedTotal();
-        f.flits[layer][cell] =
-            total - flitsBase_[static_cast<std::size_t>(n)];
-        flitsBase_[static_cast<std::size_t>(n)] = total;
-
         f.occupancy[layer][cell] =
             static_cast<std::uint64_t>(r.bufferedFlits());
         f.tsb[layer][cell] = static_cast<std::uint64_t>(
             r.bufferedFlits(noc::Dir::Up) +
             r.bufferedFlits(noc::Dir::Down));
     }
+    frameStart_ = end + 1;
 
-    for (BankId b = 0; b < static_cast<BankId>(holdsBase_.size()); ++b) {
-        const Coord c = shape_.coord(regions_->nodeOfBank(b));
-        const auto cell =
-            static_cast<std::size_t>(c.y * shape_.width() + c.x);
-        const std::uint64_t total = policy_->holdCyclesOfBank(b);
-        f.holds[static_cast<std::size_t>(c.layer)][cell] =
-            total - holdsBase_[static_cast<std::size_t>(b)];
-        holdsBase_[static_cast<std::size_t>(b)] = total;
+    // Warm-up samples only keep the baselines rolling.
+    if (inWarmup_)
+        return;
+    for (const telemetry::Activity &a : window_)
+        windowTotals_ += a.events;
+    if (power_ != nullptr)
+        power_->onSample(f.start, f.end, window_);
+    if (frames_.size() >= kMaxFrames) {
+        ++framesDropped_;
+        return;
     }
-
-    return f;
+    frames_.push_back(std::move(f));
 }
 
 void
 HeatmapCollector::onCycle(Cycle now)
 {
-    if (now - frameStart_ + 1 < period_)
+    if (finalized_ || now - frameStart_ + 1 < period_)
         return;
-    if (inWarmup_) {
-        // Keep the deltas rolling so the first measured frame doesn't
-        // absorb warm-up traffic, but retain nothing.
-        (void)sampleFrame(now);
-        frameStart_ = now + 1;
-        return;
-    }
-    if (frames_.size() >= maxFrames_) {
-        (void)sampleFrame(now);
-        ++framesDropped_;
-        frameStart_ = now + 1;
-        return;
-    }
-    frames_.push_back(sampleFrame(now));
-    frameStart_ = now + 1;
+    sample(now);
 }
 
 void
@@ -119,61 +126,24 @@ void
 HeatmapCollector::onReset(Cycle now)
 {
     inWarmup_ = false;
+    finalized_ = false;
     frames_.clear();
     framesDropped_ = 0;
+    windowTotals_ = {};
     frameStart_ = now;
-    captureBaseline();
+    rebase();
+    if (power_ != nullptr)
+        power_->reset();
 }
 
-bool
-HeatmapCollector::writeFiles(const std::string &prefix) const
+void
+HeatmapCollector::finalize(Cycle now)
 {
-    struct Metric
-    {
-        const char *name;
-        const std::vector<std::vector<std::uint64_t>> Frame::*grids;
-    };
-    static constexpr Metric kMetrics[] = {
-        {"flits", &Frame::flits},
-        {"occupancy", &Frame::occupancy},
-        {"tsb", &Frame::tsb},
-        {"holds", &Frame::holds},
-    };
-
-    for (const Metric &m : kMetrics) {
-        std::ofstream os(prefix + "." + m.name + ".json");
-        if (!os)
-            return false;
-        telemetry::JsonWriter w(os);
-        w.beginObject();
-        w.kv("metric", m.name);
-        w.kv("width", shape_.width());
-        w.kv("height", shape_.height());
-        w.kv("layers", shape_.layers());
-        w.kv("period", static_cast<std::uint64_t>(period_));
-        w.kv("frames_dropped", framesDropped_);
-        w.key("frames");
-        w.beginArray();
-        for (const Frame &f : frames_) {
-            w.beginObject();
-            w.kv("start", static_cast<std::uint64_t>(f.start));
-            w.kv("end", static_cast<std::uint64_t>(f.end));
-            w.key("grids");
-            w.beginArray();
-            for (const auto &grid : f.*(m.grids)) {
-                w.beginArray();
-                for (const std::uint64_t v : grid)
-                    w.value(v);
-                w.endArray();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        os << "\n";
-    }
-    return true;
+    if (finalized_ || inWarmup_)
+        return;
+    finalized_ = true;
+    if (now > frameStart_)
+        sample(now - 1);
 }
 
 } // namespace stacknoc::system

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <ostream>
 #include <thread>
 
@@ -11,6 +12,21 @@
 namespace stacknoc::system {
 
 namespace {
+
+/** The six-way energy split plus its total, as keys of the current
+ *  object, each key suffixed with @p suffix. */
+void
+writeEnergy(telemetry::JsonWriter &w, const EnergyBreakdown &e,
+            const std::string &suffix)
+{
+    w.kv("cache_dynamic" + suffix, e.cacheDynamicUJ);
+    w.kv("cache_leakage" + suffix, e.cacheLeakageUJ);
+    w.kv("net_dynamic" + suffix, e.netDynamicUJ);
+    w.kv("net_leakage" + suffix, e.netLeakageUJ);
+    w.kv("retry_write" + suffix, e.retryWriteUJ);
+    w.kv("retransmit_flit" + suffix, e.retransmitFlitUJ);
+    w.kv("total" + suffix, e.totalUJ());
+}
 
 void
 writeMetrics(telemetry::JsonWriter &w, const Metrics &m)
@@ -29,27 +45,38 @@ writeMetrics(telemetry::JsonWriter &w, const Metrics &m)
     w.kv("avg_uncore_latency", m.avgUncoreLatency);
     w.key("energy_uj");
     w.beginObject();
-    w.kv("cache_dynamic", m.energy.cacheDynamicUJ);
-    w.kv("cache_leakage", m.energy.cacheLeakageUJ);
-    w.kv("net_dynamic", m.energy.netDynamicUJ);
-    w.kv("net_leakage", m.energy.netLeakageUJ);
-    w.kv("retry_write", m.energy.retryWriteUJ);
-    w.kv("retransmit_flit", m.energy.retransmitFlitUJ);
-    w.kv("total", m.energy.totalUJ());
+    writeEnergy(w, m.energy, "");
     w.endObject();
     w.endObject();
 }
 
+/**
+ * The heatmap schema's "frames" array, the layout
+ * tools/heatmap_render.py reads: [{"start", "end", "grids": [[layer 0
+ * cells], [layer 1 cells]]}, ...], taking each frame's
+ * [layer][y * width + x] grids from @p grids. Grid files and the
+ * power/thermal JSON sections all write their frames through it.
+ */
+template <typename Frame, typename Value>
 void
-writeGrids(telemetry::JsonWriter &w,
-           const std::vector<std::vector<double>> &grids)
+writeGridFrames(telemetry::JsonWriter &w, const std::vector<Frame> &frames,
+                std::vector<std::vector<Value>> Frame::*grids)
 {
     w.beginArray();
-    for (const auto &grid : grids) {
+    for (const Frame &f : frames) {
+        w.beginObject();
+        w.kv("start", static_cast<std::uint64_t>(f.start));
+        w.kv("end", static_cast<std::uint64_t>(f.end));
+        w.key("grids");
         w.beginArray();
-        for (const double v : grid)
-            w.value(v);
+        for (const auto &grid : f.*grids) {
+            w.beginArray();
+            for (const Value v : grid)
+                w.value(v);
+            w.endArray();
+        }
         w.endArray();
+        w.endObject();
     }
     w.endArray();
 }
@@ -58,13 +85,13 @@ void
 writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
 {
     const telemetry::EnergyProbe &p = *sys.power();
-    const telemetry::PowerParams &pp = p.params();
+    const telemetry::EnergyParams &pp = p.params();
 
     w.beginObject();
-    w.kv("period", static_cast<std::uint64_t>(p.period()));
-    w.kv("width", p.width());
-    w.kv("height", p.height());
-    w.kv("layers", p.layers());
+    w.kv("period", static_cast<std::uint64_t>(sys.heatmap()->period()));
+    w.kv("width", p.shape().width());
+    w.kv("height", p.shape().height());
+    w.kv("layers", p.shape().layers());
     w.kv("frames_dropped", p.framesDropped());
 
     w.key("params");
@@ -84,13 +111,7 @@ writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
 
     w.key("totals_uj");
     w.beginObject();
-    w.kv("cache_dynamic", p.cacheDynamicUJ());
-    w.kv("cache_leakage", p.cacheLeakageUJ());
-    w.kv("net_dynamic", p.netDynamicUJ());
-    w.kv("net_leakage", p.netLeakageUJ());
-    w.kv("retry_write", p.retryWriteUJ());
-    w.kv("retransmit_flit", p.retransmitFlitUJ());
-    w.kv("total", p.totalUJ());
+    writeEnergy(w, p.totals(), "");
     w.endObject();
 
     // The streaming sum against the end-of-run computeEnergy scalar;
@@ -111,29 +132,14 @@ writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
         w.beginObject();
         w.kv("start", static_cast<std::uint64_t>(f.start));
         w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.kv("cache_dynamic_uj", f.cacheDynamicUJ);
-        w.kv("cache_leakage_uj", f.cacheLeakageUJ);
-        w.kv("net_dynamic_uj", f.netDynamicUJ);
-        w.kv("net_leakage_uj", f.netLeakageUJ);
-        w.kv("retry_write_uj", f.retryWriteUJ);
-        w.kv("retransmit_flit_uj", f.retransmitFlitUJ);
-        w.kv("total_uj", f.totalUJ());
+        writeEnergy(w, f.energy, "_uj");
         w.kv("total_w", f.totalW());
         w.endObject();
     }
     w.endArray();
 
     w.key("frames");
-    w.beginArray();
-    for (const telemetry::PowerFrame &f : p.frames()) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        writeGrids(w, f.powerW);
-        w.endObject();
-    }
-    w.endArray();
+    writeGridFrames(w, p.frames(), &telemetry::PowerFrame::powerW);
     w.endObject();
 }
 
@@ -144,8 +150,7 @@ writeThermal(telemetry::JsonWriter &w, const CmpSystem &sys)
     const telemetry::ThermalParams &tp = t.grid().params();
 
     w.beginObject();
-    w.kv("period",
-         static_cast<std::uint64_t>(sys.power()->period()));
+    w.kv("period", static_cast<std::uint64_t>(sys.heatmap()->period()));
     w.kv("width", t.grid().width());
     w.kv("height", t.grid().height());
     w.kv("layers", t.grid().layers());
@@ -204,16 +209,7 @@ writeThermal(telemetry::JsonWriter &w, const CmpSystem &sys)
     w.endArray();
 
     w.key("frames");
-    w.beginArray();
-    for (const telemetry::ThermalFrame &f : t.frames()) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        writeGrids(w, f.tempC);
-        w.endObject();
-    }
-    w.endArray();
+    writeGridFrames(w, t.frames(), &telemetry::ThermalFrame::tempC);
     w.endObject();
 }
 
@@ -386,6 +382,51 @@ writeJsonStats(std::ostream &os, const CmpSystem &sys, const RunInfo &info)
 
     w.endObject();
     os << "\n";
+}
+
+bool
+writeGridFiles(const CmpSystem &sys, const std::string &prefix)
+{
+    const HeatmapCollector *table = sys.heatmap();
+    if (table == nullptr)
+        return true;
+    bool ok = true;
+    auto file = [&](const char *metric, std::uint64_t dropped,
+                    const auto &frames, auto grids) {
+        std::ofstream os(prefix + "." + metric + ".json");
+        if (!os) {
+            ok = false;
+            return;
+        }
+        telemetry::JsonWriter w(os);
+        w.beginObject();
+        w.kv("metric", metric);
+        w.kv("width", table->shape().width());
+        w.kv("height", table->shape().height());
+        w.kv("layers", table->shape().layers());
+        w.kv("period", static_cast<std::uint64_t>(table->period()));
+        w.kv("frames_dropped", dropped);
+        w.key("frames");
+        writeGridFrames(w, frames, grids);
+        w.endObject();
+        os << "\n";
+    };
+
+    using Frame = HeatmapCollector::Frame;
+    const std::uint64_t dropped = table->framesDropped();
+    file("flits", dropped, table->frames(), &Frame::flits);
+    file("occupancy", dropped, table->frames(), &Frame::occupancy);
+    file("tsb", dropped, table->frames(), &Frame::tsb);
+    file("holds", dropped, table->frames(), &Frame::holds);
+    if (const auto *power = sys.power()) {
+        file("power", power->framesDropped(), power->frames(),
+             &telemetry::PowerFrame::powerW);
+    }
+    if (const auto *thermal = sys.thermal()) {
+        file("temperature", thermal->framesDropped(), thermal->frames(),
+             &telemetry::ThermalFrame::tempC);
+    }
+    return ok;
 }
 
 } // namespace stacknoc::system

@@ -3,7 +3,7 @@
  * Machine-readable run output: serialises a finished CmpSystem — run
  * identity, headline metrics, every statistics group (with histogram
  * percentiles), the interval time-series and the occupancy probe — as
- * one JSON document.
+ * one JSON document, and the activity table's views as grid files.
  */
 
 #ifndef STACKNOC_SYSTEM_STATS_EXPORT_HH
@@ -46,6 +46,18 @@ struct RunInfo
  */
 void writeJsonStats(std::ostream &os, const CmpSystem &sys,
                     const RunInfo &info);
+
+/**
+ * Write the activity table's views as heatmap-schema grid files
+ * renderable by tools/heatmap_render.py, one per metric:
+ * <prefix>.{flits,occupancy,tsb,holds}.json, plus .power.json (watts)
+ * and .temperature.json (Celsius) when those views are on. Each is
+ * { "metric", "width", "height", "layers", "period", "frames_dropped",
+ *   "frames": [{"start", "end", "grids": [[...], [...]]}] }.
+ * @return false when any file could not be opened; true (writing
+ * nothing) when the table is off.
+ */
+bool writeGridFiles(const CmpSystem &sys, const std::string &prefix);
 
 } // namespace stacknoc::system
 

@@ -41,13 +41,15 @@ struct IntervalSnapshot
 class IntervalSampler : public Probe
 {
   public:
+    /** Retention cap on snapshots; later intervals are only counted. */
+    static constexpr std::size_t kMaxSnapshots = std::size_t{1} << 16;
+
     /**
      * @param period cycles per snapshot (must be > 0).
-     * @param max_snapshots bound on retained snapshots; once reached,
-     *        further intervals are counted but not stored.
+     * @param max_snapshots bound on retained snapshots.
      */
     explicit IntervalSampler(Cycle period,
-                             std::size_t max_snapshots = 1 << 16);
+                             std::size_t max_snapshots = kMaxSnapshots);
 
     /** Register a group to snapshot (not owned; must outlive this). */
     void addGroup(const stats::Group *group);

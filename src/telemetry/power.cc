@@ -1,160 +1,43 @@
 #include "telemetry/power.hh"
 
-#include <fstream>
-
 #include "common/logging.hh"
-#include "telemetry/json.hh"
+#include "telemetry/thermal.hh"
 
 namespace stacknoc::telemetry {
 
-EnergyProbe::EnergyProbe(int width, int height, int layers,
-                         const PowerParams &params, Cycle period,
-                         std::size_t max_frames)
-    : width_(width), height_(height), layers_(layers), params_(params),
-      period_(period), maxFrames_(max_frames)
+EnergyProbe::EnergyProbe(const MeshShape &shape, const EnergyParams &params,
+                         ThermalProbe *thermal)
+    : shape_(shape), params_(params), thermal_(thermal)
 {
-    panic_if(width_ < 1 || height_ < 1 || layers_ < 1,
-             "bad power grid dimensions %dx%dx%d", width_, height_,
-             layers_);
-    panic_if(period_ < 1, "power sampling period must be >= 1");
     panic_if(params_.clockGHz <= 0.0, "clockGHz must be positive");
 }
 
 void
-EnergyProbe::addRouter(int x, int y, int layer, RouterSampler sampler)
+EnergyProbe::onSample(Cycle start, Cycle end,
+                      const std::vector<Activity> &cells)
 {
-    panic_if(x < 0 || x >= width_ || y < 0 || y >= height_ ||
-                 layer < 0 || layer >= layers_,
-             "router site (%d,%d,%d) outside the grid", x, y, layer);
-    routers_.push_back({static_cast<std::size_t>(y * width_ + x), layer,
-                        std::move(sampler), RouterActivity{}});
-    routers_.back().base = routers_.back().sampler();
-}
-
-void
-EnergyProbe::addBank(int x, int y, int layer, BankSampler sampler)
-{
-    panic_if(x < 0 || x >= width_ || y < 0 || y >= height_ ||
-                 layer < 0 || layer >= layers_,
-             "bank site (%d,%d,%d) outside the grid", x, y, layer);
-    banks_.push_back({static_cast<std::size_t>(y * width_ + x), layer,
-                      std::move(sampler), BankActivity{}});
-    banks_.back().base = banks_.back().sampler();
-}
-
-void
-EnergyProbe::captureBaseline()
-{
-    for (RouterSite &site : routers_)
-        site.base = site.sampler();
-    for (BankSite &site : banks_)
-        site.base = site.sampler();
-}
-
-PowerFrame
-EnergyProbe::sampleFrame(Cycle now)
-{
-    const auto cells = static_cast<std::size_t>(width_ * height_);
+    panic_if(cells.size() != static_cast<std::size_t>(shape_.totalNodes()),
+             "activity window has %zu cells, the grid %d", cells.size(),
+             shape_.totalNodes());
+    const auto per = static_cast<std::size_t>(shape_.nodesPerLayer());
+    const Cycle cycles = end - start + 1;
 
     PowerFrame f;
-    f.start = frameStart_;
-    f.end = now;
-    const double seconds = static_cast<double>(now - frameStart_ + 1) /
-                           (params_.clockGHz * 1e9);
-    f.spanSeconds = seconds;
-    f.powerW.assign(static_cast<std::size_t>(layers_),
-                    std::vector<double>(cells, 0.0));
-
-    // Joule-per-cell scratch; converted to watts at the end so every
-    // cell pays exactly one division.
-    const double routerLeakJ = params_.routerLeakageMW * 1e-3 * seconds;
-    const double bankLeakJ = params_.bankLeakageMW * 1e-3 * seconds;
-
-    for (RouterSite &site : routers_) {
-        const RouterActivity cur = site.sampler();
-        const double buffered =
-            static_cast<double>(cur.flitsBuffered -
-                                site.base.flitsBuffered);
-        const double switched =
-            static_cast<double>(cur.flitsSwitched -
-                                site.base.flitsSwitched);
-        const double retx =
-            static_cast<double>(cur.flitsRetransmitted -
-                                site.base.flitsRetransmitted);
-        site.base = cur;
-
-        const double dynNJ =
-            buffered * params_.bufferWriteNJ +
-            switched * (params_.bufferReadNJ + params_.crossbarNJ +
-                        params_.arbiterNJ + params_.linkNJ);
-        const double retxNJ = retx * params_.retransmitFlitNJ;
-
-        f.netDynamicUJ += dynNJ * 1e-3;
-        f.netLeakageUJ += routerLeakJ * 1e6;
-        f.retransmitFlitUJ += retxNJ * 1e-3;
-        f.powerW[static_cast<std::size_t>(site.layer)][site.cell] +=
-            (dynNJ + retxNJ) * 1e-9 + routerLeakJ;
+    f.start = start;
+    f.end = end;
+    f.spanSeconds = params_.seconds(cycles);
+    f.powerW.assign(static_cast<std::size_t>(shape_.layers()),
+                    std::vector<double>(per, 0.0));
+    for (std::size_t n = 0; n < cells.size(); ++n) {
+        double joules = 0.0;
+        f.energy += energyOf(cells[n], cycles, params_, &joules);
+        f.powerW[n / per][n % per] = joules / f.spanSeconds;
     }
 
-    for (BankSite &site : banks_) {
-        const BankActivity cur = site.sampler();
-        const double reads =
-            static_cast<double>(cur.reads - site.base.reads);
-        const double writes =
-            static_cast<double>(cur.writes - site.base.writes);
-        const double retries =
-            static_cast<double>(cur.retryRounds -
-                                site.base.retryRounds);
-        site.base = cur;
-
-        const double dynNJ = reads * params_.bankReadNJ +
-                             writes * params_.bankWriteNJ;
-        const double retryNJ = retries * params_.retryWriteNJ;
-
-        f.cacheDynamicUJ += dynNJ * 1e-3;
-        f.cacheLeakageUJ += bankLeakJ * 1e6;
-        f.retryWriteUJ += retryNJ * 1e-3;
-        f.powerW[static_cast<std::size_t>(site.layer)][site.cell] +=
-            (dynNJ + retryNJ) * 1e-9 + bankLeakJ;
-    }
-
-    if (seconds > 0.0) {
-        for (auto &grid : f.powerW)
-            for (double &w : grid)
-                w /= seconds;
-    }
-    return f;
-}
-
-void
-EnergyProbe::accumulate(const PowerFrame &f)
-{
-    cacheDynamicUJ_ += f.cacheDynamicUJ;
-    cacheLeakageUJ_ += f.cacheLeakageUJ;
-    netDynamicUJ_ += f.netDynamicUJ;
-    netLeakageUJ_ += f.netLeakageUJ;
-    retryWriteUJ_ += f.retryWriteUJ;
-    retransmitFlitUJ_ += f.retransmitFlitUJ;
-}
-
-void
-EnergyProbe::onCycle(Cycle now)
-{
-    if (finalized_ || now - frameStart_ + 1 < period_)
-        return;
-    if (inWarmup_) {
-        // Keep the delta bases rolling so the first measured frame
-        // doesn't absorb warm-up traffic, but retain nothing.
-        (void)sampleFrame(now);
-        frameStart_ = now + 1;
-        return;
-    }
-    PowerFrame f = sampleFrame(now);
-    frameStart_ = now + 1;
-    accumulate(f);
-    if (sink_ != nullptr)
-        sink_->onPowerFrame(f);
-    if (frames_.size() >= maxFrames_) {
+    totals_ += f.energy;
+    if (thermal_ != nullptr)
+        thermal_->onPowerFrame(f);
+    if (frames_.size() >= kMaxFrames) {
         ++framesDropped_;
         return;
     }
@@ -162,86 +45,13 @@ EnergyProbe::onCycle(Cycle now)
 }
 
 void
-EnergyProbe::onWarmupBegin(Cycle now)
+EnergyProbe::reset()
 {
-    (void)now;
-    inWarmup_ = true;
-}
-
-void
-EnergyProbe::onReset(Cycle now)
-{
-    inWarmup_ = false;
-    finalized_ = false;
     frames_.clear();
     framesDropped_ = 0;
-    frameStart_ = now;
-    captureBaseline();
-    cacheDynamicUJ_ = 0.0;
-    cacheLeakageUJ_ = 0.0;
-    netDynamicUJ_ = 0.0;
-    netLeakageUJ_ = 0.0;
-    retryWriteUJ_ = 0.0;
-    retransmitFlitUJ_ = 0.0;
-    if (sink_ != nullptr)
-        sink_->onPowerReset();
-}
-
-void
-EnergyProbe::finalize(Cycle now)
-{
-    if (finalized_ || inWarmup_)
-        return;
-    finalized_ = true;
-    if (now <= frameStart_)
-        return; // the last period boundary closed the window exactly
-    PowerFrame f = sampleFrame(now - 1);
-    frameStart_ = now;
-    accumulate(f);
-    if (sink_ != nullptr)
-        sink_->onPowerFrame(f);
-    if (frames_.size() >= maxFrames_) {
-        ++framesDropped_;
-        return;
-    }
-    frames_.push_back(std::move(f));
-}
-
-bool
-EnergyProbe::writeFile(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("metric", "power");
-    w.kv("width", width_);
-    w.kv("height", height_);
-    w.kv("layers", layers_);
-    w.kv("period", static_cast<std::uint64_t>(period_));
-    w.kv("frames_dropped", framesDropped_);
-    w.key("frames");
-    w.beginArray();
-    for (const PowerFrame &f : frames_) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        w.beginArray();
-        for (const auto &grid : f.powerW) {
-            w.beginArray();
-            for (const double v : grid)
-                w.value(v);
-            w.endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
-    return true;
+    totals_ = EnergyBreakdown{};
+    if (thermal_ != nullptr)
+        thermal_->reset();
 }
 
 } // namespace stacknoc::telemetry

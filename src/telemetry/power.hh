@@ -1,82 +1,34 @@
 /**
  * @file
- * Streaming energy telemetry: the EnergyProbe turns the end-of-run
- * Figure 8 scalar (system/energy.hh::computeEnergy) into per-interval,
- * per-component accumulation and warm-up-safe spatial power grids.
+ * Streaming energy telemetry: the EnergyProbe turns the activity
+ * table's per-cell event deltas (system/heatmap.hh) into per-interval
+ * power frames — [layer][y * width + x] grids in watts plus the
+ * interval's energy split — and streaming category totals.
  *
- * The probe knows nothing about routers or banks; the system registers
- * one sampler per component that returns its cumulative plain counters
- * (Router::flitsSwitchedTotal and friends — written only by the owning
- * tick, read here after the engine's phase barrier). Every sampling
- * period the probe takes counter deltas, converts them to joules with
- * the same event energies computeEnergy uses, and retains one frame of
- * [layer][y * width + x] power grids (watts) plus the interval's
- * energy split. Summed over frames (finalize() closes the partial
- * tail), the streaming categories reconcile with computeEnergy to
+ * Every cell is priced by energyOf() (telemetry/energy.hh), the same
+ * formula the end-of-run computeEnergy applies to the whole window, so
+ * summed over frames the streaming totals reconcile with it to
  * floating-point noise; tests pin the drift below 1e-6 relative.
  *
- * The probe is a strict cycle-end observer and follows the heatmap
- * delta-baseline protocol: during warm-up frames are sampled to keep
- * the delta bases rolling but retained nowhere, and onReset rebases
- * every counter and zeroes the streaming totals, so the first measured
- * frame never absorbs warm-up traffic. Determinism digests are
- * identical with the probe on or off, at any engine thread count.
+ * The probe has no sampling logic of its own: the table decides when a
+ * window closes, skips warm-up, and resets the probe at the warm-up
+ * boundary. Each frame also advances the thermal grid when one is
+ * attached. Determinism digests are identical with the probe on or
+ * off, at any engine thread count.
  */
 
 #ifndef STACKNOC_TELEMETRY_POWER_HH
 #define STACKNOC_TELEMETRY_POWER_HH
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "common/types.hh"
-#include "telemetry/probe.hh"
+#include "common/geometry.hh"
+#include "telemetry/energy.hh"
 
 namespace stacknoc::telemetry {
 
-/**
- * Event energies (nJ) and leakage (mW) for streaming accumulation —
- * plain doubles so the telemetry layer needs neither the system's
- * NocEnergyParams nor the memory layer's Table 2; the system copies
- * the identical constants in when it wires the probe.
- */
-struct PowerParams
-{
-    // Per-bank (cache-layer) events.
-    double bankReadNJ = 0.0;
-    double bankWriteNJ = 0.0;
-    double bankLeakageMW = 0.0;
-    double retryWriteNJ = 0.0; //!< per failed-verify write round
-
-    // Per-router events.
-    double bufferWriteNJ = 0.0;
-    double bufferReadNJ = 0.0;
-    double crossbarNJ = 0.0;
-    double arbiterNJ = 0.0;
-    double linkNJ = 0.0;
-    double routerLeakageMW = 0.0;
-    double retransmitFlitNJ = 0.0; //!< per retransmitted flit
-
-    double clockGHz = 3.0; //!< cycle -> seconds conversion
-};
-
-/** Cumulative activity counters of one router, sampled at cycle end. */
-struct RouterActivity
-{
-    std::uint64_t flitsBuffered = 0;
-    std::uint64_t flitsSwitched = 0;
-    std::uint64_t flitsRetransmitted = 0; //!< by the co-located NI
-};
-
-/** Cumulative activity counters of one bank, sampled at cycle end. */
-struct BankActivity
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;      //!< includes re-run retry rounds
-    std::uint64_t retryRounds = 0; //!< failed-verify re-runs
-};
+class ThermalProbe;
 
 /** One sampled interval of the EnergyProbe. */
 struct PowerFrame
@@ -87,157 +39,62 @@ struct PowerFrame
     /** Total (dynamic + leakage) power, watts, [layer][y*width+x]. */
     std::vector<std::vector<double>> powerW;
 
-    // Interval energy split, microjoules (same categories as
-    // system::EnergyBreakdown).
-    double cacheDynamicUJ = 0.0;
-    double cacheLeakageUJ = 0.0;
-    double netDynamicUJ = 0.0;
-    double netLeakageUJ = 0.0;
-    double retryWriteUJ = 0.0;
-    double retransmitFlitUJ = 0.0;
+    EnergyBreakdown energy; //!< the interval's energy split
 
     double spanSeconds = 0.0; //!< wall time the interval spans
-
-    double
-    totalUJ() const
-    {
-        return cacheDynamicUJ + cacheLeakageUJ + netDynamicUJ +
-               netLeakageUJ + retryWriteUJ + retransmitFlitUJ;
-    }
 
     /** Mean total power over the interval, watts. */
     double
     totalW() const
     {
-        return spanSeconds > 0.0 ? totalUJ() * 1e-6 / spanSeconds
+        return spanSeconds > 0.0 ? energy.totalUJ() * 1e-6 / spanSeconds
                                  : 0.0;
     }
 };
 
-/** Receives every retained frame as it is sampled (the thermal
- *  solver's input); reset notifications follow the probe's. */
-class PowerFrameSink
+/** Streams per-interval, per-cell uncore power from activity windows. */
+class EnergyProbe
 {
   public:
-    virtual ~PowerFrameSink() = default;
-    virtual void onPowerFrame(const PowerFrame &frame) = 0;
-    virtual void onPowerReset() = 0;
-};
-
-/** Streams per-interval, per-cell uncore power from plain counters. */
-class EnergyProbe : public Probe
-{
-  public:
-    using RouterSampler = std::function<RouterActivity()>;
-    using BankSampler = std::function<BankActivity()>;
+    /** Retention cap on frames; totals keep accumulating past it. */
+    static constexpr std::size_t kMaxFrames = std::size_t{1} << 14;
 
     /**
-     * @param width, height, layers mesh geometry of the grids.
-     * @param params event energies (copy computeEnergy's constants).
-     * @param period sampling period in cycles (>= 1).
-     * @param max_frames frame retention cap; totals keep accumulating
-     *        and the sink keeps firing once it is reached.
+     * @param shape mesh geometry of the grids.
+     * @param params event energies (system::energyParams()).
+     * @param thermal grid advanced by every frame (may be null; not
+     *        owned).
      */
-    EnergyProbe(int width, int height, int layers,
-                const PowerParams &params, Cycle period,
-                std::size_t max_frames = std::size_t{1} << 14);
-
-    /** Register a router (plus its NI) at grid cell (x, y, layer). */
-    void addRouter(int x, int y, int layer, RouterSampler sampler);
-
-    /** Register a bank at grid cell (x, y, layer). */
-    void addBank(int x, int y, int layer, BankSampler sampler);
-
-    /** Attach the thermal solver (may be null; not owned). */
-    void setSink(PowerFrameSink *sink) { sink_ = sink; }
-
-    void onCycle(Cycle now) override;
-    void onWarmupBegin(Cycle now) override;
-    void onReset(Cycle now) override;
+    EnergyProbe(const MeshShape &shape, const EnergyParams &params,
+                ThermalProbe *thermal = nullptr);
 
     /**
-     * Close the open partial interval so the streaming totals cover
-     * exactly the measured window. @p now is the simulator's current
-     * cycle (one past the last executed cycle). Idempotent; call
-     * before reading totals or exporting.
+     * Price the window [@p start, @p end]: @p cells holds each node's
+     * activity, in node order.
      */
-    void finalize(Cycle now);
+    void onSample(Cycle start, Cycle end,
+                  const std::vector<Activity> &cells);
 
-    Cycle period() const { return period_; }
-    int width() const { return width_; }
-    int height() const { return height_; }
-    int layers() const { return layers_; }
-    const PowerParams &params() const { return params_; }
+    /** Drop frames and totals (warm-up boundary), thermal grid too. */
+    void reset();
+
+    const MeshShape &shape() const { return shape_; }
+    const EnergyParams &params() const { return params_; }
     const std::vector<PowerFrame> &frames() const { return frames_; }
     std::uint64_t framesDropped() const { return framesDropped_; }
 
-    // Streaming category totals since the last reset, microjoules.
-    double cacheDynamicUJ() const { return cacheDynamicUJ_; }
-    double cacheLeakageUJ() const { return cacheLeakageUJ_; }
-    double netDynamicUJ() const { return netDynamicUJ_; }
-    double netLeakageUJ() const { return netLeakageUJ_; }
-    double retryWriteUJ() const { return retryWriteUJ_; }
-    double retransmitFlitUJ() const { return retransmitFlitUJ_; }
-
-    double
-    totalUJ() const
-    {
-        return cacheDynamicUJ_ + cacheLeakageUJ_ + netDynamicUJ_ +
-               netLeakageUJ_ + retryWriteUJ_ + retransmitFlitUJ_;
-    }
-
-    /**
-     * Write the retained power grids as one heatmap-schema JSON file
-     * (metric "power", double-valued grids) renderable by
-     * tools/heatmap_render.py. @return false when the file could not
-     * be opened.
-     */
-    bool writeFile(const std::string &path) const;
+    /** Streaming category totals since the last reset. */
+    const EnergyBreakdown &totals() const { return totals_; }
+    double totalUJ() const { return totals_.totalUJ(); }
 
   private:
-    struct RouterSite
-    {
-        std::size_t cell;
-        int layer;
-        RouterSampler sampler;
-        RouterActivity base;
-    };
-    struct BankSite
-    {
-        std::size_t cell;
-        int layer;
-        BankSampler sampler;
-        BankActivity base;
-    };
-
-    void captureBaseline();
-    PowerFrame sampleFrame(Cycle now);
-    void accumulate(const PowerFrame &f);
-
-    int width_;
-    int height_;
-    int layers_;
-    PowerParams params_;
-    Cycle period_;
-    std::size_t maxFrames_;
-
-    std::vector<RouterSite> routers_;
-    std::vector<BankSite> banks_;
-    PowerFrameSink *sink_ = nullptr;
-
-    bool inWarmup_ = false;
-    bool finalized_ = false;
-    Cycle frameStart_ = 0;
+    MeshShape shape_;
+    EnergyParams params_;
+    ThermalProbe *thermal_;
 
     std::vector<PowerFrame> frames_;
     std::uint64_t framesDropped_ = 0;
-
-    double cacheDynamicUJ_ = 0.0;
-    double cacheLeakageUJ_ = 0.0;
-    double netDynamicUJ_ = 0.0;
-    double netLeakageUJ_ = 0.0;
-    double retryWriteUJ_ = 0.0;
-    double retransmitFlitUJ_ = 0.0;
+    EnergyBreakdown totals_;
 };
 
 } // namespace stacknoc::telemetry

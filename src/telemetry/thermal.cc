@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "common/logging.hh"
-#include "telemetry/json.hh"
 
 namespace stacknoc::telemetry {
 
@@ -161,18 +159,16 @@ ThermalGrid::hottest() const
     return hot;
 }
 
-ThermalProbe::ThermalProbe(int width, int height, int layers,
+ThermalProbe::ThermalProbe(const MeshShape &shape,
                            const ThermalParams &params,
-                           std::size_t max_frames)
-    : grid_(width, height, layers, params), maxFrames_(max_frames),
+                           const std::vector<NodeId> &bank_nodes)
+    : grid_(shape.width(), shape.height(), shape.layers(), params),
       peakC_(params.ambientC)
 {
-}
-
-void
-ThermalProbe::addBank(BankId bank, int x, int y, int layer)
-{
-    bankCells_.push_back({bank, layer, x, y});
+    for (std::size_t b = 0; b < bank_nodes.size(); ++b) {
+        const Coord c = shape.coord(bank_nodes[b]);
+        bankCells_.push_back({static_cast<BankId>(b), c.layer, c.x, c.y});
+    }
 }
 
 void
@@ -191,7 +187,7 @@ ThermalProbe::onPowerFrame(const PowerFrame &frame)
     f.hottest = grid_.hottest();
     peakC_ = std::max(peakC_, f.hottest.tempC);
 
-    if (frames_.size() >= maxFrames_) {
+    if (frames_.size() >= kMaxFrames) {
         ++framesDropped_;
         return;
     }
@@ -199,7 +195,7 @@ ThermalProbe::onPowerFrame(const PowerFrame &frame)
 }
 
 void
-ThermalProbe::onPowerReset()
+ThermalProbe::reset()
 {
     grid_.reset();
     frames_.clear();
@@ -225,43 +221,6 @@ ThermalProbe::hotBanks(std::size_t count) const
     if (ranked.size() > count)
         ranked.resize(count);
     return ranked;
-}
-
-bool
-ThermalProbe::writeFile(const std::string &path, Cycle period) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("metric", "temperature");
-    w.kv("width", grid_.width());
-    w.kv("height", grid_.height());
-    w.kv("layers", grid_.layers());
-    w.kv("period", static_cast<std::uint64_t>(period));
-    w.kv("frames_dropped", framesDropped_);
-    w.key("frames");
-    w.beginArray();
-    for (const ThermalFrame &f : frames_) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        w.beginArray();
-        for (const auto &grid : f.tempC) {
-            w.beginArray();
-            for (const double v : grid)
-                w.value(v);
-            w.endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
-    return true;
 }
 
 } // namespace stacknoc::telemetry

@@ -22,10 +22,10 @@
  * cell), so step() splits each power frame into equal substeps no
  * longer than maxStepSeconds (default C / (5 Gmax)).
  *
- * The ThermalProbe wraps the solver as a PowerFrameSink: each retained
- * EnergyProbe frame advances the grid by the frame's span and records
- * a temperature frame (per-cell grid, per-layer max/mean, hottest
- * cell). Reset returns the grid to ambient — the temperature series
+ * The ThermalProbe wraps the solver as a view of the EnergyProbe: each
+ * power frame advances the grid by the frame's span and records a
+ * temperature frame (per-cell grid, per-layer max/mean, hottest cell).
+ * Reset returns the grid to ambient — the temperature series
  * measures the post-warm-up window from a cold start, keeping it
  * independent of warm-up length.
  */
@@ -34,10 +34,9 @@
 #define STACKNOC_TELEMETRY_THERMAL_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/types.hh"
+#include "common/geometry.hh"
 #include "telemetry/power.hh"
 
 namespace stacknoc::telemetry {
@@ -133,21 +132,26 @@ struct ThermalFrame
 };
 
 /** Drives a ThermalGrid from EnergyProbe frames and retains results. */
-class ThermalProbe : public PowerFrameSink
+class ThermalProbe
 {
   public:
-    ThermalProbe(int width, int height, int layers,
-                 const ThermalParams &params,
-                 std::size_t max_frames = std::size_t{1} << 14);
+    /** Retention cap on frames; the grid keeps stepping past it. */
+    static constexpr std::size_t kMaxFrames = std::size_t{1} << 14;
 
     /**
-     * Declare bank @p bank to sit at cell (x, y, layer), enabling the
-     * hot-bank ranking. Call once per bank at wiring time.
+     * @param shape mesh geometry of the grid.
+     * @param params RC constants.
+     * @param bank_nodes node of each bank, indexed by bank id (the
+     *        hot-bank ranking's cells).
      */
-    void addBank(BankId bank, int x, int y, int layer);
+    ThermalProbe(const MeshShape &shape, const ThermalParams &params,
+                 const std::vector<NodeId> &bank_nodes);
 
-    void onPowerFrame(const PowerFrame &frame) override;
-    void onPowerReset() override;
+    /** Advance the grid by @p frame's span under its power. */
+    void onPowerFrame(const PowerFrame &frame);
+
+    /** Back to ambient with no frames (warm-up boundary). */
+    void reset();
 
     const ThermalGrid &grid() const { return grid_; }
     const std::vector<ThermalFrame> &frames() const { return frames_; }
@@ -173,13 +177,6 @@ class ThermalProbe : public PowerFrameSink
      */
     std::vector<HotBank> hotBanks(std::size_t count) const;
 
-    /**
-     * Write the retained temperature grids as one heatmap-schema JSON
-     * file (metric "temperature", Celsius) renderable by
-     * tools/heatmap_render.py.
-     */
-    bool writeFile(const std::string &path, Cycle period) const;
-
   private:
     struct BankCell
     {
@@ -190,7 +187,6 @@ class ThermalProbe : public PowerFrameSink
     };
 
     ThermalGrid grid_;
-    std::size_t maxFrames_;
     std::vector<BankCell> bankCells_;
     std::vector<ThermalFrame> frames_;
     std::uint64_t framesDropped_ = 0;

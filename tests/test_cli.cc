@@ -82,6 +82,7 @@ const BadInput kBadInputs[] = {
     {"--hops 9", "hops"},
     {"--app nosuchapp", "app"},
     {"--scenario NOPE", "scenario"},
+    {"--thermal-period 1", "--thermal-period"},
 };
 
 void
@@ -207,12 +208,15 @@ TEST(Cli, BadScenarioFails)
     EXPECT_NE(out.find("unknown scenario"), std::string::npos);
 }
 
-TEST(Cli, BadFlagShowsUsage)
+TEST(Cli, BadFlagIsOneLineAndHelpShowsUsage)
 {
     std::string out;
-    EXPECT_NE(runCli("--frobnicate", &out), 0);
-    EXPECT_NE(out.find("unknown option '--frobnicate'"),
-              std::string::npos);
+    EXPECT_EQ(WEXITSTATUS(runCli("--frobnicate", &out)), 2);
+    EXPECT_EQ(out.rfind("stacknoc_run: unknown option '--frobnicate'", 0),
+              0u)
+        << out;
+    EXPECT_EQ(lineCount(out), 1) << out;
+    EXPECT_EQ(runCli("--help", &out), 0);
     EXPECT_NE(out.find("usage:"), std::string::npos);
 }
 

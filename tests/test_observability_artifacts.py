@@ -47,8 +47,7 @@ def artifacts():
     _cache["trace"] = os.path.join(tmp, "trace.json")
     _cache["heatmap"] = os.path.join(tmp, "hm")
     _cache["on_proc"] = run_binary(
-        *RUN_ARGS, "--threads", "2", "--profile",
-        "--power", "--thermal", "--thermal-period", "256",
+        *RUN_ARGS, "--threads", "2", "--profile", "--power", "--thermal",
         "--chrome-trace", _cache["trace"],
         "--heatmap", _cache["heatmap"], "--heatmap-period", "128",
         "--progress", "--json-stats", _cache["on"])
@@ -134,6 +133,55 @@ def test_heatmap_flits_show_traffic():
         doc = json.load(f)
     total = sum(sum(g) for f_ in doc["frames"] for g in f_["grids"])
     assert total > 0, "no flit traversals recorded in any frame"
+
+
+def test_heatmap_and_power_frames_tile_the_measured_window():
+    # One activity table feeds every grid file: identical frame
+    # boundaries, the closing partial interval included, and flits
+    # summed over the frames is the run's whole flits_switched total.
+    a = artifacts()
+    bounds = {}
+    for metric in ("flits", "holds", "power", "temperature"):
+        with open(f"{a['heatmap']}.{metric}.json") as f:
+            bounds[metric] = [(fr["start"], fr["end"])
+                              for fr in json.load(f)["frames"]]
+    assert all(b == bounds["flits"] for b in bounds.values()), bounds
+    assert bounds["flits"][0][0] == 200
+    assert bounds["flits"][-1][1] == TOTAL_CYCLES - 1
+    with open(f"{a['heatmap']}.flits.json") as f:
+        doc = json.load(f)
+    total = sum(sum(g) for f_ in doc["frames"] for g in f_["grids"])
+    with open(a["on"]) as f:
+        on = json.load(f)
+    assert total == on["groups"]["net"]["counters"]["flits_switched"]
+
+
+def _validate_truncated_heatmap(frames_dropped):
+    """Keep only the first two heatmap frames, as the table's retention
+    cap would, and run the validator on them with the run's stats."""
+    a = artifacts()
+    prefix = os.path.join(a["dir"], f"cut{frames_dropped}")
+    for metric in ("flits", "occupancy", "tsb", "holds"):
+        with open(f"{a['heatmap']}.{metric}.json") as f:
+            doc = json.load(f)
+        doc["frames_dropped"] = frames_dropped
+        doc["frames"] = doc["frames"][:2]
+        with open(f"{prefix}.{metric}.json", "w") as f:
+            json.dump(doc, f)
+    return subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "validate_observability.py"),
+         "--json-stats", a["on"], "--heatmap-prefix", prefix,
+         "--tolerance", "0.15"],
+        capture_output=True, text=True)
+
+
+def test_validator_skips_window_check_when_frames_were_dropped():
+    proc = _validate_truncated_heatmap(frames_dropped=3)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # The same files without the dropped count do not cover the window.
+    proc = _validate_truncated_heatmap(frames_dropped=0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "the measured window is" in proc.stdout, proc.stdout
 
 
 def test_progress_reports_on_stderr():

@@ -148,7 +148,7 @@ powerConfig(int threads = 1, const std::string &fault_spec = "")
     cfg.thermal = true;
     // A period that does not divide the run length, so the final
     // partial interval path is exercised on every run.
-    cfg.powerPeriod = 192;
+    cfg.heatmapPeriod = 192;
     if (!fault_spec.empty()) {
         std::string err;
         EXPECT_TRUE(fault::parseFaultSpec(fault_spec, cfg.faults, err))
@@ -173,10 +173,10 @@ TEST(EnergyProbe, StreamingSumReconcilesWithComputeEnergy)
         const double base = std::max(std::abs(a), std::abs(b));
         return base > 0.0 ? std::abs(a - b) / base : 0.0;
     };
-    EXPECT_LT(rel(p.cacheDynamicUJ(), e.cacheDynamicUJ), 1e-6);
-    EXPECT_LT(rel(p.cacheLeakageUJ(), e.cacheLeakageUJ), 1e-6);
-    EXPECT_LT(rel(p.netDynamicUJ(), e.netDynamicUJ), 1e-6);
-    EXPECT_LT(rel(p.netLeakageUJ(), e.netLeakageUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().cacheDynamicUJ, e.cacheDynamicUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().cacheLeakageUJ, e.cacheLeakageUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().netDynamicUJ, e.netDynamicUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().netLeakageUJ, e.netLeakageUJ), 1e-6);
     EXPECT_LT(rel(p.totalUJ(), e.totalUJ()), 1e-6);
     EXPECT_GT(p.totalUJ(), 0.0);
 
@@ -190,7 +190,7 @@ TEST(EnergyProbe, StreamingSumReconcilesWithComputeEnergy)
     for (const telemetry::PowerFrame &f : p.frames()) {
         EXPECT_EQ(f.start, expect_start);
         expect_start = f.end + 1;
-        frame_sum += f.totalUJ();
+        frame_sum += f.energy.totalUJ();
         ASSERT_EQ(f.powerW.size(), 2u);
         ASSERT_EQ(f.powerW[0].size(), 16u);
     }
@@ -230,10 +230,10 @@ TEST(EnergyProbe, FaultyRunReportsStrictlyMoreEnergy)
     faulty.finalizeTelemetry();
 
     // The fault campaign actually produced recovery work...
-    ASSERT_GT(faulty.power()->retryWriteUJ(), 0.0);
-    ASSERT_GT(faulty.power()->retransmitFlitUJ(), 0.0);
-    EXPECT_EQ(clean.power()->retryWriteUJ(), 0.0);
-    EXPECT_EQ(clean.power()->retransmitFlitUJ(), 0.0);
+    ASSERT_GT(faulty.power()->totals().retryWriteUJ, 0.0);
+    ASSERT_GT(faulty.power()->totals().retransmitFlitUJ, 0.0);
+    EXPECT_EQ(clean.power()->totals().retryWriteUJ, 0.0);
+    EXPECT_EQ(clean.power()->totals().retransmitFlitUJ, 0.0);
 
     // ...and both accounting paths price it in.
     EXPECT_GT(faulty.power()->totalUJ(), clean.power()->totalUJ());
@@ -261,9 +261,10 @@ telemetryDigest(const system::CmpSystem &sys)
     std::ostringstream os;
     os << std::hexfloat;
     const telemetry::EnergyProbe &p = *sys.power();
-    os << "totals " << p.cacheDynamicUJ() << ' ' << p.cacheLeakageUJ()
-       << ' ' << p.netDynamicUJ() << ' ' << p.netLeakageUJ() << ' '
-       << p.retryWriteUJ() << ' ' << p.retransmitFlitUJ() << '\n';
+    const telemetry::EnergyBreakdown &e = p.totals();
+    os << "totals " << e.cacheDynamicUJ << ' ' << e.cacheLeakageUJ
+       << ' ' << e.netDynamicUJ << ' ' << e.netLeakageUJ << ' '
+       << e.retryWriteUJ << ' ' << e.retransmitFlitUJ << '\n';
     for (const telemetry::PowerFrame &f : p.frames()) {
         os << "P " << f.start << ' ' << f.end;
         for (const auto &grid : f.powerW)
@@ -305,12 +306,15 @@ TEST(EnergyProbe, BitIdenticalAcrossEngineThreadCounts)
 TEST(EnergyProbe, ObserverOnlyDigestIdentity)
 {
     // Simulation results must be bit-identical with the probes on or
-    // off: same committed instructions, same network counters.
+    // off: same committed instructions, same network counters. The off
+    // leg turns the activity table off too, so its counter reads are
+    // checked as observer-only as well.
     auto run = [](bool power_on) {
         noc::resetPacketIds();
         system::SystemConfig cfg = powerConfig(2);
         cfg.power = power_on;
         cfg.thermal = power_on;
+        cfg.heatmapPeriod = power_on ? 192 : 0;
         system::CmpSystem sys(cfg);
         sys.warmup(500);
         sys.run(4000);
@@ -353,6 +357,93 @@ TEST(ThermalProbe, RecordsFramesAndRanksHotBanks)
     // Banks live on the cache layer.
     for (const auto &hb : ranked)
         EXPECT_EQ(hb.layer, 1);
+}
+
+// ------------------------------------------ the one activity table
+
+std::uint64_t
+counterOf(const stats::Group *group, const char *name)
+{
+    const stats::Counter *c =
+        group != nullptr ? group->findCounter(name) : nullptr;
+    return c != nullptr ? c->value() : 0;
+}
+
+TEST(ActivityTable, FinalizeClosesThePartialIntervalForEveryView)
+{
+    noc::resetPacketIds();
+    system::CmpSystem sys(powerConfig());
+    sys.warmup(1000);
+    auto switched = [&sys] {
+        std::uint64_t total = 0;
+        for (NodeId n = 0; n < sys.shape().totalNodes(); ++n)
+            total += sys.network().router(n).flitsSwitchedTotal();
+        return total;
+    };
+    const std::uint64_t before = switched();
+    sys.run(5000); // 5000 = 26 * 192 + 8: a partial tail stays open
+    sys.finalizeTelemetry();
+
+    // The heatmap's flits cover the whole window, tail included...
+    const auto &heat = sys.heatmap()->frames();
+    std::uint64_t flits = 0;
+    for (const auto &f : heat)
+        for (const auto &grid : f.flits)
+            for (const std::uint64_t v : grid)
+                flits += v;
+    EXPECT_GT(flits, 0u);
+    EXPECT_EQ(flits, switched() - before);
+
+    // ...and the heatmap and power frames are the same windows.
+    const auto &power = sys.power()->frames();
+    ASSERT_EQ(heat.size(), power.size());
+    for (std::size_t i = 0; i < heat.size(); ++i) {
+        EXPECT_EQ(heat[i].start, power[i].start) << "frame " << i;
+        EXPECT_EQ(heat[i].end, power[i].end) << "frame " << i;
+    }
+    EXPECT_EQ(heat.front().start, Cycle{1000});
+    EXPECT_EQ(heat.back().end, Cycle{5999});
+}
+
+TEST(ActivityTable, WindowTotalsEqualTheStatsCounters)
+{
+    // Each plain counter the table reads is bumped next to the stats
+    // counter computeEnergy reads, which is what lets one energy
+    // formula serve both paths. Clean and faulty, 1 and 4 threads.
+    const std::string faults =
+        "stt_write_ber=0.3,stt_write_retries=4,link_flit_ber=2e-4";
+    for (const std::string &spec : {std::string(), faults}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " faults='" + spec + "'");
+            noc::resetPacketIds();
+            system::CmpSystem sys(powerConfig(threads, spec));
+            sys.warmup(500);
+            sys.run(3000);
+            sys.finalizeTelemetry();
+
+            const telemetry::EnergyEvents &t =
+                sys.heatmap()->windowTotals();
+            const stats::Group *cache = &sys.cacheStats();
+            const stats::Group *net = &sys.network().stats();
+            const stats::Group *fault =
+                sys.faults() != nullptr ? &sys.faults()->stats() : nullptr;
+            EXPECT_EQ(t.bankReads, counterOf(cache, "bank_reads"));
+            EXPECT_EQ(t.bankWrites, counterOf(cache, "bank_writes"));
+            EXPECT_EQ(t.flitsBuffered, counterOf(net, "flits_buffered"));
+            EXPECT_EQ(t.flitsSwitched, counterOf(net, "flits_switched"));
+            EXPECT_EQ(t.retryRounds,
+                      counterOf(fault, "stt_write_retry_rounds"));
+            EXPECT_EQ(t.flitsRetransmitted,
+                      counterOf(fault, "link_flits_retransmitted"));
+            EXPECT_GT(t.bankWrites, 0u);
+            EXPECT_GT(t.flitsSwitched, 0u);
+            if (!spec.empty()) {
+                EXPECT_GT(t.retryRounds, 0u);
+                EXPECT_GT(t.flitsRetransmitted, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

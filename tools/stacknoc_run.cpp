@@ -41,7 +41,7 @@ using namespace stacknoc;
 namespace {
 
 [[noreturn]] void
-usage()
+usage(int status)
 {
     std::fprintf(stderr, "usage: stacknoc_run [options]\n%s",
                  system::RunSpec::usage(system::kRunArgs).c_str());
@@ -56,7 +56,9 @@ usage()
                     trace-event JSON (ui.perfetto.dev); implies --profile
   --heatmap PREFIX  write per-interval spatial grids (flits, occupancy,
                     TSB depth, parent holds) to PREFIX.<metric>.json
-  --heatmap-period N  heatmap sampling period in cycles (default 1024)
+  --heatmap-period N  sampling period in cycles of the activity table
+                    behind --heatmap, --power and --thermal (default
+                    1024)
   --power           streaming energy telemetry: per-interval per-cell
                     power grids + "power" JSON section (reconciles with
                     the end-of-run energy); with --heatmap PREFIX also
@@ -65,8 +67,6 @@ usage()
                     frames (implies --power): "thermal" JSON section,
                     hot-bank ranking; with --heatmap PREFIX also writes
                     PREFIX.temperature.json
-  --thermal-period N  power/thermal sampling period in cycles
-                    (default 1024)
   --progress        live cycle/rate/IPC/ETA line on stderr
   --validate        run the runtime invariant checkers (abort on failure)
   --validate-period N  checker sweep period in cycles (default 1)
@@ -85,20 +85,21 @@ usage()
   --digest          print "stats_digest 0x..." after the run (FNV-1a
                     over every stats group; bit-identity comparator)
   --list-apps       print the Table 3 application names and exit
+  --help            print this usage and exit
 
 Bad values exit 2 with a one-line reason. All observability flags are
 strict observers: simulation results are bit-identical with any
 combination on or off, at any --threads.
 )");
-    std::exit(2);
+    std::exit(status);
 }
 
 const std::vector<std::string> kToolOptions = {
     "--stats", "--json-stats", "--trace", "--trace-sample", "--interval",
     "--profile", "--chrome-trace", "--heatmap", "--heatmap-period",
-    "--power", "--thermal", "--thermal-period", "--progress",
+    "--power", "--thermal", "--progress",
     "--validate", "--validate-period", "--watchdog", "--timeout-sec",
-    "--save-checkpoint", "--restore", "--digest", "--list-apps",
+    "--save-checkpoint", "--restore", "--digest", "--list-apps", "--help",
 };
 
 } // namespace
@@ -125,7 +126,6 @@ main(int argc, char **argv)
     Cycle interval = 0;
     bool profile = false, power = false, thermal = false;
     bool progress = false, validate = false;
-    Cycle thermal_period = 1024;
     Cycle validate_period = 1;
     std::optional<Cycle> watchdog; // unset: on for fault runs only
     double timeout_sec = 0.0;
@@ -159,8 +159,6 @@ main(int argc, char **argv)
             power = true;
         } else if (arg == "--thermal") {
             thermal = power = true;
-        } else if (arg == "--thermal-period") {
-            thermal_period = args.number(arg, 1, kAny);
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg == "--validate") {
@@ -178,6 +176,8 @@ main(int argc, char **argv)
             restore_path = args.value(arg);
         } else if (arg == "--digest") {
             print_digest = true;
+        } else if (arg == "--help" || arg == "-h") {
+            usage(0);
         } else if (arg == "--list-apps") {
             for (const auto &a : workload::appTable())
                 std::printf("%-16s %s\n", a.name.c_str(),
@@ -188,8 +188,9 @@ main(int argc, char **argv)
                 system::RunSpec::flags(system::kRunArgs);
             known.insert(known.end(), kToolOptions.begin(),
                          kToolOptions.end());
+            // One line, like every other rejection (--help has usage).
             cli::reportUnknownOption("stacknoc_run", arg, known);
-            usage();
+            return 2;
         }
     }
 
@@ -205,11 +206,10 @@ main(int argc, char **argv)
     // Retain phase spans for the Chrome trace's engine tracks.
     if (!chrome_path.empty())
         cfg.profileSpanCapacity = std::size_t{1} << 20;
-    if (!heatmap_prefix.empty())
+    if (!heatmap_prefix.empty() || power)
         cfg.heatmapPeriod = heatmap_period;
     cfg.power = power;
     cfg.thermal = thermal;
-    cfg.powerPeriod = thermal_period;
     cfg.progress = progress;
     if (progress)
         cfg.progressTotalCycles = warmup + cycles;
@@ -418,23 +418,9 @@ main(int argc, char **argv)
                                     sys.thermal());
     }
     if (!heatmap_prefix.empty()) {
-        fatal_if(!sys.heatmap()->writeFiles(heatmap_prefix),
-                 "cannot write heatmap files '%s.*.json'",
+        fatal_if(!system::writeGridFiles(sys, heatmap_prefix),
+                 "cannot write grid files '%s.*.json'",
                  heatmap_prefix.c_str());
-        if (sys.power() != nullptr) {
-            fatal_if(!sys.power()->writeFile(heatmap_prefix +
-                                             ".power.json"),
-                     "cannot write power grid file '%s.power.json'",
-                     heatmap_prefix.c_str());
-        }
-        if (sys.thermal() != nullptr) {
-            fatal_if(!sys.thermal()->writeFile(
-                         heatmap_prefix + ".temperature.json",
-                         sys.power()->period()),
-                     "cannot write temperature grid file "
-                     "'%s.temperature.json'",
-                     heatmap_prefix.c_str());
-        }
     }
 
     if (!json_path.empty()) {

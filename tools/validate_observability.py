@@ -28,6 +28,13 @@ Additionally, when --json-stats is given, profile.total_seconds must
 match perf.wall_seconds within --tolerance (the phase measurements
 tile the engine loop, so their sum tracks measured wall time).
 
+Every grid file is a view of one activity table, so all the grid files
+checked must share identical frame boundaries, and those frames must
+tile their window without gaps; with --json-stats the window must be
+exactly the run's measured window, unless a file reports
+frames_dropped > 0 (the table's retention cap then keeps only the
+frames from the start of the window).
+
 Exit status: 0 when every requested check passes, 1 otherwise.
 """
 
@@ -128,10 +135,12 @@ def validate_profile(path, trace_summary, tolerance):
 
 
 def validate_grid_file(path, metric):
-    """Shape-check one heatmap-schema grid file (counts or doubles)."""
+    """Shape-check one heatmap-schema grid file (counts or doubles);
+    return (its frames' [start, end] pairs, its frames_dropped), or
+    None when unusable."""
     doc = load_json(path)
     if doc is None:
-        return
+        return None
     ok = check(doc.get("metric") == metric,
                f"{path}: metric field != {metric}")
     width = doc.get("width", 0)
@@ -143,7 +152,7 @@ def validate_grid_file(path, metric):
     ok &= check(isinstance(frames, list) and frames,
                 f"{path}: no frames recorded")
     if not ok:
-        return
+        return None
     prev_end = -1
     for i, frame in enumerate(frames):
         check(frame["start"] <= frame["end"],
@@ -163,16 +172,52 @@ def validate_grid_file(path, metric):
                       for v in grid),
                   f"{path}: frame {i} layer {layer} has a negative "
                   f"or non-numeric cell")
+    return ([(f["start"], f["end"]) for f in frames],
+            doc.get("frames_dropped", 0))
 
 
 def validate_heatmaps(prefix):
-    for metric in HEATMAP_METRICS:
-        validate_grid_file(f"{prefix}.{metric}.json", metric)
+    return {f"{prefix}.{metric}.json":
+            validate_grid_file(f"{prefix}.{metric}.json", metric)
+            for metric in HEATMAP_METRICS}
 
 
 def validate_power_grids(prefix):
-    validate_grid_file(f"{prefix}.power.json", "power")
-    validate_grid_file(f"{prefix}.temperature.json", "temperature")
+    return {f"{prefix}.{metric}.json":
+            validate_grid_file(f"{prefix}.{metric}.json", metric)
+            for metric in ("power", "temperature")}
+
+
+def measured_window(path):
+    """[first, last] measured cycle of a --json-stats run, or None."""
+    doc = load_json(path)
+    run = doc.get("run", {}) if isinstance(doc, dict) else {}
+    if run.get("timed_out", False) or "measured_cycles" not in run:
+        return None
+    first = run.get("restored_from_cycle", run.get("warmup_cycles", 0))
+    return first, first + run["measured_cycles"] - 1
+
+
+def validate_frame_boundaries(boundaries, window):
+    """All grid files share frame boundaries; the frames tile their
+    window (the run's measured window, when known and no frame was
+    dropped)."""
+    usable = {p: b for p, b in boundaries.items() if b}
+    if not usable:
+        return
+    ref_path, (ref, _) = next(iter(usable.items()))
+    for path, (frames, _) in usable.items():
+        check(frames == ref,
+              f"{path}: frame boundaries differ from {ref_path}")
+    if any(dropped > 0 for _, dropped in usable.values()):
+        window = None
+    for i in range(1, len(ref)):
+        check(ref[i][0] == ref[i - 1][1] + 1,
+              f"{ref_path}: gap between frames {i - 1} and {i}")
+    if window is not None:
+        check((ref[0][0], ref[-1][1]) == window,
+              f"{ref_path}: frames cover {ref[0][0]}..{ref[-1][1]}, "
+              f"the measured window is {window[0]}..{window[1]}")
 
 
 def validate_power_sections(path):
@@ -264,10 +309,14 @@ def main():
         validate_profile(args.json_stats, trace_summary, args.tolerance)
     if args.expect_power:
         validate_power_sections(args.json_stats)
+    boundaries = {}
     if args.heatmap_prefix:
-        validate_heatmaps(args.heatmap_prefix)
+        boundaries.update(validate_heatmaps(args.heatmap_prefix))
     if args.power_prefix:
-        validate_power_grids(args.power_prefix)
+        boundaries.update(validate_power_grids(args.power_prefix))
+    validate_frame_boundaries(
+        boundaries,
+        measured_window(args.json_stats) if args.json_stats else None)
 
     if _failures:
         print(f"{len(_failures)} check(s) failed")
