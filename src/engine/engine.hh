@@ -14,7 +14,9 @@
 #ifndef STACKNOC_ENGINE_ENGINE_HH
 #define STACKNOC_ENGINE_ENGINE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "common/types.hh"
@@ -73,6 +75,16 @@ class ExecutionEngine
 
     /** Component-tick opportunities so far (components x cycles). */
     virtual std::uint64_t tickSlots() const { return slots_; }
+
+    using ActiveFlagFn = std::function<void(std::size_t, std::uint8_t &)>;
+
+    /**
+     * Call @p fn with each component's schedule ordinal and its
+     * idle-elision active flag (1 = ticks next cycle). Checkpoints save
+     * and restore the active set through this between run() calls,
+     * whichever engine is attached.
+     */
+    virtual void forEachActiveFlag(const ActiveFlagFn &fn) = 0;
 
   protected:
     Simulator &sim_;

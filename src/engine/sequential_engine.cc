@@ -58,6 +58,14 @@ SequentialEngine::ensureSchedule()
 }
 
 void
+SequentialEngine::forEachActiveFlag(const ActiveFlagFn &fn)
+{
+    ensureSchedule();
+    for (std::size_t i = 0; i < order_.size(); ++i)
+        fn(order_[i].ordinal, active_[i]);
+}
+
+void
 SequentialEngine::run(Cycle cycles)
 {
     ensureSchedule();

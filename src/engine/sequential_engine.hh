@@ -12,10 +12,6 @@
 #include "engine/engine.hh"
 #include "engine/shard_plan.hh"
 
-namespace stacknoc::snapshot {
-class StateIO;
-} // namespace stacknoc::snapshot
-
 namespace stacknoc::engine {
 
 /**
@@ -45,10 +41,10 @@ class SequentialEngine : public ExecutionEngine
     void run(Cycle cycles) override;
     const char *name() const override { return "sequential"; }
     int threads() const override { return 1; }
+    /** Builds the schedule first, so a never-run engine reports it. */
+    void forEachActiveFlag(const ActiveFlagFn &fn) override;
 
   private:
-    friend class snapshot::StateIO; //!< checkpoints the active set
-
     /** (Re)build the schedule when the registry changed; rebind flags. */
     void ensureSchedule();
     void unbindFlags();

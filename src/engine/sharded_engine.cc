@@ -95,6 +95,18 @@ ShardedParallelEngine::tickedComponents() const
 }
 
 void
+ShardedParallelEngine::forEachActiveFlag(const ActiveFlagFn &fn)
+{
+    for (std::size_t s = 0; s < plan_.shards.size(); ++s) {
+        auto &st = *shard_state_[s];
+        for (std::size_t i = 0; i < plan_.shards[s].size(); ++i)
+            fn(plan_.shards[s][i].ordinal, st.active[i]);
+    }
+    for (std::size_t i = 0; i < plan_.serial.size(); ++i)
+        fn(plan_.serial[i].ordinal, serial_active_[i]);
+}
+
+void
 ShardedParallelEngine::setProfiler(telemetry::CycleProfiler *profiler)
 {
     ExecutionEngine::setProfiler(profiler);

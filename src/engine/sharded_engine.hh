@@ -18,10 +18,6 @@
 #include "sim/stats.hh"
 #include "telemetry/trace.hh"
 
-namespace stacknoc::snapshot {
-class StateIO;
-} // namespace stacknoc::snapshot
-
 namespace stacknoc::engine {
 
 /**
@@ -73,14 +69,12 @@ class ShardedParallelEngine : public ExecutionEngine
      */
     void setProfiler(telemetry::CycleProfiler *profiler) override;
 
+    void forEachActiveFlag(const ActiveFlagFn &fn) override;
+
     /** The partition being executed (test/diagnostic use). */
     const ShardPlan &plan() const { return plan_; }
 
   private:
-    /** Checkpointing maps the per-shard active flags to and from
-     *  schedule ordinals between run() calls (phase barrier holds). */
-    friend class snapshot::StateIO;
-
     /** Per-shard deferral buffers, one cache-line-separated allocation
      *  per shard to keep workers from false-sharing. */
     struct ShardState

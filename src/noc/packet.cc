@@ -98,7 +98,6 @@ isLineTransfer(PacketClass cls)
 // plain (non-atomic) because each is only ever advanced by components at
 // its node, which all tick on the same shard; distinct streams are
 // distinct memory locations, so no two threads touch the same counter.
-constexpr std::size_t kMaxIdStreams = 4097;
 constexpr int kIdStreamShift = 40;
 std::array<std::uint64_t, kMaxIdStreams> next_seq{};
 

@@ -10,6 +10,7 @@
 #ifndef STACKNOC_NOC_PACKET_HH
 #define STACKNOC_NOC_PACKET_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -171,6 +172,9 @@ PacketPtr makePacket(PacketClass cls, NodeId src, NodeId dest,
  * runs; never while a simulation is live.
  */
 void resetPacketIds();
+
+/** Id streams: one per source node plus slot 0 for kInvalidNode. */
+constexpr std::size_t kMaxIdStreams = 4097;
 
 /**
  * Snapshot the per-source id streams as (stream index, next sequence)

@@ -1,19 +1,21 @@
 /**
  * @file
- * Cross-reference tables shared by every component's save/load pass.
+ * The back-reference table shared by every component's transfer.
  *
  * Two kinds of state are aliased between components and must keep their
  * sharing structure across a checkpoint round trip:
  *
  *  - PacketPtr: one Packet may sit in several places at once (a router
  *    VC buffer flit-by-flit, a Tbe blocked queue, an NI committedPkt).
- *    The save pass writes each distinct Packet once (first encounter)
- *    and refers back by table index afterwards; the load pass rebuilds
- *    the exact same shared_ptr graph.
- *
  *  - std::shared_ptr<bool> completion flags: a Core ROB entry and the
  *    L1 MSHR that will complete it point at the same bool (and
- *    lastMemDone_ may alias it again). Same first-encounter scheme.
+ *    lastMemDone_ may alias it again).
+ *
+ * Each pointer travels as a tag: null, a new object (its body follows
+ * and it takes the next index of its kind), or a back-reference to an
+ * earlier index. Refs is one table for both directions, like the
+ * archives (serialize.hh): saving maps objects to indices, loading maps
+ * indices back to the rebuilt objects, and each body is listed once.
  */
 
 #ifndef STACKNOC_SNAPSHOT_CONTEXT_HH
@@ -21,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "noc/packet.hh"
@@ -34,139 +37,98 @@ constexpr std::uint8_t kNew = 1;  //!< body follows; assign next index
 constexpr std::uint8_t kRef = 2;  //!< u32 index of an earlier kNew
 } // namespace tag
 
-/** Save-side tables. One per checkpoint save pass. */
-class SaveCtx
+/** One per checkpoint save or load pass. */
+class Refs
 {
   public:
+    template <class Ar, class P>
     void
-    putPacket(Saver &s, const noc::PacketPtr &pkt)
+    packet(Ar &ar, P &pkt)
     {
-        if (!pkt) {
-            s.u8(tag::kNull);
-            return;
-        }
-        const auto it = packets_.find(pkt.get());
-        if (it != packets_.end()) {
-            s.u8(tag::kRef);
-            s.u32(it->second);
-            return;
-        }
-        packets_.emplace(pkt.get(),
-                         static_cast<std::uint32_t>(packets_.size()));
-        s.u8(tag::kNew);
-        const noc::Packet &p = *pkt;
-        s.u64(p.id);
-        s.u8(static_cast<std::uint8_t>(p.cls));
-        s.i32(p.src);
-        s.i32(p.dest);
-        s.i32(p.numFlits);
-        s.u64(p.addr);
-        s.i32(p.destBank);
-        s.u8(p.info.kind);
-        s.u8(p.info.flags);
-        s.u16(p.info.aux);
-        s.u32(p.info.origin);
-        s.u64(p.createdAt);
-        s.u64(p.injectedAt);
-        s.u64(p.ejectedAt);
-        s.i16(p.probeStamp);
-        s.i32(p.probeParent);
-        s.u64(p.firstHeldAt);
+        share(ar, pkt, packets_, "packet", [&ar](auto &p) {
+            ar.u64(p.id);
+            ar.u8(p.cls);
+            ar.i32(p.src);
+            ar.i32(p.dest);
+            ar.i32(p.numFlits);
+            ar.u64(p.addr);
+            ar.i32(p.destBank);
+            ar.u8(p.info.kind);
+            ar.u8(p.info.flags);
+            ar.u16(p.info.aux);
+            ar.u32(p.info.origin);
+            ar.u64(p.createdAt);
+            ar.u64(p.injectedAt);
+            ar.u64(p.ejectedAt);
+            ar.i16(p.probeStamp);
+            ar.i32(p.probeParent);
+            ar.u64(p.firstHeldAt);
+        });
     }
 
+    template <class Ar, class P>
     void
-    putFlag(Saver &s, const std::shared_ptr<bool> &flag)
+    flag(Ar &ar, P &flag)
     {
-        if (!flag) {
-            s.u8(tag::kNull);
-            return;
-        }
-        const auto it = flags_.find(flag.get());
-        if (it != flags_.end()) {
-            s.u8(tag::kRef);
-            s.u32(it->second);
-            return;
-        }
-        flags_.emplace(flag.get(),
-                       static_cast<std::uint32_t>(flags_.size()));
-        s.u8(tag::kNew);
-        s.b(*flag);
+        share(ar, flag, flags_, "flag", [&ar](auto &f) { ar.b(f); });
     }
 
   private:
-    std::map<const noc::Packet *, std::uint32_t> packets_;
-    std::map<const bool *, std::uint32_t> flags_;
-};
-
-/** Load-side tables, mirroring SaveCtx. */
-class LoadCtx
-{
-  public:
-    noc::PacketPtr
-    getPacket(Loader &l)
+    /** One index space per pointee kind. */
+    struct Table
     {
-        switch (l.u8()) {
-          case tag::kNull:
-            return nullptr;
-          case tag::kRef: {
-            const std::uint32_t idx = l.u32();
-            if (idx >= packets_.size())
-                throw SnapshotError("bad packet back-reference");
-            return packets_[idx];
-          }
-          case tag::kNew: {
-            auto pkt = std::make_shared<noc::Packet>();
-            noc::Packet &p = *pkt;
-            p.id = l.u64();
-            p.cls = static_cast<noc::PacketClass>(l.u8());
-            p.src = l.i32();
-            p.dest = l.i32();
-            p.numFlits = l.i32();
-            p.addr = l.u64();
-            p.destBank = l.i32();
-            p.info.kind = l.u8();
-            p.info.flags = l.u8();
-            p.info.aux = l.u16();
-            p.info.origin = l.u32();
-            p.createdAt = l.u64();
-            p.injectedAt = l.u64();
-            p.ejectedAt = l.u64();
-            p.probeStamp = l.i16();
-            p.probeParent = l.i32();
-            p.firstHeldAt = l.u64();
-            packets_.push_back(pkt);
-            return pkt;
-          }
-          default:
-            throw SnapshotError("bad packet tag");
+        std::map<const void *, std::uint32_t> index; //!< saving
+        std::vector<std::shared_ptr<void>> objects;   //!< loading
+    };
+
+    template <class Ar, class P, class Body>
+    static void
+    share(Ar &ar, P &ptr, Table &t, const char *what, Body &&body)
+    {
+        if constexpr (!Ar::kLoading) {
+            if (!ptr) {
+                ar.u8(tag::kNull);
+                return;
+            }
+            const auto [it, fresh] = t.index.emplace(
+                ptr.get(), static_cast<std::uint32_t>(t.index.size()));
+            if (!fresh) {
+                ar.u8(tag::kRef);
+                ar.u32(it->second);
+                return;
+            }
+            ar.u8(tag::kNew);
+            body(*ptr);
+        } else {
+            using T = typename P::element_type;
+            std::uint8_t kind = 0;
+            ar.u8(kind);
+            switch (kind) {
+              case tag::kNull:
+                ptr = nullptr;
+                return;
+              case tag::kRef: {
+                std::uint32_t idx = 0;
+                ar.u32(idx);
+                if (idx >= t.objects.size())
+                    throw SnapshotError(std::string("bad ") + what
+                                        + " back-reference");
+                ptr = std::static_pointer_cast<T>(t.objects[idx]);
+                return;
+              }
+              case tag::kNew:
+                ptr = std::make_shared<T>();
+                t.objects.push_back(ptr);
+                body(*ptr);
+                return;
+              default:
+                throw SnapshotError(std::string("bad ") + what + " tag");
+            }
         }
     }
 
-    std::shared_ptr<bool>
-    getFlag(Loader &l)
-    {
-        switch (l.u8()) {
-          case tag::kNull:
-            return nullptr;
-          case tag::kRef: {
-            const std::uint32_t idx = l.u32();
-            if (idx >= flags_.size())
-                throw SnapshotError("bad flag back-reference");
-            return flags_[idx];
-          }
-          case tag::kNew: {
-            auto flag = std::make_shared<bool>(l.b());
-            flags_.push_back(flag);
-            return flag;
-          }
-          default:
-            throw SnapshotError("bad flag tag");
-        }
-    }
-
-  private:
-    std::vector<noc::PacketPtr> packets_;
-    std::vector<std::shared_ptr<bool>> flags_;
+    Table packets_;
+    Table flags_;
 };
 
 } // namespace stacknoc::snapshot

@@ -1,11 +1,9 @@
 #include "snapshot/state_io.hh"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 #include <vector>
 
-#include "engine/sequential_engine.hh"
-#include "engine/sharded_engine.hh"
 #include "snapshot/context.hh"
 #include "system/cmp_system.hh"
 
@@ -13,612 +11,275 @@ namespace stacknoc::snapshot {
 
 namespace {
 
-/** Collect a map's keys in sorted order so unordered containers
- *  serialise deterministically. */
-template <typename Map>
-std::vector<typename Map::key_type>
-sortedKeys(const Map &m)
-{
-    std::vector<typename Map::key_type> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-template <typename Set>
-std::vector<typename Set::key_type>
-sortedValues(const Set &s)
-{
-    std::vector<typename Set::key_type> vals(s.begin(), s.end());
-    std::sort(vals.begin(), vals.end());
-    return vals;
-}
-
+template <class Ar, class F>
 void
-saveFlitValue(Saver &s, SaveCtx &ctx, const noc::Flit &f)
+flit(Ar &ar, Refs &refs, F &f)
 {
-    ctx.putPacket(s, f.pkt);
-    s.i32(f.seq);
-    s.u64(f.arrivedAt);
-}
-
-noc::Flit
-loadFlitValue(Loader &l, LoadCtx &ctx)
-{
-    noc::Flit f;
-    f.pkt = ctx.getPacket(l);
-    f.seq = l.i32();
-    f.arrivedAt = l.u64();
-    return f;
-}
-
-void
-checkCount(std::size_t have, std::size_t want, const char *what)
-{
-    if (have != want)
-        throw SnapshotError(std::string("checkpoint structure mismatch: ")
-                            + what);
+    refs.packet(ar, f.pkt);
+    ar.i32(f.seq);
+    ar.u64(f.arrivedAt);
 }
 
 } // namespace
 
 // ---------------------------------------------------------------- workload
 
+template <class Ar, class C>
 void
-StateIO::saveStream(Saver &s, const workload::SyntheticStream &st)
+StateIO::stream(Ar &ar, C &st)
 {
-    for (std::uint64_t w : st.rng_.s_)
-        s.u64(w);
-    s.u64(st.memOps_);
-    s.u64(st.misses_);
-    s.u32(st.burstRemaining_);
-    s.u32(st.bankRun_);
-    s.i32(st.hotBank_);
-    const auto banks = sortedKeys(st.bankCursor_);
-    s.u32(static_cast<std::uint32_t>(banks.size()));
-    for (int b : banks) {
-        s.i32(b);
-        s.u64(st.bankCursor_.at(b));
-    }
-    s.u32(static_cast<std::uint32_t>(st.history_.size()));
-    for (const auto &ring : st.history_) {
-        s.u32(static_cast<std::uint32_t>(ring.size()));
-        for (BlockAddr a : ring)
-            s.u64(a);
-    }
-    s.u64(st.historyIdx_);
-}
-
-void
-StateIO::loadStream(Loader &l, workload::SyntheticStream &st)
-{
-    for (std::uint64_t &w : st.rng_.s_)
-        w = l.u64();
-    st.memOps_ = l.u64();
-    st.misses_ = l.u64();
-    st.burstRemaining_ = l.u32();
-    st.bankRun_ = l.u32();
-    st.hotBank_ = l.i32();
-    st.bankCursor_.clear();
-    const std::uint32_t nbanks = l.u32();
-    for (std::uint32_t i = 0; i < nbanks; ++i) {
-        const int b = l.i32();
-        st.bankCursor_[b] = l.u64();
-    }
-    checkCount(st.history_.size(), l.u32(), "stream history rings");
-    for (auto &ring : st.history_) {
-        ring.resize(l.u32());
-        for (BlockAddr &a : ring)
-            a = l.u64();
-    }
-    st.historyIdx_ = l.u64();
+    for (auto &w : st.rng_.s_)
+        ar.u64(w);
+    ar.u64(st.memOps_);
+    ar.u64(st.misses_);
+    ar.u32(st.burstRemaining_);
+    ar.u32(st.bankRun_);
+    ar.i32(st.hotBank_);
+    ar.sorted(st.bankCursor_, [&](auto &b, auto &cursor) {
+        ar.i32(b);
+        ar.u64(cursor);
+    });
+    ar.fixed(st.history_, "stream history rings", [&](auto &ring) {
+        ar.seq(ring, [&](auto &a) { ar.u64(a); });
+    });
+    ar.u64(st.historyIdx_);
 }
 
 // -------------------------------------------------------------------- cpu
 
+template <class Ar, class C>
 void
-StateIO::saveCore(Saver &s, SaveCtx &ctx, const cpu::Core &core)
+StateIO::core(Ar &ar, Refs &refs, C &core)
 {
-    s.u32(static_cast<std::uint32_t>(core.rob_.size()));
-    for (const auto &e : core.rob_) {
-        s.b(e.op.isMem);
-        s.b(e.op.isWrite);
-        s.u64(e.op.addr);
-        s.b(e.op.l2Hit);
-        s.b(e.op.dependsOnPrev);
-        s.b(e.issued);
-        ctx.putFlag(s, e.done);
-    }
-    s.u64(core.issueCursor_);
-    ctx.putFlag(s, core.lastMemDone_);
-    s.u64(core.committed_);
-}
-
-void
-StateIO::loadCore(Loader &l, LoadCtx &ctx, cpu::Core &core)
-{
-    core.rob_.clear();
-    const std::uint32_t n = l.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        cpu::Core::RobEntry e;
-        e.op.isMem = l.b();
-        e.op.isWrite = l.b();
-        e.op.addr = l.u64();
-        e.op.l2Hit = l.b();
-        e.op.dependsOnPrev = l.b();
-        e.issued = l.b();
-        e.done = ctx.getFlag(l);
-        core.rob_.push_back(std::move(e));
-    }
-    core.issueCursor_ = static_cast<std::size_t>(l.u64());
-    core.lastMemDone_ = ctx.getFlag(l);
-    core.committed_ = l.u64();
+    ar.seq(core.rob_, [&](auto &e) {
+        ar.b(e.op.isMem);
+        ar.b(e.op.isWrite);
+        ar.u64(e.op.addr);
+        ar.b(e.op.l2Hit);
+        ar.b(e.op.dependsOnPrev);
+        ar.b(e.issued);
+        refs.flag(ar, e.done);
+    });
+    ar.u64(core.issueCursor_);
+    refs.flag(ar, core.lastMemDone_);
+    ar.u64(core.committed_);
 }
 
 // -------------------------------------------------------------- coherence
 
-namespace {
-// Placeholder namespace so the Completion helpers below read as a unit.
-} // namespace
-
+template <class Ar, class C>
 void
-StateIO::saveL1(Saver &s, SaveCtx &ctx, const coherence::L1Cache &l1)
+StateIO::l1(Ar &ar, Refs &refs, C &l1)
 {
-    const auto saveCompletion =
-        [&](const coherence::L1Cache::Completion &c) {
+    const auto completion = [&](auto &c) {
+        if constexpr (!Ar::kLoading) {
             if (c.fn)
                 throw SnapshotError(
                     "non-serialisable L1 completion callback (test-only "
                     "std::function path cannot be checkpointed)");
-            ctx.putFlag(s, c.flag);
-        };
-
-    saveTags(s, l1.tags_);
-    const auto addrs = sortedKeys(l1.mshrs_);
-    s.u32(static_cast<std::uint32_t>(addrs.size()));
-    for (BlockAddr a : addrs) {
-        const auto &m = l1.mshrs_.at(a);
-        s.u64(a);
-        s.b(m.isWrite);
-        s.u64(m.startedAt);
-        saveCompletion(m.onDone);
-    }
-    const auto putms = sortedValues(l1.pendingPutM_);
-    s.u32(static_cast<std::uint32_t>(putms.size()));
-    for (BlockAddr a : putms)
-        s.u64(a);
-    s.u32(static_cast<std::uint32_t>(l1.delayed_.size()));
-    for (const auto &[at, c] : l1.delayed_) {
-        s.u64(at);
-        saveCompletion(c);
-    }
-}
-
-void
-StateIO::loadL1(Loader &l, LoadCtx &ctx, coherence::L1Cache &l1)
-{
-    const auto loadCompletion = [&]() {
-        coherence::L1Cache::Completion c;
-        c.flag = ctx.getFlag(l);
-        return c;
+        }
+        refs.flag(ar, c.flag);
     };
 
-    loadTags(l, l1.tags_);
-    l1.mshrs_.clear();
-    const std::uint32_t nmshr = l.u32();
-    for (std::uint32_t i = 0; i < nmshr; ++i) {
-        const BlockAddr a = l.u64();
-        coherence::L1Cache::Mshr m;
-        m.isWrite = l.b();
-        m.startedAt = l.u64();
-        m.onDone = loadCompletion();
-        l1.mshrs_.emplace(a, std::move(m));
-    }
-    l1.pendingPutM_.clear();
-    const std::uint32_t nputm = l.u32();
-    for (std::uint32_t i = 0; i < nputm; ++i)
-        l1.pendingPutM_.insert(l.u64());
-    l1.delayed_.clear();
-    const std::uint32_t ndel = l.u32();
-    for (std::uint32_t i = 0; i < ndel; ++i) {
-        const Cycle at = l.u64();
-        l1.delayed_.emplace_back(at, loadCompletion());
-    }
+    tags(ar, l1.tags_);
+    ar.sorted(l1.mshrs_, [&](auto &addr, auto &m) {
+        ar.u64(addr);
+        ar.b(m.isWrite);
+        ar.u64(m.startedAt);
+        completion(m.onDone);
+    });
+    ar.sorted(l1.pendingPutM_, [&](auto &addr) { ar.u64(addr); });
+    ar.seq(l1.delayed_, [&](auto &d) {
+        ar.u64(d.first);
+        completion(d.second);
+    });
 }
 
+template <class Ar, class C>
 void
-StateIO::saveBank(Saver &s, SaveCtx &ctx, const coherence::L2Bank &bank)
+StateIO::bank(Ar &ar, Refs &refs, C &bank)
 {
-    s.i32(bank.admittedRequests_);
-    s.i32(bank.admittedWrites_);
-    s.u64(bank.lastNackedEpisode_);
-    for (std::uint64_t w : bank.rng_.s_)
-        s.u64(w);
+    ar.i32(bank.admittedRequests_);
+    ar.i32(bank.admittedWrites_);
+    ar.u64(bank.lastNackedEpisode_);
+    for (auto &w : bank.rng_.s_)
+        ar.u64(w);
 
-    const auto dirAddrs = sortedKeys(bank.dir_);
-    s.u32(static_cast<std::uint32_t>(dirAddrs.size()));
-    for (BlockAddr a : dirAddrs) {
-        const auto &d = bank.dir_.at(a);
-        s.u64(a);
-        s.u8(static_cast<std::uint8_t>(d.state));
-        s.u64(d.sharers);
-        s.i32(d.owner);
-    }
+    ar.sorted(bank.dir_, [&](auto &addr, auto &d) {
+        ar.u64(addr);
+        ar.u8(d.state);
+        ar.u64(d.sharers);
+        ar.i32(d.owner);
+    });
+    ar.sorted(bank.tbes_, [&](auto &addr, auto &t) {
+        ar.u64(addr);
+        ar.u8(t.kind);
+        ar.i32(t.requester);
+        ar.b(t.l2Hit);
+        ar.b(t.upgrade);
+        ar.u8(t.phase);
+        ar.i32(t.pendingAcks);
+        ar.i32(t.recallOwner);
+        ar.u8(t.grant);
+        ar.seq(t.blocked, [&](auto &pkt) { refs.packet(ar, pkt); });
+        ar.u64(t.pktId);
+        ar.u8(t.pktCls);
+        ar.u64(t.arrivedAt);
+    });
 
-    const auto tbeAddrs = sortedKeys(bank.tbes_);
-    s.u32(static_cast<std::uint32_t>(tbeAddrs.size()));
-    for (BlockAddr a : tbeAddrs) {
-        const auto &t = bank.tbes_.at(a);
-        s.u64(a);
-        s.u8(static_cast<std::uint8_t>(t.kind));
-        s.i32(t.requester);
-        s.b(t.l2Hit);
-        s.b(t.upgrade);
-        s.u8(static_cast<std::uint8_t>(t.phase));
-        s.i32(t.pendingAcks);
-        s.i32(t.recallOwner);
-        s.u8(static_cast<std::uint8_t>(t.grant));
-        s.u32(static_cast<std::uint32_t>(t.blocked.size()));
-        for (const auto &pkt : t.blocked)
-            ctx.putPacket(s, pkt);
-        s.u64(t.pktId);
-        s.u8(t.pktCls);
-        s.u64(t.arrivedAt);
-    }
-
-    s.b(bank.tags_ != nullptr);
+    ar.present(bank.tags_ != nullptr, "L2 real-tags mode");
     if (bank.tags_)
-        saveTags(s, *bank.tags_);
-    saveBankCtrl(s, bank.ctrl_);
-}
-
-void
-StateIO::loadBank(Loader &l, LoadCtx &ctx, coherence::L2Bank &bank)
-{
-    bank.admittedRequests_ = l.i32();
-    bank.admittedWrites_ = l.i32();
-    bank.lastNackedEpisode_ = l.u64();
-    for (std::uint64_t &w : bank.rng_.s_)
-        w = l.u64();
-
-    bank.dir_.clear();
-    const std::uint32_t ndir = l.u32();
-    for (std::uint32_t i = 0; i < ndir; ++i) {
-        const BlockAddr a = l.u64();
-        coherence::DirEntry d;
-        d.state = static_cast<coherence::DirEntry::State>(l.u8());
-        d.sharers = l.u64();
-        d.owner = l.i32();
-        bank.dir_.emplace(a, d);
-    }
-
-    bank.tbes_.clear();
-    const std::uint32_t ntbe = l.u32();
-    for (std::uint32_t i = 0; i < ntbe; ++i) {
-        const BlockAddr a = l.u64();
-        coherence::L2Bank::Tbe t;
-        t.kind = static_cast<coherence::CohKind>(l.u8());
-        t.requester = l.i32();
-        t.l2Hit = l.b();
-        t.upgrade = l.b();
-        t.phase = static_cast<coherence::L2Bank::Phase>(l.u8());
-        t.pendingAcks = l.i32();
-        t.recallOwner = l.i32();
-        t.grant = static_cast<coherence::Grant>(l.u8());
-        const std::uint32_t nblk = l.u32();
-        for (std::uint32_t j = 0; j < nblk; ++j)
-            t.blocked.push_back(ctx.getPacket(l));
-        t.pktId = l.u64();
-        t.pktCls = l.u8();
-        t.arrivedAt = l.u64();
-        bank.tbes_.emplace(a, std::move(t));
-    }
-
-    const bool hasTags = l.b();
-    checkCount(hasTags ? 1 : 0, bank.tags_ ? 1 : 0, "L2 real-tags mode");
-    if (bank.tags_)
-        loadTags(l, *bank.tags_);
-    loadBankCtrl(l, bank.ctrl_, bank);
+        tags(ar, *bank.tags_);
+    bankCtrl(ar, bank.ctrl_, bank);
 }
 
 // -------------------------------------------------------------------- mem
 
+template <class Ar, class C, class Bank>
 void
-StateIO::saveBankCtrl(Saver &s, const mem::BankController &ctrl)
+StateIO::bankCtrl(Ar &ar, C &ctrl, Bank &owner)
 {
-    const auto saveReq = [&s](const mem::BankRequest &req) {
-        s.b(req.isWrite);
-        s.u64(req.addr);
-        s.u64(req.enqueuedAt);
-        s.u64(req.tracePktId);
-        s.u8(req.traceCls);
+    const auto request = [&](auto &req) {
+        ar.b(req.isWrite);
+        ar.u64(req.addr);
+        ar.u64(req.enqueuedAt);
+        ar.u64(req.tracePktId);
+        ar.u8(req.traceCls);
         // The production completion is always the owning L2Bank's
-        // respondAndFinish bound to req.addr; only its presence needs
-        // to travel (loadBankCtrl re-forms the lambda).
-        s.b(static_cast<bool>(req.onDone));
-    };
-
-    s.u64(ctrl.bank_.busyUntil_);
-    s.b(ctrl.bank_.currentIsWrite_);
-    s.u64(ctrl.bank_.readsTotal_);
-    s.u64(ctrl.bank_.writesTotal_);
-
-    s.u32(static_cast<std::uint32_t>(ctrl.queue_.size()));
-    for (const auto &req : ctrl.queue_)
-        saveReq(req);
-    s.b(ctrl.current_.has_value());
-    if (ctrl.current_) {
-        saveReq(ctrl.current_->req);
-        s.u64(ctrl.current_->doneAt);
-        s.i32(ctrl.current_->failures);
-    }
-    s.u32(static_cast<std::uint32_t>(ctrl.buffer_.size()));
-    for (const auto &bw : ctrl.buffer_) {
-        s.u64(bw.addr);
-        s.b(bw.draining);
-    }
-    s.b(ctrl.drainDoneAt_.has_value());
-    if (ctrl.drainDoneAt_)
-        s.u64(*ctrl.drainDoneAt_);
-    s.u32(static_cast<std::uint32_t>(ctrl.delayed_.size()));
-    for (const auto &dd : ctrl.delayed_) {
-        s.u64(dd.at);
-        saveReq(dd.req);
-    }
-    s.u64(ctrl.lastArrival_);
-    s.b(ctrl.lastWasWrite_);
-    s.i32(ctrl.drainFailures_);
-    s.b(ctrl.retryActive_);
-    s.u64(ctrl.retryEpisodes_);
-    s.u64(ctrl.retryRoundsTotal_);
-}
-
-void
-StateIO::loadBankCtrl(Loader &l, mem::BankController &ctrl,
-                      coherence::L2Bank &owner)
-{
-    const auto loadReq = [&l, &owner]() {
-        mem::BankRequest req;
-        req.isWrite = l.b();
-        req.addr = l.u64();
-        req.enqueuedAt = l.u64();
-        req.tracePktId = l.u64();
-        req.traceCls = l.u8();
-        if (l.b()) {
-            coherence::L2Bank *bank = &owner;
-            const BlockAddr addr = req.addr;
-            req.onDone = [bank, addr](Cycle t) {
-                bank->respondAndFinish(addr, t);
-            };
+        // respondAndFinish bound to req.addr; only its presence travels.
+        bool hasDone = static_cast<bool>(req.onDone);
+        ar.b(hasDone);
+        if constexpr (Ar::kLoading) {
+            if (hasDone) {
+                coherence::L2Bank *b = &owner;
+                const BlockAddr addr = req.addr;
+                req.onDone = [b, addr](Cycle t) {
+                    b->respondAndFinish(addr, t);
+                };
+            }
         }
-        return req;
     };
 
-    ctrl.bank_.busyUntil_ = l.u64();
-    ctrl.bank_.currentIsWrite_ = l.b();
-    ctrl.bank_.readsTotal_ = l.u64();
-    ctrl.bank_.writesTotal_ = l.u64();
+    ar.u64(ctrl.bank_.busyUntil_);
+    ar.b(ctrl.bank_.currentIsWrite_);
+    ar.u64(ctrl.bank_.readsTotal_);
+    ar.u64(ctrl.bank_.writesTotal_);
 
-    ctrl.queue_.clear();
-    const std::uint32_t nq = l.u32();
-    for (std::uint32_t i = 0; i < nq; ++i)
-        ctrl.queue_.push_back(loadReq());
-    ctrl.current_.reset();
-    if (l.b()) {
-        mem::BankController::InFlight inf;
-        inf.req = loadReq();
-        inf.doneAt = l.u64();
-        inf.failures = l.i32();
-        ctrl.current_ = std::move(inf);
-    }
-    ctrl.buffer_.clear();
-    const std::uint32_t nb = l.u32();
-    for (std::uint32_t i = 0; i < nb; ++i) {
-        mem::BankController::BufferedWrite bw;
-        bw.addr = l.u64();
-        bw.draining = l.b();
-        ctrl.buffer_.push_back(bw);
-    }
-    ctrl.drainDoneAt_.reset();
-    if (l.b())
-        ctrl.drainDoneAt_ = l.u64();
-    ctrl.delayed_.clear();
-    const std::uint32_t nd = l.u32();
-    for (std::uint32_t i = 0; i < nd; ++i) {
-        mem::BankController::DelayedDone dd;
-        dd.at = l.u64();
-        dd.req = loadReq();
-        ctrl.delayed_.push_back(std::move(dd));
-    }
-    ctrl.lastArrival_ = l.u64();
-    ctrl.lastWasWrite_ = l.b();
-    ctrl.drainFailures_ = l.i32();
-    ctrl.retryActive_ = l.b();
-    ctrl.retryEpisodes_ = l.u64();
-    ctrl.retryRoundsTotal_ = l.u64();
+    ar.seq(ctrl.queue_, request);
+    ar.opt(ctrl.current_, [&](auto &inf) {
+        request(inf.req);
+        ar.u64(inf.doneAt);
+        ar.i32(inf.failures);
+    });
+    ar.seq(ctrl.buffer_, [&](auto &bw) {
+        ar.u64(bw.addr);
+        ar.b(bw.draining);
+    });
+    ar.opt(ctrl.drainDoneAt_, [&](auto &at) { ar.u64(at); });
+    ar.seq(ctrl.delayed_, [&](auto &dd) {
+        ar.u64(dd.at);
+        request(dd.req);
+    });
+    ar.u64(ctrl.lastArrival_);
+    ar.b(ctrl.lastWasWrite_);
+    ar.i32(ctrl.drainFailures_);
+    ar.b(ctrl.retryActive_);
+    ar.u64(ctrl.retryEpisodes_);
+    ar.u64(ctrl.retryRoundsTotal_);
 }
 
+template <class Ar, class C>
 void
-StateIO::saveMc(Saver &s, SaveCtx &ctx, const mem::MemoryController &mc)
+StateIO::mc(Ar &ar, Refs &refs, C &mc)
 {
-    s.u32(static_cast<std::uint32_t>(mc.queue_.size()));
-    for (const auto &pkt : mc.queue_)
-        ctx.putPacket(s, pkt);
-    s.u32(static_cast<std::uint32_t>(mc.inflight_.size()));
-    for (const auto &a : mc.inflight_) {
-        ctx.putPacket(s, a.pkt);
-        s.u64(a.doneAt);
-    }
-}
-
-void
-StateIO::loadMc(Loader &l, LoadCtx &ctx, mem::MemoryController &mc)
-{
-    mc.queue_.clear();
-    const std::uint32_t nq = l.u32();
-    for (std::uint32_t i = 0; i < nq; ++i)
-        mc.queue_.push_back(ctx.getPacket(l));
-    mc.inflight_.clear();
-    const std::uint32_t ni = l.u32();
-    for (std::uint32_t i = 0; i < ni; ++i) {
-        mem::MemoryController::Access a;
-        a.pkt = ctx.getPacket(l);
-        a.doneAt = l.u64();
-        mc.inflight_.push_back(std::move(a));
-    }
+    ar.seq(mc.queue_, [&](auto &pkt) { refs.packet(ar, pkt); });
+    ar.seq(mc.inflight_, [&](auto &a) {
+        refs.packet(ar, a.pkt);
+        ar.u64(a.doneAt);
+    });
 }
 
 // ------------------------------------------------------------------ cache
 
+template <class Ar, class C>
 void
-StateIO::saveTags(Saver &s, const cache::TagArray &tags)
+StateIO::tags(Ar &ar, C &tags)
 {
-    s.i32(tags.numSets_);
-    s.i32(tags.ways_);
-    s.i32(tags.validCount_);
-    s.u64(tags.useClock_);
-    for (const auto &e : tags.entries_) {
-        s.u64(e.addr);
-        s.b(e.valid);
-        s.b(e.dirty);
-        s.u8(e.state);
-        s.b(e.pinned);
-        s.u64(e.lastUse);
-    }
-}
-
-void
-StateIO::loadTags(Loader &l, cache::TagArray &tags)
-{
-    checkCount(static_cast<std::size_t>(l.i32()),
-               static_cast<std::size_t>(tags.numSets_), "tag array sets");
-    checkCount(static_cast<std::size_t>(l.i32()),
-               static_cast<std::size_t>(tags.ways_), "tag array ways");
-    tags.validCount_ = l.i32();
-    tags.useClock_ = l.u64();
+    ar.count(static_cast<std::size_t>(tags.numSets_), "tag array sets");
+    ar.count(static_cast<std::size_t>(tags.ways_), "tag array ways");
+    ar.i32(tags.validCount_);
+    ar.u64(tags.useClock_);
     for (auto &e : tags.entries_) {
-        e.addr = l.u64();
-        e.valid = l.b();
-        e.dirty = l.b();
-        e.state = l.u8();
-        e.pinned = l.b();
-        e.lastUse = l.u64();
+        ar.u64(e.addr);
+        ar.b(e.valid);
+        ar.b(e.dirty);
+        ar.u8(e.state);
+        ar.b(e.pinned);
+        ar.u64(e.lastUse);
     }
 }
 
 // -------------------------------------------------------------------- noc
 
+template <class Ar, class C>
 void
-StateIO::saveLink(Saver &s, SaveCtx &ctx, const noc::Link &link)
+StateIO::link(Ar &ar, Refs &refs, C &link)
 {
-    if (!link.data.staged_.empty() || !link.credit.staged_.empty())
-        throw SnapshotError("channel has uncommitted staged values "
-                            "(checkpoint must be taken between cycles)");
-    s.u32(static_cast<std::uint32_t>(link.data.queue_.size()));
-    for (const auto &[at, lf] : link.data.queue_) {
-        s.u64(at);
-        saveFlitValue(s, ctx, lf.flit);
-        s.i32(lf.vc);
+    if constexpr (!Ar::kLoading) {
+        if (!link.data.staged_.empty() || !link.credit.staged_.empty())
+            throw SnapshotError("channel has uncommitted staged values "
+                                "(checkpoint must be taken between "
+                                "cycles)");
     }
-    s.u32(static_cast<std::uint32_t>(link.credit.queue_.size()));
-    for (const auto &[at, cr] : link.credit.queue_) {
-        s.u64(at);
-        s.i32(cr.vc);
-    }
+    // Loading deliberately calls no wakeTarget(): the engine active set
+    // travels in the checkpoint, and the pending-signal bytes are
+    // restored per owner.
+    ar.seq(link.data.queue_, [&](auto &q) {
+        ar.u64(q.first);
+        flit(ar, refs, q.second.flit);
+        ar.i32(q.second.vc);
+    });
+    ar.seq(link.credit.queue_, [&](auto &q) {
+        ar.u64(q.first);
+        ar.i32(q.second.vc);
+    });
 }
 
+template <class Ar, class C>
 void
-StateIO::loadLink(Loader &l, LoadCtx &ctx, noc::Link &link)
-{
-    // Deliberately no wakeTarget(): the engine active set travels in the
-    // checkpoint, and the pending-signal bytes are restored per owner.
-    link.data.queue_.clear();
-    const std::uint32_t nd = l.u32();
-    for (std::uint32_t i = 0; i < nd; ++i) {
-        const Cycle at = l.u64();
-        noc::LinkFlit lf;
-        lf.flit = loadFlitValue(l, ctx);
-        lf.vc = l.i32();
-        link.data.queue_.emplace_back(at, std::move(lf));
-    }
-    link.credit.queue_.clear();
-    const std::uint32_t nc = l.u32();
-    for (std::uint32_t i = 0; i < nc; ++i) {
-        const Cycle at = l.u64();
-        noc::Credit cr;
-        cr.vc = l.i32();
-        link.credit.queue_.emplace_back(at, cr);
-    }
-}
-
-void
-StateIO::saveRouter(Saver &s, SaveCtx &ctx, const noc::Router &r)
-{
-    for (const auto &ip : r.in_) {
-        s.u32(static_cast<std::uint32_t>(ip.vcs.size()));
-        for (const auto &vc : ip.vcs) {
-            s.u32(static_cast<std::uint32_t>(vc.buffer.size()));
-            for (const auto &f : vc.buffer)
-                saveFlitValue(s, ctx, f);
-            s.u8(static_cast<std::uint8_t>(vc.status));
-            s.u8(static_cast<std::uint8_t>(vc.outDir));
-            s.i32(vc.outVc);
-            s.u64(vc.vaDoneAt);
-        }
-        s.i32(ip.rrSaVc);
-    }
-    for (const auto &op : r.out_) {
-        s.u32(static_cast<std::uint32_t>(op.credits.size()));
-        for (int c : op.credits)
-            s.i32(c);
-        for (bool b : op.vcBusy)
-            s.b(b);
-        s.i32(op.rrVa);
-        s.i32(op.rrSa);
-    }
-    for (std::uint8_t p : r.dataPending_)
-        s.u8(p);
-    for (std::uint8_t p : r.creditPending_)
-        s.u8(p);
-    s.u64(r.flitsSwitchedTotal_);
-    s.u64(r.flitsBufferedTotal_);
-}
-
-void
-StateIO::loadRouter(Loader &l, LoadCtx &ctx, noc::Router &r)
+StateIO::router(Ar &ar, Refs &refs, C &r)
 {
     for (auto &ip : r.in_) {
-        checkCount(ip.vcs.size(), l.u32(), "router input VCs");
-        for (auto &vc : ip.vcs) {
-            vc.buffer.clear();
-            const std::uint32_t nf = l.u32();
-            for (std::uint32_t i = 0; i < nf; ++i)
-                vc.buffer.push_back(loadFlitValue(l, ctx));
-            vc.status = static_cast<noc::Router::VcStatus>(l.u8());
-            vc.outDir = static_cast<noc::Dir>(l.u8());
-            vc.outVc = l.i32();
-            vc.vaDoneAt = l.u64();
-        }
-        ip.rrSaVc = l.i32();
+        ar.fixed(ip.vcs, "router input VCs", [&](auto &vc) {
+            ar.seq(vc.buffer, [&](auto &f) { flit(ar, refs, f); });
+            ar.u8(vc.status);
+            ar.u8(vc.outDir);
+            ar.i32(vc.outVc);
+            ar.u64(vc.vaDoneAt);
+        });
+        ar.i32(ip.rrSaVc);
     }
     for (auto &op : r.out_) {
-        checkCount(op.credits.size(), l.u32(), "router output VCs");
-        for (int &c : op.credits)
-            c = l.i32();
-        for (std::size_t i = 0; i < op.vcBusy.size(); ++i)
-            op.vcBusy[i] = l.b();
-        op.rrVa = l.i32();
-        op.rrSa = l.i32();
+        ar.fixed(op.credits, "router output VCs",
+                 [&](auto &c) { ar.i32(c); });
+        for (auto &&busy : op.vcBusy)
+            ar.b(busy);
+        ar.i32(op.rrVa);
+        ar.i32(op.rrSa);
     }
-    for (std::uint8_t &p : r.dataPending_)
-        p = l.u8();
-    for (std::uint8_t &p : r.creditPending_)
-        p = l.u8();
-    r.flitsSwitchedTotal_ = l.u64();
-    r.flitsBufferedTotal_ = l.u64();
+    for (auto &p : r.dataPending_)
+        ar.u8(p);
+    for (auto &p : r.creditPending_)
+        ar.u8(p);
+    ar.u64(r.flitsSwitchedTotal_);
+    ar.u64(r.flitsBufferedTotal_);
+    if constexpr (Ar::kLoading)
+        rebuildDerived(r);
+}
 
+void
+StateIO::rebuildDerived(noc::Router &r)
+{
     // Canonically recompute the derived pipeline-state masks, counts and
     // occupancy mirrors. The Idle slots of stateMask/stateCount carry
     // history-dependent values in a live run, but they are never read
@@ -641,242 +302,174 @@ StateIO::loadRouter(Loader &l, LoadCtx &ctx, noc::Router &r)
     }
 }
 
+template <class Ar, class C>
 void
-StateIO::saveNi(Saver &s, SaveCtx &ctx, const noc::NetworkInterface &ni)
+StateIO::ni(Ar &ar, Refs &refs, C &ni)
 {
-    s.u32(static_cast<std::uint32_t>(ni.injectQueue_.size()));
-    for (const auto &pkt : ni.injectQueue_)
-        ctx.putPacket(s, pkt);
-    s.u32(static_cast<std::uint32_t>(ni.injVcs_.size()));
-    for (const auto &vc : ni.injVcs_) {
-        ctx.putPacket(s, vc.pkt);
-        s.i32(vc.nextSeq);
-        s.i32(vc.credits);
-    }
-    s.u32(static_cast<std::uint32_t>(ni.ejectVcs_.size()));
-    for (const auto &vc : ni.ejectVcs_) {
-        s.u32(static_cast<std::uint32_t>(vc.buffer.size()));
-        for (const auto &f : vc.buffer)
-            saveFlitValue(s, ctx, f);
-        s.b(vc.committed);
-        ctx.putPacket(s, vc.committedPkt);
-        s.b(vc.crcClean);
-        s.b(vc.dropping);
-        s.i32(vc.retxAttempts);
-        s.u64(vc.retxHoldUntil);
-    }
-    s.i32(ni.rrInjVc_);
-    s.u8(ni.dataPending_);
-    s.u8(ni.creditPending_);
-    s.u64(ni.flitsRetransmittedTotal_);
-}
-
-void
-StateIO::loadNi(Loader &l, LoadCtx &ctx, noc::NetworkInterface &ni)
-{
-    ni.injectQueue_.clear();
-    const std::uint32_t nq = l.u32();
-    for (std::uint32_t i = 0; i < nq; ++i)
-        ni.injectQueue_.push_back(ctx.getPacket(l));
-    checkCount(ni.injVcs_.size(), l.u32(), "NI injection VCs");
-    for (auto &vc : ni.injVcs_) {
-        vc.pkt = ctx.getPacket(l);
-        vc.nextSeq = l.i32();
-        vc.credits = l.i32();
-    }
-    checkCount(ni.ejectVcs_.size(), l.u32(), "NI ejection VCs");
-    for (auto &vc : ni.ejectVcs_) {
-        vc.buffer.clear();
-        const std::uint32_t nf = l.u32();
-        for (std::uint32_t i = 0; i < nf; ++i)
-            vc.buffer.push_back(loadFlitValue(l, ctx));
-        vc.committed = l.b();
-        vc.committedPkt = ctx.getPacket(l);
-        vc.crcClean = l.b();
-        vc.dropping = l.b();
-        vc.retxAttempts = l.i32();
-        vc.retxHoldUntil = l.u64();
-    }
-    ni.rrInjVc_ = l.i32();
-    ni.dataPending_ = l.u8();
-    ni.creditPending_ = l.u8();
-    ni.flitsRetransmittedTotal_ = l.u64();
+    ar.seq(ni.injectQueue_, [&](auto &pkt) { refs.packet(ar, pkt); });
+    ar.fixed(ni.injVcs_, "NI injection VCs", [&](auto &vc) {
+        refs.packet(ar, vc.pkt);
+        ar.i32(vc.nextSeq);
+        ar.i32(vc.credits);
+    });
+    ar.fixed(ni.ejectVcs_, "NI ejection VCs", [&](auto &vc) {
+        ar.seq(vc.buffer, [&](auto &f) { flit(ar, refs, f); });
+        ar.b(vc.committed);
+        refs.packet(ar, vc.committedPkt);
+        ar.b(vc.crcClean);
+        ar.b(vc.dropping);
+        ar.i32(vc.retxAttempts);
+        ar.u64(vc.retxHoldUntil);
+    });
+    ar.i32(ni.rrInjVc_);
+    ar.u8(ni.dataPending_);
+    ar.u8(ni.creditPending_);
+    ar.u64(ni.flitsRetransmittedTotal_);
 }
 
 // ----------------------------------------------------------------- sttnoc
 
+template <class Ar, class C>
 void
-StateIO::savePolicy(Saver &s, const sttnoc::BankAwarePolicy &p)
+StateIO::policy(Ar &ar, C &p)
 {
-    s.u32(static_cast<std::uint32_t>(p.busyUntil_.size()));
-    for (Cycle c : p.busyUntil_)
-        s.u64(c);
-    for (Cycle c : p.holdMargin_)
-        s.u64(c);
-    for (std::uint64_t v : p.holdCyclesByBank_)
-        s.u64(v);
+    ar.fixed(p.busyUntil_, "policy bank count", [&](auto &c) { ar.u64(c); });
+    for (auto &c : p.holdMargin_)
+        ar.u64(c);
+    for (auto &v : p.holdCyclesByBank_)
+        ar.u64(v);
 
-    const auto *wb =
-        dynamic_cast<const sttnoc::WindowEstimator *>(p.estimator_.get());
-    s.b(wb != nullptr);
-    if (wb != nullptr) {
-        s.u32(static_cast<std::uint32_t>(wb->state_.size()));
-        for (const auto &cs : wb->state_) {
-            s.u64(cs.forwarded);
-            s.b(cs.probeOutstanding);
-            s.i16(cs.stamp);
-            s.u64(cs.sentAt);
-            s.u64(cs.congestion);
-            s.u64(cs.updatedAt);
-        }
-    }
-}
-
-void
-StateIO::loadPolicy(Loader &l, sttnoc::BankAwarePolicy &p)
-{
-    checkCount(p.busyUntil_.size(), l.u32(), "policy bank count");
-    for (Cycle &c : p.busyUntil_)
-        c = l.u64();
-    for (Cycle &c : p.holdMargin_)
-        c = l.u64();
-    for (std::uint64_t &v : p.holdCyclesByBank_)
-        v = l.u64();
-
+    // Only the window (WB) estimator keeps state; SS and RCA have none.
     auto *wb = dynamic_cast<sttnoc::WindowEstimator *>(p.estimator_.get());
-    const bool hadWb = l.b();
-    checkCount(hadWb ? 1 : 0, wb != nullptr ? 1 : 0, "estimator kind");
+    ar.present(wb != nullptr, "estimator kind");
     if (wb != nullptr) {
-        checkCount(wb->state_.size(), l.u32(), "WB estimator children");
-        for (auto &cs : wb->state_) {
-            cs.forwarded = l.u64();
-            cs.probeOutstanding = l.b();
-            cs.stamp = l.i16();
-            cs.sentAt = l.u64();
-            cs.congestion = l.u64();
-            cs.updatedAt = l.u64();
-        }
+        ar.fixed(wb->state_, "WB estimator children", [&](auto &cs) {
+            ar.u64(cs.forwarded);
+            ar.b(cs.probeOutstanding);
+            ar.i16(cs.stamp);
+            ar.u64(cs.sentAt);
+            ar.u64(cs.congestion);
+            ar.u64(cs.updatedAt);
+        });
     }
 }
 
+template <class Ar, class C>
 void
-StateIO::saveFabric(Saver &s, const sttnoc::RcaFabric &f)
+StateIO::fabric(Ar &ar, C &f)
 {
-    s.u32(static_cast<std::uint32_t>(f.prev_.size()));
-    for (std::uint32_t v : f.prev_)
-        s.u32(v);
-    for (std::uint32_t v : f.next_)
-        s.u32(v);
-    for (std::uint32_t v : f.snapshot_)
-        s.u32(v);
-    s.b(f.prevNonzero_);
-    s.b(f.nextNonzero_);
-    s.b(f.snapNonzero_);
-}
-
-void
-StateIO::loadFabric(Loader &l, sttnoc::RcaFabric &f)
-{
-    checkCount(f.prev_.size(), l.u32(), "RCA fabric node count");
-    for (std::uint32_t &v : f.prev_)
-        v = l.u32();
-    for (std::uint32_t &v : f.next_)
-        v = l.u32();
-    for (std::uint32_t &v : f.snapshot_)
-        v = l.u32();
-    f.prevNonzero_ = l.b();
-    f.nextNonzero_ = l.b();
-    f.snapNonzero_ = l.b();
+    ar.fixed(f.prev_, "RCA fabric node count", [&](auto &v) { ar.u32(v); });
+    for (auto &v : f.next_)
+        ar.u32(v);
+    for (auto &v : f.snapshot_)
+        ar.u32(v);
+    ar.b(f.prevNonzero_);
+    ar.b(f.nextNonzero_);
+    ar.b(f.snapNonzero_);
 }
 
 // ------------------------------------------------------------------ fault
 
+template <class Ar, class C>
 void
-StateIO::saveFaults(Saver &s, const fault::FaultInjector &fi)
+StateIO::faults(Ar &ar, C &fi)
 {
-    s.u32(static_cast<std::uint32_t>(fi.bankStreams_.size()));
-    for (const auto &st : fi.bankStreams_)
-        s.u64(st.state_);
-    s.u32(static_cast<std::uint32_t>(fi.niStreams_.size()));
-    for (const auto &st : fi.niStreams_)
-        s.u64(st.state_);
-}
-
-void
-StateIO::loadFaults(Loader &l, fault::FaultInjector &fi)
-{
-    checkCount(fi.bankStreams_.size(), l.u32(), "fault bank streams");
-    for (auto &st : fi.bankStreams_)
-        st.state_ = l.u64();
-    checkCount(fi.niStreams_.size(), l.u32(), "fault NI streams");
-    for (auto &st : fi.niStreams_)
-        st.state_ = l.u64();
+    ar.fixed(fi.bankStreams_, "fault bank streams",
+             [&](auto &st) { ar.u64(st.state_); });
+    ar.fixed(fi.niStreams_, "fault NI streams",
+             [&](auto &st) { ar.u64(st.state_); });
 }
 
 // ----------------------------------------------------------------- engine
 
+template <class Ar, class Sys>
 void
-StateIO::saveEngine(Saver &s, const system::CmpSystem &sys)
+StateIO::activeSet(Ar &ar, Sys &sys)
 {
     // Active flags in canonical schedule-ordinal order, whichever engine
-    // is attached. Unscheduled (never-run) engines report all-awake.
+    // is attached; a system without an engine reports all-awake.
     const std::size_t n = sys.sim_.componentCount();
+    ar.count(n, "engine component count");
     std::vector<std::uint8_t> flags(n, 1);
     engine::ExecutionEngine *eng = sys.engine_.get();
-    if (auto *seq = dynamic_cast<engine::SequentialEngine *>(eng)) {
-        if (seq->scheduleBuilt_) {
-            for (std::size_t i = 0; i < seq->order_.size(); ++i)
-                flags.at(seq->order_[i].ordinal) = seq->active_[i];
-        }
-    } else if (auto *sh =
-                   dynamic_cast<engine::ShardedParallelEngine *>(eng)) {
-        for (std::size_t sh_i = 0; sh_i < sh->plan_.shards.size(); ++sh_i) {
-            const auto &items = sh->plan_.shards[sh_i];
-            const auto &st = *sh->shard_state_[sh_i];
-            for (std::size_t i = 0; i < items.size(); ++i)
-                flags.at(items[i].ordinal) = st.active[i];
-        }
-        for (std::size_t i = 0; i < sh->plan_.serial.size(); ++i)
-            flags.at(sh->plan_.serial[i].ordinal) = sh->serial_active_[i];
+    if constexpr (!Ar::kLoading) {
+        if (eng != nullptr)
+            eng->forEachActiveFlag(
+                [&](std::size_t ord, std::uint8_t &f) { flags.at(ord) = f; });
     }
-    s.u32(static_cast<std::uint32_t>(n));
-    for (std::uint8_t f : flags)
-        s.u8(f);
-}
-
-void
-StateIO::loadEngine(Loader &l, system::CmpSystem &sys)
-{
-    const std::size_t n = sys.sim_.componentCount();
-    checkCount(n, l.u32(), "engine component count");
-    std::vector<std::uint8_t> flags(n);
-    for (std::uint8_t &f : flags)
-        f = l.u8();
-
-    // A spurious wake is harmless (quiescent ticks are no-ops) but a
-    // missed wake diverges, so the flags are applied exactly. An engine
-    // with elision off keeps every flag set and ticks everything.
-    engine::ExecutionEngine *eng = sys.engine_.get();
-    if (eng == nullptr || !eng->elides())
-        return;
-    if (auto *seq = dynamic_cast<engine::SequentialEngine *>(eng)) {
-        seq->ensureSchedule();
-        for (std::size_t i = 0; i < seq->order_.size(); ++i)
-            seq->active_[i] = flags.at(seq->order_[i].ordinal);
-    } else if (auto *sh =
-                   dynamic_cast<engine::ShardedParallelEngine *>(eng)) {
-        for (std::size_t sh_i = 0; sh_i < sh->plan_.shards.size(); ++sh_i) {
-            const auto &items = sh->plan_.shards[sh_i];
-            auto &st = *sh->shard_state_[sh_i];
-            for (std::size_t i = 0; i < items.size(); ++i)
-                st.active[i] = flags.at(items[i].ordinal);
-        }
-        for (std::size_t i = 0; i < sh->plan_.serial.size(); ++i)
-            sh->serial_active_[i] = flags.at(sh->plan_.serial[i].ordinal);
+    for (auto &f : flags)
+        ar.u8(f);
+    // Load only. A spurious wake is harmless (quiescent ticks are
+    // no-ops) but a missed wake diverges, so the flags are applied
+    // exactly. An engine with elision off keeps every flag set and
+    // ticks everything.
+    if constexpr (Ar::kLoading) {
+        if (eng != nullptr && eng->elides())
+            eng->forEachActiveFlag(
+                [&](std::size_t ord, std::uint8_t &f) { f = flags.at(ord); });
     }
 }
 
 // ----------------------------------------------------------- whole system
+
+template <class Ar, class Sys>
+void
+StateIO::wholeSystem(Ar &ar, Sys &sys)
+{
+    // The packet-id streams are process-global, not part of the system.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> idStreams;
+    if constexpr (!Ar::kLoading)
+        idStreams = noc::savePacketIdStreams();
+    ar.seq(idStreams, [&](auto &st) {
+        ar.u32(st.first);
+        ar.u64(st.second);
+        if (st.first >= noc::kMaxIdStreams)
+            throw SnapshotError("packet id stream index out of range");
+    });
+    if constexpr (Ar::kLoading)
+        noc::restorePacketIdStreams(idStreams);
+
+    ar.u64(sys.sim_.now_);
+
+    Refs refs;
+    for (const auto &st : sys.streams_)
+        stream(ar, *st);
+    for (const auto &c : sys.cores_)
+        core(ar, refs, *c);
+    for (const auto &c : sys.l1s_)
+        l1(ar, refs, *c);
+    for (const auto &b : sys.banks_)
+        bank(ar, refs, *b);
+    for (const auto &m : sys.mcs_)
+        mc(ar, refs, *m);
+
+    auto &net = *sys.net_;
+    const int nodes = sys.shape_.totalNodes();
+    for (NodeId n = 0; n < nodes; ++n)
+        router(ar, refs, net.router(n));
+    for (NodeId n = 0; n < nodes; ++n)
+        ni(ar, refs, net.ni(n));
+    for (NodeId n = 0; n < nodes; ++n) {
+        for (int d = 0; d < noc::kNumDirs; ++d) {
+            if (auto *lk = net.topo_.linkOut(n, static_cast<noc::Dir>(d)))
+                link(ar, refs, *lk);
+        }
+    }
+    for (const auto &lk : net.niLinks_)
+        link(ar, refs, *lk);
+
+    ar.present(sys.bankAwarePolicy_ != nullptr, "bank-aware policy presence");
+    if (sys.bankAwarePolicy_)
+        policy(ar, *sys.bankAwarePolicy_);
+    ar.present(sys.rcaFabric_ != nullptr, "RCA fabric presence");
+    if (sys.rcaFabric_)
+        fabric(ar, *sys.rcaFabric_);
+    ar.present(sys.faults_ != nullptr, "fault injector presence");
+    if (sys.faults_)
+        faults(ar, *sys.faults_);
+
+    activeSet(ar, sys);
+}
 
 void
 StateIO::save(const system::CmpSystem &sys, Saver &s)
@@ -884,56 +477,7 @@ StateIO::save(const system::CmpSystem &sys, Saver &s)
     if (sys.validation_)
         throw SnapshotError("cannot checkpoint a system with validation "
                             "enabled (census state is not serialised)");
-
-    const auto idStreams = noc::savePacketIdStreams();
-    s.u32(static_cast<std::uint32_t>(idStreams.size()));
-    for (const auto &[idx, seq] : idStreams) {
-        s.u32(idx);
-        s.u64(seq);
-    }
-
-    s.u64(sys.sim_.now_);
-
-    SaveCtx ctx;
-    for (const auto &st : sys.streams_)
-        saveStream(s, *st);
-    for (const auto &core : sys.cores_)
-        saveCore(s, ctx, *core);
-    for (const auto &l1 : sys.l1s_)
-        saveL1(s, ctx, *l1);
-    for (const auto &bank : sys.banks_)
-        saveBank(s, ctx, *bank);
-    for (const auto &mc : sys.mcs_)
-        saveMc(s, ctx, *mc);
-
-    const noc::Network &net = *sys.net_;
-    const int nodes = sys.shape_.totalNodes();
-    for (NodeId n = 0; n < nodes; ++n)
-        saveRouter(s, ctx, net.router(n));
-    for (NodeId n = 0; n < nodes; ++n)
-        saveNi(s, ctx, net.ni(n));
-    for (NodeId n = 0; n < nodes; ++n) {
-        for (int d = 0; d < noc::kNumDirs; ++d) {
-            const noc::Link *lk =
-                net.topo_.linkOut(n, static_cast<noc::Dir>(d));
-            if (lk != nullptr)
-                saveLink(s, ctx, *lk);
-        }
-    }
-    for (const auto &lk : net.niLinks_)
-        saveLink(s, ctx, *lk);
-
-    s.b(sys.bankAwarePolicy_ != nullptr);
-    if (sys.bankAwarePolicy_)
-        savePolicy(s, *sys.bankAwarePolicy_);
-    s.b(sys.rcaFabric_ != nullptr);
-    if (sys.rcaFabric_)
-        saveFabric(s, *sys.rcaFabric_);
-    s.b(sys.faults_ != nullptr);
-    if (sys.faults_)
-        saveFaults(s, *sys.faults_);
-
-    saveEngine(s, sys);
+    wholeSystem(s, sys);
 }
 
 void
@@ -942,65 +486,7 @@ StateIO::load(system::CmpSystem &sys, Loader &l)
     if (sys.validation_)
         throw SnapshotError("cannot restore into a system with validation "
                             "enabled (census state is not serialised)");
-
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> idStreams;
-    const std::uint32_t nStreams = l.u32();
-    idStreams.reserve(nStreams);
-    for (std::uint32_t i = 0; i < nStreams; ++i) {
-        const std::uint32_t idx = l.u32();
-        const std::uint64_t seq = l.u64();
-        idStreams.emplace_back(idx, seq);
-    }
-    noc::restorePacketIdStreams(idStreams);
-
-    sys.sim_.now_ = l.u64();
-
-    LoadCtx ctx;
-    for (const auto &st : sys.streams_)
-        loadStream(l, *st);
-    for (const auto &core : sys.cores_)
-        loadCore(l, ctx, *core);
-    for (const auto &l1 : sys.l1s_)
-        loadL1(l, ctx, *l1);
-    for (const auto &bank : sys.banks_)
-        loadBank(l, ctx, *bank);
-    for (const auto &mc : sys.mcs_)
-        loadMc(l, ctx, *mc);
-
-    noc::Network &net = *sys.net_;
-    const int nodes = sys.shape_.totalNodes();
-    for (NodeId n = 0; n < nodes; ++n)
-        loadRouter(l, ctx, net.router(n));
-    for (NodeId n = 0; n < nodes; ++n)
-        loadNi(l, ctx, net.ni(n));
-    for (NodeId n = 0; n < nodes; ++n) {
-        for (int d = 0; d < noc::kNumDirs; ++d) {
-            noc::Link *lk = net.topo_.linkOut(n, static_cast<noc::Dir>(d));
-            if (lk != nullptr)
-                loadLink(l, ctx, *lk);
-        }
-    }
-    for (const auto &lk : net.niLinks_)
-        loadLink(l, ctx, *lk);
-
-    const bool hadPolicy = l.b();
-    checkCount(hadPolicy ? 1 : 0, sys.bankAwarePolicy_ ? 1 : 0,
-               "bank-aware policy presence");
-    if (sys.bankAwarePolicy_)
-        loadPolicy(l, *sys.bankAwarePolicy_);
-    const bool hadFabric = l.b();
-    checkCount(hadFabric ? 1 : 0, sys.rcaFabric_ ? 1 : 0,
-               "RCA fabric presence");
-    if (sys.rcaFabric_)
-        loadFabric(l, *sys.rcaFabric_);
-    const bool hadFaults = l.b();
-    checkCount(hadFaults ? 1 : 0, sys.faults_ ? 1 : 0,
-               "fault injector presence");
-    if (sys.faults_)
-        loadFaults(l, *sys.faults_);
-
-    loadEngine(l, sys);
-
+    wholeSystem(l, sys);
     if (!l.atEnd())
         throw SnapshotError("trailing bytes after checkpoint payload");
 }
