@@ -15,8 +15,9 @@
  *
  * Version policy: the format version bumps on ANY change to the payload
  * encoding (field added/removed/reordered anywhere in StateIO) or to
- * the warm-config canonicalisation. Readers reject other versions with
- * a one-line reason rather than attempting migration — checkpoints are
+ * the warm-config canonicalisation; Snapshot.PayloadBytesArePinned
+ * holds the version-1 bytes. Readers reject other versions with a
+ * one-line reason rather than attempting migration — checkpoints are
  * warm-state caches, always re-creatable from the scenario and seed.
  */
 
