@@ -51,6 +51,23 @@ L1Cache::isResident(BlockAddr addr) const
     return s == L1State::S || s == L1State::E || s == L1State::M;
 }
 
+bool
+L1Cache::corruptTagStateForTest(BlockAddr addr, L1State st)
+{
+    cache::TagEntry *e = tags_.find(addr);
+    if (e == nullptr) {
+        cache::TagEntry evicted;
+        e = tags_.allocate(addr, &evicted);
+        if (e == nullptr)
+            return false;
+        if (evicted.valid)
+            noteTagChange(evicted.addr);
+        noteTagChange(addr); // a new frame, whatever state it gets
+    }
+    setState(*e, st);
+    return true;
+}
+
 void
 L1Cache::sendRequest(noc::PacketClass cls, CohKind kind, BlockAddr addr,
                      bool l2_hit_hint, Cycle now)
@@ -101,7 +118,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
     if (e && (st == L1State::S || st == L1State::E || st == L1State::M)) {
         if (!is_write || st == L1State::M || st == L1State::E) {
             if (is_write) {
-                e->state = static_cast<std::uint8_t>(L1State::M);
+                setState(*e, L1State::M);
                 e->dirty = true;
             }
             hits_.inc();
@@ -115,7 +132,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
             return false;
         }
         upgrades_.inc();
-        e->state = static_cast<std::uint8_t>(L1State::SM);
+        setState(*e, L1State::SM);
         e->pinned = true;
         mshrs_.emplace(addr, Mshr{true, now, std::move(on_done)});
         sendRequest(noc::PacketClass::WriteReq, CohKind::GetM, addr,
@@ -160,6 +177,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
         return false;
     }
     if (fresh != e && evicted.valid) {
+        noteTagChange(evicted.addr);
         const L1State vst = static_cast<L1State>(evicted.state);
         if (vst == L1State::M) {
             writebacks_.inc();
@@ -177,7 +195,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
         // stale sharer/owner records.
     }
     misses_.inc();
-    fresh->state = static_cast<std::uint8_t>(L1State::IS);
+    setState(*fresh, L1State::IS);
     fresh->pinned = true;
     fresh->dirty = false;
     mshrs_.emplace(addr, Mshr{false, now, std::move(on_done)});
@@ -195,12 +213,10 @@ L1Cache::completeMiss(BlockAddr addr, L1State final_state, Cycle now)
     cache::TagEntry *e = tags_.find(addr);
     panic_if(e == nullptr, "L1 %d: completion for unallocated block",
              core_);
-    e->state = static_cast<std::uint8_t>(final_state);
+    setState(*e, it->second.isWrite ? L1State::M : final_state);
     e->pinned = false;
-    if (it->second.isWrite) {
-        e->state = static_cast<std::uint8_t>(L1State::M);
+    if (it->second.isWrite)
         e->dirty = true;
-    }
     missLatency_.sample(now - it->second.startedAt);
     missLatencyHist_.sample(now - it->second.startedAt);
     if (it->second.onDone)
@@ -226,11 +242,11 @@ L1Cache::handleInv(const noc::Packet &pkt, Cycle now)
     if (e) {
         const L1State st = static_cast<L1State>(e->state);
         if (st == L1State::S) {
-            tags_.invalidate(pkt.addr);
+            invalidate(pkt.addr);
         } else if (st == L1State::SM) {
             // Our upgrade lost the race; the directory will answer with
             // full data once it processes our queued GetM.
-            e->state = static_cast<std::uint8_t>(L1State::IM);
+            setState(*e, L1State::IM);
         }
         // IS keeps waiting for its data; E/M cannot receive Inv (the
         // directory uses Recall for owners).
@@ -250,7 +266,7 @@ L1Cache::handleRecall(const noc::Packet &pkt, Cycle now)
     const L1State st = e ? static_cast<L1State>(e->state) : L1State::I;
 
     if (st == L1State::M) {
-        tags_.invalidate(pkt.addr);
+        invalidate(pkt.addr);
         auto data = noc::makePacket(noc::PacketClass::CohData, core_,
                                     pkt.src, pkt.addr);
         data->destBank = pkt.destBank;
@@ -260,7 +276,7 @@ L1Cache::handleRecall(const noc::Packet &pkt, Cycle now)
         return;
     }
     if (st == L1State::E || st == L1State::S)
-        tags_.invalidate(pkt.addr);
+        invalidate(pkt.addr);
     auto ack = noc::makePacket(noc::PacketClass::CohCtrl, core_, pkt.src,
                                pkt.addr);
     ack->destBank = pkt.destBank;

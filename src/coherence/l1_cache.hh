@@ -47,6 +47,21 @@ struct HomeMap
     }
 };
 
+/**
+ * Blocks whose L1 tag state changed since the last drain: every state
+ * write, fill, invalidation and eviction appends the block. The MESI
+ * checker enables the log and drains it at cycle end, after the phase
+ * barrier; the owning L1 is its only writer. It holds at most one
+ * entry per tag frame, since past that a full tag census is cheaper:
+ * further changes only set @c overflowed.
+ */
+struct TagChangeLog
+{
+    std::vector<BlockAddr> blocks;
+    std::size_t capacity = 0; //!< 0: disabled
+    bool overflowed = false;
+};
+
 /** Store-buffer depth: outstanding fire-and-forget store writes. */
 constexpr std::size_t kStoreBufferDepth = 16;
 
@@ -131,6 +146,27 @@ class L1Cache final : public Ticking, public noc::NetworkClient
     /** Read-only tag array access (validation: MESI legality census). */
     const cache::TagArray &tags() const { return tags_; }
 
+    /** Start logging tag-state changes (validation use only). */
+    void
+    enableTagChangeLog()
+    {
+        tagLog_.capacity = static_cast<std::size_t>(tags_.numSets()) *
+                           static_cast<std::size_t>(tags_.ways());
+    }
+
+    /** The tag-change log, for the MESI checker to drain. */
+    TagChangeLog &tagChangeLog() { return tagLog_; }
+
+    /**
+     * Fault injection for validation tests ONLY: force @p addr into
+     * state @p st, allocating a frame (and silently dropping its
+     * victim) when the block is absent, without any protocol message.
+     * The MESI checker must catch the illegal state pair this plants.
+     *
+     * @return false when every way of the block's set is pinned.
+     */
+    bool corruptTagStateForTest(BlockAddr addr, L1State st);
+
   private:
     friend class snapshot::StateIO; //!< checkpoint save/restore
 
@@ -171,6 +207,37 @@ class L1Cache final : public Ticking, public noc::NetworkClient
     void handleInv(const noc::Packet &pkt, Cycle now);
     void handleRecall(const noc::Packet &pkt, Cycle now);
 
+    /** Log a tag change of @p addr when the log is enabled. */
+    void
+    noteTagChange(BlockAddr addr)
+    {
+        if (tagLog_.capacity == 0)
+            return;
+        if (tagLog_.blocks.size() < tagLog_.capacity)
+            tagLog_.blocks.push_back(addr);
+        else
+            tagLog_.overflowed = true;
+    }
+
+    /** Write @p st into @p e, logging the block when the state moves. */
+    void
+    setState(cache::TagEntry &e, L1State st)
+    {
+        const auto byte = static_cast<std::uint8_t>(st);
+        if (e.state == byte)
+            return;
+        e.state = byte;
+        noteTagChange(e.addr);
+    }
+
+    /** Drop @p addr from the tags, logging it when it was present. */
+    void
+    invalidate(BlockAddr addr)
+    {
+        if (tags_.invalidate(addr))
+            noteTagChange(addr);
+    }
+
     CoreId core_;
     noc::PacketSender &out_;
     HomeMap home_;
@@ -180,6 +247,7 @@ class L1Cache final : public Ticking, public noc::NetworkClient
     std::unordered_map<BlockAddr, Mshr> mshrs_;
     std::unordered_set<BlockAddr> pendingPutM_;
     std::vector<std::pair<Cycle, Completion>> delayed_;
+    TagChangeLog tagLog_;
 
     stats::Counter &hits_;
     stats::Counter &misses_;

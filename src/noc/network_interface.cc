@@ -228,42 +228,6 @@ NetworkInterface::ejectBufferedFlits() const
 }
 
 void
-NetworkInterface::forEachPendingPacket(
-    const std::function<void(const Packet &, bool)> &fn) const
-{
-    for (const auto &pkt : injectQueue_)
-        fn(*pkt, false);
-    for (const auto &vc : injVcs_) {
-        if (vc.pkt)
-            fn(*vc.pkt, vc.nextSeq > 0);
-    }
-}
-
-void
-NetworkInterface::forEachEjectFlit(
-    const std::function<void(int, const Flit &, bool)> &fn) const
-{
-    for (std::size_t v = 0; v < ejectVcs_.size(); ++v) {
-        const auto &vc = ejectVcs_[v];
-        for (const auto &flit : vc.buffer) {
-            fn(static_cast<int>(v), flit,
-               vc.committed && flit.pkt == vc.committedPkt);
-        }
-    }
-}
-
-void
-NetworkInterface::forEachCommittedPacket(
-    const std::function<void(int, const Packet &)> &fn) const
-{
-    for (std::size_t v = 0; v < ejectVcs_.size(); ++v) {
-        const auto &vc = ejectVcs_[v];
-        if (vc.committed && vc.committedPkt)
-            fn(static_cast<int>(v), *vc.committedPkt);
-    }
-}
-
-void
 NetworkInterface::dispatch(PacketPtr pkt, Cycle now)
 {
     if (pkt->cls == PacketClass::ProbeAck) {

@@ -8,7 +8,6 @@
 #define STACKNOC_NOC_NETWORK_INTERFACE_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -183,8 +182,17 @@ class NetworkInterface final : public Ticking, public PacketSender
      * serialised into the network (injected = true once the head flit
      * has left). Observer use only (validation census).
      */
-    void forEachPendingPacket(
-        const std::function<void(const Packet &, bool)> &fn) const;
+    template <typename Fn>
+    void
+    forEachPendingPacket(Fn &&fn) const
+    {
+        for (const auto &pkt : injectQueue_)
+            fn(*pkt, false);
+        for (const auto &vc : injVcs_) {
+            if (vc.pkt)
+                fn(*vc.pkt, vc.nextSeq > 0);
+        }
+    }
 
     /**
      * Invoke @p fn(vc, flit, committed) for every flit parked in an
@@ -192,16 +200,34 @@ class NetworkInterface final : public Ticking, public PacketSender
      * front packet of a VC whose head the client already accepted.
      * Observer use only (validation census).
      */
-    void forEachEjectFlit(
-        const std::function<void(int, const Flit &, bool)> &fn) const;
+    template <typename Fn>
+    void
+    forEachEjectFlit(Fn &&fn) const
+    {
+        for (std::size_t v = 0; v < ejectVcs_.size(); ++v) {
+            const auto &vc = ejectVcs_[v];
+            for (const auto &flit : vc.buffer) {
+                fn(static_cast<int>(v), flit,
+                   vc.committed && flit.pkt == vc.committedPkt);
+            }
+        }
+    }
 
     /**
      * Invoke @p fn(vc, pkt) for every packet the client has accepted
      * (tryAccept succeeded) whose tail flit has not yet been delivered.
      * Observer use only (validation census).
      */
-    void forEachCommittedPacket(
-        const std::function<void(int, const Packet &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachCommittedPacket(Fn &&fn) const
+    {
+        for (std::size_t v = 0; v < ejectVcs_.size(); ++v) {
+            const auto &vc = ejectVcs_[v];
+            if (vc.committed && vc.committedPkt)
+                fn(static_cast<int>(v), *vc.committedPkt);
+        }
+    }
 
     /** Injection credits available on VC @p vc. */
     int injCredits(int vc) const

@@ -507,39 +507,23 @@ Router::quiescent(Cycle) const
 }
 
 void
-Router::forEachBufferedFlit(
-    const std::function<void(Dir, int, const Flit &)> &fn) const
+Router::corruptBufferedFlitForTest(Dir d, int vc, std::size_t index,
+                                   bool duplicate)
 {
-    for (int d = 0; d < kNumDirs; ++d) {
-        const auto &ip = in_[static_cast<std::size_t>(d)];
-        for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
-            for (const auto &flit : ip.vcs[v].buffer)
-                fn(static_cast<Dir>(d), static_cast<int>(v), flit);
-        }
-    }
-}
-
-int
-Router::outCredits(Dir d, int vc) const
-{
-    const auto &op = out_[static_cast<std::size_t>(static_cast<int>(d))];
-    if (!op.link)
-        return -1;
-    return op.credits.at(static_cast<std::size_t>(vc));
-}
-
-void
-Router::forEachBufferedPacket(
-    const std::function<void(const Packet &)> &fn) const
-{
-    for (const auto &ip : in_) {
-        for (const auto &vc : ip.vcs) {
-            for (const auto &flit : vc.buffer) {
-                if (flit.head())
-                    fn(*flit.pkt);
-            }
-        }
-    }
+    auto &buf = in_[static_cast<std::size_t>(static_cast<int>(d))]
+                    .vcs.at(static_cast<std::size_t>(vc))
+                    .buffer;
+    panic_if(index >= buf.size(), "router %d: no flit %zu to corrupt",
+             id_, index);
+    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(index);
+    const int delta = duplicate ? 1 : -1;
+    if (duplicate)
+        buf.insert(at, *at);
+    else
+        buf.erase(at);
+    bufferedTotal_ += delta;
+    if (d != Dir::Local)
+        localCongestion_ += delta;
 }
 
 } // namespace stacknoc::noc

@@ -11,8 +11,10 @@
 #ifndef STACKNOC_NOC_ROUTER_HH
 #define STACKNOC_NOC_ROUTER_HH
 
+#include <array>
+#include <bit>
 #include <deque>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -87,18 +89,83 @@ class Router final : public Ticking
     int localCongestion() const;
 
     /** Invoke @p fn for every packet whose head flit is buffered here. */
-    void forEachBufferedPacket(
-        const std::function<void(const Packet &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachBufferedPacket(Fn &&fn) const
+    {
+        forEachBufferedFlit([&](Dir, int, const Flit &flit) {
+            if (flit.head())
+                fn(*flit.pkt);
+        });
+    }
 
     /**
-     * Invoke @p fn(dir, vc, flit) for every buffered flit (head or not).
-     * Observer use only (validation census).
+     * Invoke @p fn(dir, vc, flit) for every buffered flit (head or not),
+     * port by port and VC by VC. Observer use only (validation census).
+     *
+     * Only VCs out of Idle hold flits: a head arriving moves its VC out
+     * of Idle, and a VC returns there only once empty. So when the busy
+     * VCs account for every buffered flit, the idle ones are skipped
+     * unread; otherwise every VC is visited.
      */
-    void forEachBufferedFlit(
-        const std::function<void(Dir, int, const Flit &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachBufferedFlit(Fn &&fn) const
+    {
+        int held = 0;
+        for (const InPort &ip : in_) {
+            for (std::uint64_t m = busyVcs(ip); m != 0; m &= m - 1) {
+                held += static_cast<int>(
+                    ip.vcs[static_cast<std::size_t>(std::countr_zero(m))]
+                        .buffer.size());
+            }
+        }
+        const bool busy_only = held == bufferedTotal_;
+        for (int d = 0; d < kNumDirs; ++d) {
+            const InPort &ip = in_[static_cast<std::size_t>(d)];
+            for (std::uint64_t m = busy_only ? busyVcs(ip) : allVcs(ip);
+                 m != 0; m &= m - 1) {
+                const int v = std::countr_zero(m);
+                for (const auto &flit :
+                     ip.vcs[static_cast<std::size_t>(v)].buffer)
+                    fn(static_cast<Dir>(d), v, flit);
+            }
+        }
+    }
 
-    /** Credits available on output VC @p vc of port @p d (-1: no link). */
-    int outCredits(Dir d, int vc) const;
+    /**
+     * Credits available on every output VC of port @p d (meaningful
+     * only where a link is attached). Sized at construction,
+     * so the view stays valid for the router's lifetime (observer use:
+     * the credit checker reads it every sweep).
+     */
+    std::span<const int>
+    outCredits(Dir d) const
+    {
+        return out_[static_cast<std::size_t>(d)].credits;
+    }
+
+    /**
+     * Fault injection for validation tests ONLY: add @p delta to the
+     * credits of output VC @p vc of port @p d, emulating a leaked or
+     * double-counted credit. The credit checker must catch it.
+     */
+    void
+    corruptOutCreditForTest(Dir d, int vc, int delta)
+    {
+        out_[static_cast<std::size_t>(d)].credits.at(
+            static_cast<std::size_t>(vc)) += delta;
+    }
+
+    /**
+     * Fault injection for validation tests ONLY: drop the @p index-th
+     * flit buffered in input VC @p vc of port @p d, or (@p duplicate)
+     * insert a copy of it right behind it. The occupancy mirrors follow
+     * the buffer, so the router keeps running on the corrupted packet;
+     * the packet checker's census must catch it.
+     */
+    void corruptBufferedFlitForTest(Dir d, int vc, std::size_t index,
+                                    bool duplicate);
 
     /**
      * Flits this router has pushed into its crossbar since
@@ -158,6 +225,24 @@ class Router final : public Ticking
         int rrVa = 0;               //!< round-robin pointer for VA
         int rrSa = 0;               //!< round-robin pointer for SA output
     };
+
+    /** Input VCs of @p ip out of Idle: the ones that can hold flits. */
+    static std::uint64_t
+    busyVcs(const InPort &ip)
+    {
+        return ip.stateMask[static_cast<std::size_t>(VcStatus::Routing)] |
+               ip.stateMask[static_cast<std::size_t>(VcStatus::WaitVa)] |
+               ip.stateMask[static_cast<std::size_t>(VcStatus::Active)];
+    }
+
+    /** Every input VC of @p ip. */
+    static std::uint64_t
+    allVcs(const InPort &ip)
+    {
+        return ip.vcs.size() >= 64
+                   ? ~std::uint64_t{0}
+                   : (std::uint64_t{1} << ip.vcs.size()) - 1;
+    }
 
     void receiveCredits(Cycle now);
     void receiveFlits(Cycle now);

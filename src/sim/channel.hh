@@ -73,6 +73,13 @@ class ChannelBase
     void setSignalFlag(std::uint8_t *flag) { signal_ = flag; }
 
     /**
+     * The receiver's signal byte (null when none is registered). Once
+     * the receiver has ticked, a zero byte means the channel is empty,
+     * so observers may skip it unread.
+     */
+    const std::uint8_t *signalFlag() const { return signal_; }
+
+    /**
      * Install @p list as this thread's staged-channel enrolment list
      * (null restores immediate pushes). Engine use only.
      */

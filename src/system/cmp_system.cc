@@ -172,6 +172,8 @@ CmpSystem::CmpSystem(const SystemConfig &config)
         profiler_ = std::make_unique<telemetry::CycleProfiler>(
             config_.profileSpanCapacity);
         engine_->setProfiler(profiler_.get());
+        if (validation_)
+            validation_->setProfiler(profiler_.get());
     }
 }
 

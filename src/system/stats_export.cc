@@ -295,6 +295,12 @@ writeJsonStats(std::ostream &os, const CmpSystem &sys, const RunInfo &info)
         for (std::size_t k = 0; k < prof->kindNames().size(); ++k)
             w.kv(prof->kindNames()[k], prof->kindSeconds(k));
         w.endObject();
+        // Named splits of the cycle_end phase (validation checkers).
+        w.key("cycle_end");
+        w.beginObject();
+        for (std::size_t i = 0; i < prof->sectionNames().size(); ++i)
+            w.kv(prof->sectionNames()[i], prof->sectionSeconds(i));
+        w.endObject();
         w.kv("spans_recorded", prof->spansRecorded());
         w.kv("spans_dropped", prof->spansDropped());
         w.endObject();

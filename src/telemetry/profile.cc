@@ -56,6 +56,18 @@ CycleProfiler::setKinds(std::vector<std::string> names)
     kindSeconds_.assign(kindNames_.size(), 0.0);
 }
 
+std::size_t
+CycleProfiler::cycleEndSection(const std::string &name)
+{
+    for (std::size_t i = 0; i < sectionNames_.size(); ++i) {
+        if (sectionNames_[i] == name)
+            return i;
+    }
+    sectionNames_.push_back(name);
+    sectionSeconds_.push_back(0.0);
+    return sectionNames_.size() - 1;
+}
+
 void
 CycleProfiler::addPhase(EnginePhase ph, double t0, double t1)
 {
@@ -161,6 +173,16 @@ CycleProfiler::writeTable(std::ostream &os, double wall_seconds) const
                << std::right << std::setw(9) << std::setprecision(3)
                << kindSeconds_[k] << std::setw(7)
                << std::setprecision(1) << share(kindSeconds_[k])
+               << "%\n";
+        }
+    }
+    if (!sectionNames_.empty()) {
+        os << "  cycle_end section              seconds   share\n";
+        for (std::size_t i = 0; i < sectionNames_.size(); ++i) {
+            os << "  " << std::left << std::setw(28) << sectionNames_[i]
+               << std::right << std::setw(9) << std::setprecision(3)
+               << sectionSeconds_[i] << std::setw(7)
+               << std::setprecision(1) << share(sectionSeconds_[i])
                << "%\n";
         }
     }

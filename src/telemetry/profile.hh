@@ -16,7 +16,8 @@
  * next), so per-cycle phase durations tile the engine loop: their sum
  * tracks measured wall time to within loop overhead — the property
  * the `test_profile.cc` sum-to-wall test and the CI observability
- * smoke job assert.
+ * smoke job assert. Named cycle-end sections (the validation checkers)
+ * further split the cycle_end phase.
  *
  * When constructed with a span capacity, every phase measurement is
  * additionally retained as a {thread, phase, t0, t1} span for the
@@ -116,6 +117,21 @@ class CycleProfiler
     /** Count @p n profiled engine cycles. */
     void addCycles(Cycle n) { cycles_ += n; }
 
+    /**
+     * Slot of the named cycle-end section (one validation checker, for
+     * example), registering it on first use. Sections split the
+     * cycle_end phase: their seconds are inside it, not added to the
+     * phase sum. Main-thread only, like addPhase().
+     */
+    std::size_t cycleEndSection(const std::string &name);
+
+    /** Charge @p dt seconds to cycle-end section @p slot. */
+    void
+    addSectionSeconds(std::size_t slot, double dt)
+    {
+        sectionSeconds_[slot] += dt;
+    }
+
     // --- Reporting (after run() has returned) -------------------------
 
     double phaseSeconds(EnginePhase ph) const;
@@ -133,6 +149,15 @@ class CycleProfiler
     }
 
     Cycle cycles() const { return cycles_; }
+
+    const std::vector<std::string> &sectionNames() const
+    {
+        return sectionNames_;
+    }
+    double sectionSeconds(std::size_t slot) const
+    {
+        return sectionSeconds_.at(slot);
+    }
 
     std::size_t spanCapacity() const { return spanCapacity_; }
     std::uint64_t spansRecorded() const;
@@ -185,6 +210,9 @@ class CycleProfiler
 
     std::vector<std::string> kindNames_;
     std::vector<double> kindSeconds_;
+
+    std::vector<std::string> sectionNames_;
+    std::vector<double> sectionSeconds_;
 
     Cycle cycles_ = 0;
 };

@@ -4,7 +4,9 @@
 
 #include "common/logging.hh"
 #include "noc/packet.hh"
+#include "telemetry/profile.hh"
 #include "telemetry/trace.hh"
+#include "validate/census.hh"
 
 namespace stacknoc::validate {
 
@@ -13,11 +15,42 @@ ValidationHub::ValidationHub(const ValidationConfig &config)
 {
 }
 
+ValidationHub::~ValidationHub() = default;
+
 void
 ValidationHub::add(std::unique_ptr<Checker> checker)
 {
     panic_if(checker == nullptr, "ValidationHub: null checker");
     checkers_.push_back(std::move(checker));
+    if (profiler_ != nullptr)
+        addSection(*checkers_.back());
+}
+
+const FabricCensus &
+ValidationHub::fabricCensus(const noc::Network &net)
+{
+    if (!census_)
+        census_ = std::make_unique<FabricCensus>(net);
+    return *census_;
+}
+
+void
+ValidationHub::setProfiler(telemetry::CycleProfiler *prof)
+{
+    profiler_ = prof;
+    sections_.clear();
+    if (profiler_ == nullptr)
+        return;
+    sections_.push_back(profiler_->cycleEndSection("validate.census"));
+    for (const auto &c : checkers_)
+        addSection(*c);
+}
+
+void
+ValidationHub::addSection(const Checker &checker)
+{
+    sections_.push_back(profiler_->cycleEndSection(
+        std::string("validate.") + checker.name()));
 }
 
 void
@@ -39,9 +72,25 @@ void
 ValidationHub::checkNow(Cycle now)
 {
     ++sweeps_;
+    // The clock is read only with a profiler installed.
+    double t0 = profiler_ != nullptr ? profiler_->nowSeconds() : 0.0;
+    const auto charge = [&](std::size_t slot) {
+        if (profiler_ == nullptr)
+            return;
+        const double t1 = profiler_->nowSeconds();
+        profiler_->addSectionSeconds(sections_[slot], t1 - t0);
+        t0 = t1;
+    };
+
+    if (census_) {
+        census_->take();
+        charge(0);
+    }
     std::vector<Violation> fresh;
-    for (auto &c : checkers_)
-        c->check(now, fresh);
+    for (std::size_t i = 0; i < checkers_.size(); ++i) {
+        checkers_[i]->check(now, fresh);
+        charge(i + 1);
+    }
     if (fresh.empty())
         return;
 

@@ -20,7 +20,17 @@
 #include "common/types.hh"
 #include "telemetry/probe.hh"
 
+namespace stacknoc::noc {
+class Network;
+} // namespace stacknoc::noc
+
+namespace stacknoc::telemetry {
+class CycleProfiler;
+} // namespace stacknoc::telemetry
+
 namespace stacknoc::validate {
+
+class FabricCensus;
 
 /** One invariant violation, stamped with the cycle it was detected at. */
 struct Violation
@@ -86,14 +96,29 @@ class Checker
  * sweep it writes a cycle-stamped diagnostic dump (the violations plus
  * the tail of the packet-lifecycle trace ring, when a tracer is
  * installed) to stderr, then panics when failFast is set.
+ *
+ * A sweep first fills the shared fabric census (when a checker asked
+ * for one), then runs the checkers in registration order. With a
+ * profiler installed, the census and each checker are charged to a
+ * named cycle-end section ("validate.census", "validate.<checker>").
  */
 class ValidationHub : public telemetry::Probe
 {
   public:
     explicit ValidationHub(const ValidationConfig &config);
+    ~ValidationHub() override;
 
     /** Register a checker (ownership transferred). */
     void add(std::unique_ptr<Checker> checker);
+
+    /**
+     * The fabric census of @p net, created on first call and filled
+     * once at the start of every sweep. Checkers hold the reference.
+     */
+    const FabricCensus &fabricCensus(const noc::Network &net);
+
+    /** Time the census and each checker into @p prof (null: off). */
+    void setProfiler(telemetry::CycleProfiler *prof);
 
     void onCycle(Cycle now) override;
     void onReset(Cycle now) override;
@@ -115,10 +140,19 @@ class ValidationHub : public telemetry::Probe
     /** Dump @p fresh and the trace-ring tail to stderr. */
     void report(const std::vector<Violation> &fresh) const;
 
+    /** Register @p checker's profiler section (profiler installed). */
+    void addSection(const Checker &checker);
+
     ValidationConfig config_;
     std::vector<std::unique_ptr<Checker>> checkers_;
+    std::unique_ptr<FabricCensus> census_;
     std::vector<Violation> violations_;
     std::uint64_t sweeps_ = 0;
+
+    telemetry::CycleProfiler *profiler_ = nullptr;
+    /** Profiler sections when profiled: the census, then one per
+     *  checker in registration order. */
+    std::vector<std::size_t> sections_;
 };
 
 } // namespace stacknoc::validate

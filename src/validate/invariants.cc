@@ -1,10 +1,7 @@
 #include "validate/invariants.hh"
 
 #include <algorithm>
-#include <bit>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "coherence/messages.hh"
@@ -12,41 +9,6 @@
 namespace stacknoc::validate {
 
 namespace {
-
-/**
- * Visit every flit currently inside the network fabric: router input
- * buffers, router-to-router links, the NI local links, and NI ejection
- * buffers. @p at is the node whose buffers hold the flit (for link
- * flits: the receiver it is travelling toward).
- */
-void
-forEachFabricFlit(
-    const noc::Network &net,
-    const std::function<void(NodeId at, const noc::Flit &)> &fn)
-{
-    const noc::Topology &topo = net.topology();
-    const int n = net.shape().totalNodes();
-    for (NodeId id = 0; id < n; ++id) {
-        net.router(id).forEachBufferedFlit(
-            [&](noc::Dir, int, const noc::Flit &f) { fn(id, f); });
-        for (int d = 1; d < noc::kNumDirs; ++d) {
-            const noc::Link *link =
-                topo.linkOut(id, static_cast<noc::Dir>(d));
-            if (!link)
-                continue;
-            const NodeId nb = topo.neighbor(id, static_cast<noc::Dir>(d));
-            link->data.forEachInFlight(
-                [&](const noc::LinkFlit &lf) { fn(nb, lf.flit); });
-        }
-        net.niToRouterLink(id).data.forEachInFlight(
-            [&](const noc::LinkFlit &lf) { fn(id, lf.flit); });
-        net.routerToNiLink(id).data.forEachInFlight(
-            [&](const noc::LinkFlit &lf) { fn(id, lf.flit); });
-        static_cast<const noc::NetworkInterface &>(net.ni(id))
-            .forEachEjectFlit(
-                [&](int, const noc::Flit &f, bool) { fn(id, f); });
-    }
-}
 
 std::string
 describePacket(const noc::Packet &pkt)
@@ -58,6 +20,44 @@ describePacket(const noc::Packet &pkt)
         pkt.numFlits);
 }
 
+/**
+ * The seq set of one packet's census flits [first, last), sorted by
+ * seq, as a hex bit mask ("0x1f3") of any width.
+ */
+std::string
+seqMask(const CensusFlit *first, const CensusFlit *last)
+{
+    std::vector<std::uint64_t> words(
+        static_cast<std::size_t>(last[-1].seq / 64 + 1), 0);
+    for (const CensusFlit *f = first; f != last; ++f) {
+        words[static_cast<std::size_t>(f->seq / 64)] |=
+            std::uint64_t{1} << (f->seq % 64);
+    }
+    std::string mask = detail::format(
+        "0x%llx", static_cast<unsigned long long>(words.back()));
+    for (auto w = words.rbegin() + 1; w != words.rend(); ++w)
+        mask += detail::format("%016llx", static_cast<unsigned long long>(*w));
+    return mask;
+}
+
+/**
+ * Call @p fn(first, last) for each packet's run of census entries: the
+ * census is sorted by packet id, so a packet's entries are adjacent.
+ */
+template <typename Fn>
+void
+forEachCensusPacket(const std::vector<CensusFlit> &flits, Fn fn)
+{
+    const CensusFlit *const end = flits.data() + flits.size();
+    for (const CensusFlit *first = flits.data(); first != end;) {
+        const CensusFlit *last = first + 1;
+        while (last != end && last->id == first->id)
+            ++last;
+        fn(first, last);
+        first = last;
+    }
+}
+
 } // namespace
 
 void
@@ -66,12 +66,13 @@ addStandardCheckers(ValidationHub &hub, const SystemView &view,
 {
     panic_if(view.net == nullptr,
              "validation requires at least a network");
+    const FabricCensus &census = hub.fabricCensus(*view.net);
     hub.add(std::make_unique<PacketConservationChecker>(
-        *view.net, config.stallThreshold));
-    hub.add(std::make_unique<CreditConservationChecker>(*view.net));
+        census, *view.net, config.stallThreshold));
+    hub.add(std::make_unique<CreditConservationChecker>(census, *view.net));
     if (view.policy && view.regions && view.parents) {
         hub.add(std::make_unique<ParentHoldChecker>(
-            *view.net, *view.policy, *view.regions, *view.parents,
+            census, *view.policy, *view.regions, *view.parents,
             config.holdSlack));
     }
     if (!view.banks.empty() && view.regions) {
@@ -87,8 +88,13 @@ addStandardCheckers(ValidationHub &hub, const SystemView &view,
 // PacketConservationChecker
 
 PacketConservationChecker::PacketConservationChecker(
-    const noc::Network &net, Cycle stall_threshold)
-    : net_(net), stallThreshold_(stall_threshold)
+    const FabricCensus &census, const noc::Network &net,
+    Cycle stall_threshold)
+    : census_(census), stallThreshold_(stall_threshold),
+      injected_(net.stats().findCounter("packets_injected")),
+      ejected_(net.stats().findCounter("packets_ejected")),
+      dropped_(net.stats().findCounter("packets_dropped")),
+      switched_(net.stats().findCounter("flits_switched"))
 {
 }
 
@@ -104,83 +110,53 @@ PacketConservationChecker::onReset(Cycle)
 void
 PacketConservationChecker::check(Cycle now, std::vector<Violation> &out)
 {
-    struct Entry
-    {
-        const noc::Packet *pkt = nullptr;
-        std::uint16_t seqMask = 0; //!< bit per observed flit seq
-        bool inInjVc = false;      //!< still serialising at the source
-    };
-    std::unordered_map<std::uint64_t, Entry> census;
-
     auto fail = [&](std::string msg) {
         out.push_back(Violation{name(), now, std::move(msg)});
     };
 
-    forEachFabricFlit(net_, [&](NodeId at, const noc::Flit &f) {
-        Entry &e = census[f.pkt->id];
-        e.pkt = f.pkt.get();
-        const std::uint16_t bit =
-            static_cast<std::uint16_t>(1u << f.seq);
-        if (e.seqMask & bit) {
-            fail(detail::format("duplicate flit seq %d at node %d: %s",
-                                f.seq, at,
-                                describePacket(*f.pkt).c_str()));
-        }
-        e.seqMask |= bit;
-    });
-
-    // Packets mid-serialisation at their source NI count as injected
-    // the moment the head flit leaves (packets_injected semantics).
-    const int n = net_.shape().totalNodes();
-    for (NodeId id = 0; id < n; ++id) {
-        static_cast<const noc::NetworkInterface &>(net_.ni(id))
-            .forEachPendingPacket(
-                [&](const noc::Packet &pkt, bool injected) {
-                    if (!injected)
-                        return;
-                    Entry &e = census[pkt.id];
-                    e.pkt = &pkt;
-                    e.inInjVc = true;
-                });
-    }
-
-    for (const auto &[id, e] : census) {
-        (void)id;
-        if (e.seqMask == 0)
-            continue; // all sent flits already consumed downstream
+    std::int64_t inFlight = 0;
+    forEachCensusPacket(census_.flits(), [&](const CensusFlit *first,
+                                             const CensusFlit *last) {
+        ++inFlight;
+        const noc::Packet &pkt = *first->pkt;
+        const bool inInjVc = first->seq == FabricCensus::kPendingSeq;
+        if (inInjVc)
+            ++first;
+        if (first == last)
+            return; // all sent flits already consumed downstream
         // Wormhole order: the surviving flits of a packet form one
         // contiguous seq range (earlier flits are consumed in order at
         // the destination). A hole means a dropped or reordered flit.
-        const unsigned m = e.seqMask;
-        const int lo = std::countr_zero(m);
-        const int hi = std::bit_width(m) - 1;
-        const std::uint16_t contiguous = static_cast<std::uint16_t>(
-            ((1u << (hi - lo + 1)) - 1u) << lo);
-        if (m != contiguous) {
-            fail(detail::format("flit gap (mask 0x%x): %s", m,
-                                describePacket(*e.pkt).c_str()));
+        bool gap = false;
+        for (const CensusFlit *f = first + 1; f != last; ++f) {
+            if (f->seq == f[-1].seq) {
+                fail(detail::format("duplicate flit seq %d at node %d: %s",
+                                    f->seq, f->at,
+                                    describePacket(pkt).c_str()));
+            } else if (f->seq != f[-1].seq + 1) {
+                gap = true;
+            }
         }
-        if (!e.inInjVc && hi != e.pkt->numFlits - 1) {
-            fail(detail::format(
-                "tail flit missing (mask 0x%x): %s", m,
-                describePacket(*e.pkt).c_str()));
+        if (gap) {
+            fail(detail::format("flit gap (mask %s): %s",
+                                seqMask(first, last).c_str(),
+                                describePacket(pkt).c_str()));
         }
-    }
+        if (!inInjVc && last[-1].seq != pkt.numFlits - 1) {
+            fail(detail::format("tail flit missing (mask %s): %s",
+                                seqMask(first, last).c_str(),
+                                describePacket(pkt).c_str()));
+        }
+    });
 
-    const auto *injected = net_.stats().findCounter("packets_injected");
-    const auto *ejected = net_.stats().findCounter("packets_ejected");
-    const auto *dropped = net_.stats().findCounter("packets_dropped");
-    const auto *switched = net_.stats().findCounter("flits_switched");
     const std::int64_t inj =
-        injected ? static_cast<std::int64_t>(injected->value()) : 0;
+        injected_ ? static_cast<std::int64_t>(injected_->value()) : 0;
     // Packets dropped at an NI past the retransmit budget left the
     // fabric just as surely as ejected ones; they are accounted, not
     // lost, so the conservation identity folds them in.
     const std::int64_t ej =
-        (ejected ? static_cast<std::int64_t>(ejected->value()) : 0) +
-        (dropped ? static_cast<std::int64_t>(dropped->value()) : 0);
-    const std::int64_t inFlight =
-        static_cast<std::int64_t>(census.size());
+        (ejected_ ? static_cast<std::int64_t>(ejected_->value()) : 0) +
+        (dropped_ ? static_cast<std::int64_t>(dropped_->value()) : 0);
     if (!baselined_) {
         // The census-vs-counter offset is fixed at attach/reset time:
         // in flight == baseline + injected - (ejected + dropped) ever
@@ -198,7 +174,7 @@ PacketConservationChecker::check(Cycle now, std::vector<Violation> &out)
 
     // Progress: with packets in flight, injection, ejection or flit
     // switching must advance within the stall threshold.
-    const std::uint64_t sw = switched ? switched->value() : 0;
+    const std::uint64_t sw = switched_ ? switched_->value() : 0;
     const bool moved = !progressArmed_ ||
                        sw != lastSwitched_ ||
                        static_cast<std::uint64_t>(inj) != lastInjected_ ||
@@ -224,105 +200,55 @@ PacketConservationChecker::check(Cycle now, std::vector<Violation> &out)
 // CreditConservationChecker
 
 CreditConservationChecker::CreditConservationChecker(
-    const noc::Network &net)
-    : net_(net)
+    const FabricCensus &census, const noc::Network &net)
+    : census_(census), net_(net)
 {
+    for (const CensusLink &cl : census.links()) {
+        routerCredits_.push_back(
+            cl.kind == CensusLink::Kind::NiToRouter
+                ? nullptr
+                : net.router(cl.from).outCredits(cl.outDir).data());
+    }
 }
 
 void
 CreditConservationChecker::check(Cycle now, std::vector<Violation> &out)
 {
-    const noc::Topology &topo = net_.topology();
-    const noc::NocParams &params = net_.params();
-    const int nodes = net_.shape().totalNodes();
-    const int vcs = params.totalVcs();
-    const int depth = params.vcDepth;
+    using Kind = CensusLink::Kind;
+    const int vcs = net_.params().totalVcs();
+    const int depth = net_.params().vcDepth;
 
-    auto fail = [&](std::string msg) {
-        out.push_back(Violation{name(), now, std::move(msg)});
-    };
-
-    // One pass per router/NI to collect per-(port, VC) occupancy.
-    std::vector<int> occ(static_cast<std::size_t>(
-                             nodes * noc::kNumDirs * vcs),
-                         0);
-    std::vector<int> ejOcc(static_cast<std::size_t>(nodes * vcs), 0);
-    auto occAt = [&](NodeId node, int dir, int vc) -> int & {
-        return occ[static_cast<std::size_t>(
-            (node * noc::kNumDirs + dir) * vcs + vc)];
-    };
-    for (NodeId id = 0; id < nodes; ++id) {
-        net_.router(id).forEachBufferedFlit(
-            [&](noc::Dir d, int vc, const noc::Flit &) {
-                ++occAt(id, static_cast<int>(d), vc);
-            });
-        static_cast<const noc::NetworkInterface &>(net_.ni(id))
-            .forEachEjectFlit([&](int vc, const noc::Flit &, bool) {
-                ++ejOcc[static_cast<std::size_t>(id * vcs + vc)];
-            });
-    }
-
-    std::vector<int> dataVc(static_cast<std::size_t>(vcs));
-    std::vector<int> credVc(static_cast<std::size_t>(vcs));
-    auto countLink = [&](const noc::Link &link) {
-        std::fill(dataVc.begin(), dataVc.end(), 0);
-        std::fill(credVc.begin(), credVc.end(), 0);
-        link.data.forEachInFlight([&](const noc::LinkFlit &lf) {
-            ++dataVc[static_cast<std::size_t>(lf.vc)];
-        });
-        link.credit.forEachInFlight([&](const noc::Credit &c) {
-            ++credVc[static_cast<std::size_t>(c.vc)];
-        });
-    };
-    auto checkVc = [&](const char *what, NodeId from, NodeId to,
-                       int vc, int sender_credits, int buffer) {
-        const int data = dataVc[static_cast<std::size_t>(vc)];
-        const int cred = credVc[static_cast<std::size_t>(vc)];
-        if (sender_credits < 0 || buffer < 0) {
-            fail(detail::format(
-                "%s %d->%d vc %d: negative credits (%d) or buffer (%d)",
-                what, from, to, vc, sender_credits, buffer));
-            return;
-        }
-        if (sender_credits + data + buffer + cred != depth) {
-            fail(detail::format(
-                "%s %d->%d vc %d: credits %d + data-in-flight %d + "
-                "buffer %d + credits-in-flight %d != depth %d",
-                what, from, to, vc, sender_credits, data, buffer, cred,
-                depth));
-        }
-    };
-
-    for (NodeId id = 0; id < nodes; ++id) {
-        // Router-to-router links.
-        for (int d = 1; d < noc::kNumDirs; ++d) {
-            const noc::Dir dir = static_cast<noc::Dir>(d);
-            const noc::Link *link = topo.linkOut(id, dir);
-            if (!link)
+    const auto &links = census_.links();
+    for (std::size_t l = 0; l < links.size(); ++l) {
+        const CensusLink &cl = links[l];
+        const auto data = census_.dataInFlight(l);
+        const auto buffer = census_.receiverOccupancy(l);
+        const auto cred = census_.creditsInFlight(l);
+        const noc::NetworkInterface *ni =
+            cl.kind == Kind::NiToRouter ? &net_.ni(cl.from) : nullptr;
+        for (int vc = 0; vc < vcs; ++vc) {
+            const auto v = static_cast<std::size_t>(vc);
+            const int credits =
+                ni ? ni->injCredits(vc) : routerCredits_[l][v];
+            if (credits >= 0 && buffer[v] >= 0 &&
+                credits + data[v] + buffer[v] + cred[v] == depth)
                 continue;
-            const NodeId nb = topo.neighbor(id, dir);
-            const int recvDir = static_cast<int>(noc::opposite(dir));
-            countLink(*link);
-            for (int vc = 0; vc < vcs; ++vc) {
-                checkVc("link", id, nb, vc,
-                        net_.router(id).outCredits(dir, vc),
-                        occAt(nb, recvDir, vc));
-            }
-        }
-        // NI -> router (injection side).
-        countLink(net_.niToRouterLink(id));
-        const auto &ni =
-            static_cast<const noc::NetworkInterface &>(net_.ni(id));
-        for (int vc = 0; vc < vcs; ++vc) {
-            checkVc("ni-to-router", id, id, vc, ni.injCredits(vc),
-                    occAt(id, static_cast<int>(noc::Dir::Local), vc));
-        }
-        // Router -> NI (ejection side).
-        countLink(net_.routerToNiLink(id));
-        for (int vc = 0; vc < vcs; ++vc) {
-            checkVc("router-to-ni", id, id, vc,
-                    net_.router(id).outCredits(noc::Dir::Local, vc),
-                    ejOcc[static_cast<std::size_t>(id * vcs + vc)]);
+            const char *what = cl.kind == Kind::RouterToRouter ? "link"
+                               : cl.kind == Kind::NiToRouter
+                                   ? "ni-to-router"
+                                   : "router-to-ni";
+            out.push_back(Violation{
+                name(), now,
+                credits < 0 || buffer[v] < 0
+                    ? detail::format("%s %d->%d vc %d: negative credits "
+                                     "(%d) or buffer (%d)",
+                                     what, cl.from, cl.to, vc, credits,
+                                     buffer[v])
+                    : detail::format("%s %d->%d vc %d: credits %d + "
+                                     "data-in-flight %d + buffer %d + "
+                                     "credits-in-flight %d != depth %d",
+                                     what, cl.from, cl.to, vc, credits,
+                                     data[v], buffer[v], cred[v], depth)});
         }
     }
 }
@@ -330,13 +256,13 @@ CreditConservationChecker::check(Cycle now, std::vector<Violation> &out)
 // --------------------------------------------------------------------
 // ParentHoldChecker
 
-ParentHoldChecker::ParentHoldChecker(const noc::Network &net,
+ParentHoldChecker::ParentHoldChecker(const FabricCensus &census,
                                      const sttnoc::BankAwarePolicy &policy,
                                      const sttnoc::RegionMap &regions,
                                      const sttnoc::ParentMap &parents,
                                      Cycle hold_slack)
-    : net_(net), policy_(policy), regions_(regions), parents_(parents),
-      holdSlack_(hold_slack)
+    : census_(census), policy_(policy), regions_(regions),
+      parents_(parents), holdSlack_(hold_slack)
 {
 }
 
@@ -373,14 +299,22 @@ ParentHoldChecker::check(Cycle now, std::vector<Violation> &out)
         }
     }
 
-    // Held-packet sanity. Each packet is diagnosed once per sweep.
-    std::unordered_set<std::uint64_t> seen;
-    forEachFabricFlit(net_, [&](NodeId at, const noc::Flit &f) {
-        const noc::Packet &pkt = *f.pkt;
+    // Held-packet sanity. Each packet is diagnosed once per sweep, at
+    // the node of its first flit in walk order.
+    forEachCensusPacket(census_.flits(), [&](const CensusFlit *first,
+                                             const CensusFlit *last) {
+        const noc::Packet &pkt = *first->pkt;
         if (pkt.firstHeldAt == kCycleNever)
             return;
-        if (!seen.insert(pkt.id).second)
-            return;
+        const CensusFlit *walk_first = nullptr;
+        for (const CensusFlit *f = first; f != last; ++f) {
+            if (f->seq != FabricCensus::kPendingSeq &&
+                (!walk_first || f->ordinal < walk_first->ordinal))
+                walk_first = f;
+        }
+        if (walk_first == nullptr)
+            return; // no flit in the fabric
+        const NodeId at = walk_first->at;
         if (p.delayMode != sttnoc::DelayMode::Hold) {
             fail(detail::format("held packet outside Hold mode: %s",
                                 describePacket(pkt).c_str()));
@@ -494,70 +428,151 @@ BankAccountingChecker::check(Cycle now, std::vector<Violation> &out)
 // --------------------------------------------------------------------
 // MesiChecker
 
-MesiChecker::MesiChecker(std::vector<const coherence::L1Cache *> l1s)
+namespace {
+
+/** Append every valid entry of every L1 in @p l1s to @p out, sorted by
+ *  (block, core). */
+template <typename L1Ptr>
+void
+collectHoldings(const std::vector<L1Ptr> &l1s,
+                std::vector<MesiHolding> &out)
+{
+    for (const coherence::L1Cache *l1 : l1s) {
+        l1->tags().forEachValid([&](const cache::TagEntry &e) {
+            out.push_back({e.addr, l1->core(), e.state});
+        });
+    }
+    std::sort(out.begin(), out.end(),
+              [](const MesiHolding &a, const MesiHolding &b) {
+                  return std::tie(a.addr, a.core) < std::tie(b.addr, b.core);
+              });
+}
+
+/**
+ * Report every illegal block among @p holdings (sorted by block, then
+ * core) in block order, and list the violating blocks in @p violating
+ * (null: not wanted).
+ */
+void
+reportHoldings(const std::vector<MesiHolding> &holdings, Cycle now,
+               std::vector<Violation> &out,
+               std::vector<BlockAddr> *violating)
+{
+    using coherence::L1State;
+    auto fail = [&](std::string msg) {
+        out.push_back(Violation{"mesi-legality", now, std::move(msg)});
+    };
+    const auto stateName = [](const MesiHolding &h) {
+        return coherence::l1StateName(static_cast<L1State>(h.state));
+    };
+
+    for (std::size_t i = 0; i < holdings.size();) {
+        const BlockAddr addr = holdings[i].addr;
+        const std::size_t reported = out.size();
+        const MesiHolding *owners[2] = {nullptr, nullptr};
+        std::size_t numOwners = 0;
+        const MesiHolding *sharer = nullptr;
+        for (; i < holdings.size() && holdings[i].addr == addr; ++i) {
+            const MesiHolding &h = holdings[i];
+            if (h.state > static_cast<std::uint8_t>(L1State::SM) ||
+                h.state == static_cast<std::uint8_t>(L1State::I)) {
+                fail(detail::format(
+                    "L1 %d block %llu: illegal state byte %u on a "
+                    "valid entry",
+                    h.core, static_cast<unsigned long long>(addr),
+                    static_cast<unsigned>(h.state)));
+                continue;
+            }
+            const auto st = static_cast<L1State>(h.state);
+            if (st == L1State::M || st == L1State::E) {
+                if (numOwners < 2)
+                    owners[numOwners] = &h;
+                ++numOwners;
+            } else if ((st == L1State::S || st == L1State::SM) && !sharer) {
+                sharer = &h;
+            }
+        }
+        if (numOwners > 1) {
+            fail(detail::format(
+                "block %llu has %zu owners (cores %d/%s and %d/%s)",
+                static_cast<unsigned long long>(addr), numOwners,
+                owners[0]->core, stateName(*owners[0]), owners[1]->core,
+                stateName(*owners[1])));
+        }
+        if (numOwners == 1 && sharer) {
+            fail(detail::format(
+                "block %llu owned %s by core %d but shared %s by "
+                "core %d",
+                static_cast<unsigned long long>(addr),
+                stateName(*owners[0]), owners[0]->core,
+                stateName(*sharer), sharer->core));
+        }
+        if (violating && out.size() != reported)
+            violating->push_back(addr);
+    }
+}
+
+} // namespace
+
+MesiChecker::MesiChecker(std::vector<coherence::L1Cache *> l1s)
     : l1s_(std::move(l1s))
 {
+    for (coherence::L1Cache *l1 : l1s_)
+        l1->enableTagChangeLog();
+}
+
+void
+MesiChecker::onReset(Cycle)
+{
+    sweeps_ = 0; // re-run the full census on the next sweep
+}
+
+void
+MesiChecker::census(const std::vector<const coherence::L1Cache *> &l1s,
+                    Cycle now, std::vector<Violation> &out)
+{
+    std::vector<MesiHolding> holdings;
+    collectHoldings(l1s, holdings);
+    reportHoldings(holdings, now, out, nullptr);
 }
 
 void
 MesiChecker::check(Cycle now, std::vector<Violation> &out)
 {
-    using coherence::L1State;
+    // Drain every log, even on census sweeps: they restart from here.
+    bool census = sweeps_++ % kCensusPeriod == 0;
+    blocks_.assign(violating_.begin(), violating_.end());
+    for (coherence::L1Cache *l1 : l1s_) {
+        coherence::TagChangeLog &log = l1->tagChangeLog();
+        census = census || log.overflowed;
+        blocks_.insert(blocks_.end(), log.blocks.begin(), log.blocks.end());
+        log.blocks.clear();
+        log.overflowed = false;
+    }
 
-    auto fail = [&](std::string msg) {
-        out.push_back(Violation{name(), now, std::move(msg)});
-    };
-
-    struct Holders
-    {
-        std::vector<std::pair<CoreId, L1State>> owners;  //!< M / E
-        std::vector<std::pair<CoreId, L1State>> sharers; //!< S / SM
-    };
-    std::unordered_map<BlockAddr, Holders> blocks;
-
-    for (const coherence::L1Cache *l1 : l1s_) {
-        const CoreId core = l1->core();
-        l1->tags().forEachValid([&](const cache::TagEntry &e) {
-            if (e.state >
-                static_cast<std::uint8_t>(L1State::SM) ||
-                e.state == static_cast<std::uint8_t>(L1State::I)) {
-                fail(detail::format(
-                    "L1 %d block %llu: illegal state byte %u on a "
-                    "valid entry",
-                    core, static_cast<unsigned long long>(e.addr),
-                    static_cast<unsigned>(e.state)));
-                return;
+    holdings_.clear();
+    if (census) {
+        collectHoldings(l1s_, holdings_);
+    } else {
+        std::sort(blocks_.begin(), blocks_.end());
+        blocks_.erase(std::unique(blocks_.begin(), blocks_.end()),
+                      blocks_.end());
+        // Sorted by block, then core: the census order.
+        for (const BlockAddr addr : blocks_) {
+            const std::size_t begin = holdings_.size();
+            for (const coherence::L1Cache *l1 : l1s_) {
+                if (const cache::TagEntry *e = l1->tags().peek(addr))
+                    holdings_.push_back({addr, l1->core(), e->state});
             }
-            const L1State st = static_cast<L1State>(e.state);
-            Holders &h = blocks[e.addr];
-            if (st == L1State::M || st == L1State::E)
-                h.owners.emplace_back(core, st);
-            else if (st == L1State::S || st == L1State::SM)
-                h.sharers.emplace_back(core, st);
-        });
-    }
-
-    for (const auto &[addr, h] : blocks) {
-        if (h.owners.size() > 1) {
-            fail(detail::format(
-                "block %llu has %zu owners (cores %d/%s and %d/%s)",
-                static_cast<unsigned long long>(addr), h.owners.size(),
-                h.owners[0].first,
-                coherence::l1StateName(h.owners[0].second),
-                h.owners[1].first,
-                coherence::l1StateName(h.owners[1].second)));
-        }
-        if (h.owners.size() == 1 && !h.sharers.empty()) {
-            fail(detail::format(
-                "block %llu owned %s by core %d but shared %s by "
-                "core %d",
-                static_cast<unsigned long long>(addr),
-                coherence::l1StateName(h.owners[0].second),
-                h.owners[0].first,
-                coherence::l1StateName(h.sharers[0].second),
-                h.sharers[0].first));
+            std::sort(holdings_.begin() + static_cast<std::ptrdiff_t>(begin),
+                      holdings_.end(),
+                      [](const MesiHolding &a, const MesiHolding &b) {
+                          return a.core < b.core;
+                      });
         }
     }
+    violating_.clear();
+    reportHoldings(holdings_, now, out, &violating_);
 }
 
 } // namespace stacknoc::validate

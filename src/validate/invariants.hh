@@ -3,8 +3,8 @@
  * The concrete runtime invariant checkers:
  *
  *  - PacketConservationChecker: every injected packet is either ejected
- *    or accounted for by a full census of router buffers, link
- *    channels, NI injection VCs and NI ejection buffers; no flit is
+ *    or accounted for by the fabric census (router buffers, link
+ *    channels, NI injection VCs and NI ejection buffers); no flit is
  *    duplicated or dropped; the network keeps making progress.
  *  - CreditConservationChecker: on every link and VC, sender credits +
  *    flits in flight + downstream buffer occupancy + credits in flight
@@ -20,18 +20,23 @@
  *  - MesiChecker: across all L1 tag arrays, every block has at most
  *    one owner (M/E) and owners exclude sharers (S/SM).
  *
- * All checkers observe through const accessors only.
+ * The first three read the hub's FabricCensus (validate/census.hh)
+ * instead of walking the fabric themselves. All checkers observe
+ * through const accessors only; the MESI checker additionally drains
+ * the L1s' tag-change logs, which no simulated behaviour reads.
  */
 
 #ifndef STACKNOC_VALIDATE_INVARIANTS_HH
 #define STACKNOC_VALIDATE_INVARIANTS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "noc/network.hh"
 #include "sttnoc/bank_aware_policy.hh"
 #include "coherence/l1_cache.hh"
 #include "coherence/l2_bank.hh"
+#include "validate/census.hh"
 #include "validate/checker.hh"
 
 namespace stacknoc::validate {
@@ -44,7 +49,9 @@ namespace stacknoc::validate {
 struct SystemView
 {
     const noc::Network *net = nullptr;
-    std::vector<const coherence::L1Cache *> l1s;
+    /** Non-const only so the MESI checker can enable and drain their
+     *  tag-change logs. */
+    std::vector<coherence::L1Cache *> l1s;
     std::vector<const coherence::L2Bank *> banks;
     const sttnoc::BankAwarePolicy *policy = nullptr;
     const sttnoc::RegionMap *regions = nullptr;
@@ -61,7 +68,8 @@ void addStandardCheckers(ValidationHub &hub, const SystemView &view,
 class PacketConservationChecker : public Checker
 {
   public:
-    PacketConservationChecker(const noc::Network &net,
+    PacketConservationChecker(const FabricCensus &census,
+                              const noc::Network &net,
                               Cycle stall_threshold);
 
     const char *name() const override { return "packet-conservation"; }
@@ -69,8 +77,14 @@ class PacketConservationChecker : public Checker
     void onReset(Cycle now) override;
 
   private:
-    const noc::Network &net_;
+    const FabricCensus &census_;
     Cycle stallThreshold_;
+
+    /** Network counters, resolved once (null when absent). */
+    const stats::Counter *injected_;
+    const stats::Counter *ejected_;
+    const stats::Counter *dropped_;
+    const stats::Counter *switched_;
 
     /** in-flight census minus (injected - ejected) at baseline time. */
     std::int64_t baseline_ = 0;
@@ -87,20 +101,25 @@ class PacketConservationChecker : public Checker
 class CreditConservationChecker : public Checker
 {
   public:
-    explicit CreditConservationChecker(const noc::Network &net);
+    CreditConservationChecker(const FabricCensus &census,
+                              const noc::Network &net);
 
     const char *name() const override { return "credit-conservation"; }
     void check(Cycle now, std::vector<Violation> &out) override;
 
   private:
+    const FabricCensus &census_;
     const noc::Network &net_;
+    /** Per census link, the sending router's output-VC credits (null
+     *  for an NI sender). */
+    std::vector<const int *> routerCredits_;
 };
 
 /** STT-RAM-aware busy-window and held-packet soundness. */
 class ParentHoldChecker : public Checker
 {
   public:
-    ParentHoldChecker(const noc::Network &net,
+    ParentHoldChecker(const FabricCensus &census,
                       const sttnoc::BankAwarePolicy &policy,
                       const sttnoc::RegionMap &regions,
                       const sttnoc::ParentMap &parents, Cycle hold_slack);
@@ -109,7 +128,7 @@ class ParentHoldChecker : public Checker
     void check(Cycle now, std::vector<Violation> &out) override;
 
   private:
-    const noc::Network &net_;
+    const FabricCensus &census_;
     const sttnoc::BankAwarePolicy &policy_;
     const sttnoc::RegionMap &regions_;
     const sttnoc::ParentMap &parents_;
@@ -136,17 +155,48 @@ class BankAccountingChecker : public Checker
     int writeCap_;
 };
 
-/** MESI state-pair legality across all L1 tag arrays. */
+/** One valid L1 tag entry of a block, as the MESI checker sees it. */
+struct MesiHolding
+{
+    BlockAddr addr = 0;
+    CoreId core = 0;
+    std::uint8_t state = 0; //!< raw coherence::L1State byte
+};
+
+/**
+ * MESI state-pair legality across all L1 tag arrays.
+ *
+ * A sweep checks only the blocks some L1 logged a tag change for since
+ * the previous sweep, plus the blocks still in violation, so a
+ * persistent violation is re-reported every sweep until it is fixed.
+ * The full tag census runs instead at attach and after a stats reset,
+ * every kCensusPeriod sweeps as a backstop, and whenever an L1's log
+ * overflowed. Both paths report blocks in address order, so they
+ * produce identical violation lists.
+ */
 class MesiChecker : public Checker
 {
   public:
-    explicit MesiChecker(std::vector<const coherence::L1Cache *> l1s);
+    /** Sweeps between backstop census runs. */
+    static constexpr std::uint64_t kCensusPeriod = 1024;
+
+    /** Enables the tag-change log of every L1 in @p l1s. */
+    explicit MesiChecker(std::vector<coherence::L1Cache *> l1s);
 
     const char *name() const override { return "mesi-legality"; }
     void check(Cycle now, std::vector<Violation> &out) override;
+    void onReset(Cycle now) override;
+
+    /** The full census over @p l1s: the backstop and the test oracle. */
+    static void census(const std::vector<const coherence::L1Cache *> &l1s,
+                       Cycle now, std::vector<Violation> &out);
 
   private:
-    std::vector<const coherence::L1Cache *> l1s_;
+    std::vector<coherence::L1Cache *> l1s_;
+    std::uint64_t sweeps_ = 0;           //!< since attach or reset
+    std::vector<BlockAddr> blocks_;      //!< scratch: blocks to check
+    std::vector<MesiHolding> holdings_;  //!< scratch: their entries
+    std::vector<BlockAddr> violating_;   //!< sorted, from the last sweep
 };
 
 } // namespace stacknoc::validate

@@ -1,18 +1,25 @@
 /**
  * @file
  * The validation subsystem itself: the hub's sweep/fail-fast machinery,
- * checkers staying silent on healthy scenarios, an intentionally
- * injected busy-counter bug being caught with a cycle-stamped
- * diagnostic, and the differential golden model of bank service order
+ * checkers staying silent on healthy scenarios, intentionally injected
+ * bugs (a busy counter, a second owner, a leaked credit, a dropped and a
+ * duplicated flit) being caught at the next sweep and re-reported while
+ * they persist, the incremental MESI check agreeing with the full tag
+ * census, and the differential golden model of bank service order
  * agreeing with the full simulator.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "noc/network.hh"
+#include "sim/simulator.hh"
+#include "telemetry/profile.hh"
 #include "telemetry/trace.hh"
 #include "system/cmp_system.hh"
 #include "validate/golden.hh"
@@ -110,6 +117,28 @@ TEST(Checkers, SilentOnHealthyScenarios)
     }
 }
 
+TEST(Checkers, ProfileChargesEachCheckerInsideCycleEnd)
+{
+    auto cfg = smallConfig(system::scenarios::sttram4TsbWb());
+    cfg.profile = true;
+    system::CmpSystem sys(cfg);
+    sys.run(500);
+    const telemetry::CycleProfiler &prof = *sys.profiler();
+    std::vector<std::string> expected{"validate.census"};
+    double sections = 0.0;
+    for (std::size_t i = 0; i < prof.sectionNames().size(); ++i) {
+        EXPECT_GT(prof.sectionSeconds(i), 0.0) << prof.sectionNames()[i];
+        sections += prof.sectionSeconds(i);
+    }
+    for (const char *name :
+         {"packet-conservation", "credit-conservation", "parent-hold",
+          "bank-accounting", "mesi-legality"})
+        expected.push_back(std::string("validate.") + name);
+    EXPECT_EQ(prof.sectionNames(), expected);
+    EXPECT_LE(sections,
+              prof.phaseSeconds(telemetry::EnginePhase::CycleEnd));
+}
+
 // ------------------------------------------------------ injected bugs
 
 TEST(Checkers, InjectedBusyCounterBugIsCaught)
@@ -137,6 +166,411 @@ TEST(Checkers, InjectedBusyCounterBugIsCaught)
             << v.message;
     }
     EXPECT_TRUE(found);
+}
+
+/** Cycles at which @p checker reported, in report order. */
+std::vector<Cycle>
+reportCycles(const validate::ValidationHub &hub, const std::string &checker)
+{
+    std::vector<Cycle> cycles;
+    for (const auto &v : hub.violations()) {
+        if (v.checker == checker)
+            cycles.push_back(v.cycle);
+    }
+    return cycles;
+}
+
+/**
+ * Run the two sweeps after a corruption planted at the current cycle:
+ * @p checker must report in the first one (detection at the first
+ * sweep after the bug) and again in the second (a persistent
+ * violation is re-reported until fixed). @p needle must appear in the
+ * first report.
+ */
+void
+expectCaughtAndReReported(system::CmpSystem &sys, const char *checker,
+                          const std::string &needle)
+{
+    const auto &hub = *sys.validation();
+    ASSERT_TRUE(reportCycles(hub, checker).empty());
+    const Cycle corrupted = sys.simulator().now();
+    const std::size_t before = hub.violations().size();
+
+    sys.run(1);
+    const auto first = reportCycles(hub, checker);
+    ASSERT_FALSE(first.empty()) << checker << " missed the bug";
+    EXPECT_EQ(first.front(), corrupted);
+    for (std::size_t i = before; i < hub.violations().size(); ++i) {
+        const auto &v = hub.violations()[i];
+        if (v.checker == checker) {
+            EXPECT_NE(v.message.find(needle), std::string::npos)
+                << v.message;
+            break;
+        }
+    }
+
+    sys.run(1);
+    const auto second = reportCycles(hub, checker);
+    ASSERT_GT(second.size(), first.size())
+        << checker << " did not re-report a persistent violation";
+    EXPECT_EQ(second.back(), corrupted + 1);
+}
+
+/** Give a block some core owns (E/M) a second owner (E) in the next
+ *  core's L1. @return whether one was planted. */
+bool
+plantSecondOwner(system::CmpSystem &sys, int cores)
+{
+    for (int c = 0; c < cores; ++c) {
+        bool planted = false;
+        sys.l1(c).tags().forEachValid([&](const cache::TagEntry &e) {
+            const auto st = static_cast<coherence::L1State>(e.state);
+            if (planted || (st != coherence::L1State::E &&
+                            st != coherence::L1State::M))
+                return;
+            planted = sys.l1((c + 1) % cores)
+                          .corruptTagStateForTest(e.addr,
+                                                  coherence::L1State::E);
+        });
+        if (planted)
+            return true;
+    }
+    return false;
+}
+
+TEST(Checkers, InjectedSecondOwnerIsCaught)
+{
+    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
+                           /*fail_fast=*/false);
+    system::CmpSystem sys(cfg);
+    sys.run(500);
+    ASSERT_TRUE(sys.validation()->violations().empty());
+
+    ASSERT_TRUE(plantSecondOwner(sys, cfg.meshWidth * cfg.meshHeight));
+    expectCaughtAndReReported(sys, "mesi-legality", "owners");
+}
+
+TEST(Checkers, InjectedCreditLeakIsCaught)
+{
+    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
+                           /*fail_fast=*/false);
+    system::CmpSystem sys(cfg);
+    sys.run(500);
+    ASSERT_TRUE(sys.validation()->violations().empty());
+
+    // Router 5 is interior in the 4x4 core layer: East leads to 6.
+    sys.network().router(5).corruptOutCreditForTest(noc::Dir::East, 0, -1);
+    expectCaughtAndReReported(sys, "credit-conservation",
+                              "link 5->6 vc 0");
+}
+
+/**
+ * A router input VC, on a planar port (one flit per cycle arrives),
+ * whose front flits are consecutive body-or-head flits of one packet
+ * routed onward (not ejected at this router): whatever happens to the
+ * second of them stays in the fabric for the next few sweeps.
+ */
+struct BufferedRun
+{
+    NodeId router = kInvalidNode;
+    noc::Dir dir = noc::Dir::Local;
+    int vc = -1;
+};
+
+/** Find a BufferedRun of @p flits flits in a VC holding at most
+ *  @p max_size flits, whose second flit has seq >= @p min_seq. */
+BufferedRun
+findBufferedRun(const noc::Network &net, std::size_t flits,
+                std::size_t max_size, int min_seq = 1)
+{
+    const int vcs = net.params().totalVcs();
+    const int nodes = net.shape().totalNodes();
+    for (NodeId id = 0; id < nodes; ++id) {
+        std::vector<std::vector<const noc::Flit *>> bufs(
+            static_cast<std::size_t>(noc::kNumDirs * vcs));
+        net.router(id).forEachBufferedFlit(
+            [&](noc::Dir d, int vc, const noc::Flit &f) {
+                bufs[static_cast<std::size_t>(static_cast<int>(d) * vcs +
+                                              vc)]
+                    .push_back(&f);
+            });
+        for (std::size_t i = 0; i < bufs.size(); ++i) {
+            const auto &buf = bufs[i];
+            const auto dir = static_cast<noc::Dir>(static_cast<int>(i) / vcs);
+            if (buf.size() < flits || buf.size() > max_size ||
+                dir == noc::Dir::Up || dir == noc::Dir::Down ||
+                buf[0]->pkt->dest == id || buf[flits - 1]->tail() ||
+                buf[1]->seq < min_seq)
+                continue;
+            bool consecutive = true;
+            for (std::size_t k = 1; k < flits; ++k) {
+                consecutive = consecutive && buf[k]->pkt == buf[0]->pkt &&
+                              buf[k]->seq == buf[0]->seq + static_cast<int>(k);
+            }
+            if (consecutive)
+                return {id, dir, static_cast<int>(i) % vcs};
+        }
+    }
+    return {};
+}
+
+/** Run @p sys until findBufferedRun() succeeds (bounded). */
+BufferedRun
+runUntilBufferedRun(system::CmpSystem &sys, std::size_t flits,
+                    std::size_t max_size)
+{
+    for (int i = 0; i < 5000; ++i) {
+        const BufferedRun run =
+            findBufferedRun(sys.network(), flits, max_size);
+        if (run.router != kInvalidNode)
+            return run;
+        sys.run(1);
+    }
+    return {};
+}
+
+TEST(Checkers, InjectedDroppedFlitIsCaught)
+{
+    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
+                           /*fail_fast=*/false);
+    system::CmpSystem sys(cfg);
+    sys.run(500);
+    // Flits k-1, k, k+1 buffered: dropping k leaves a hole between
+    // two flits that are still in the fabric.
+    const BufferedRun run = runUntilBufferedRun(sys, 3, 5);
+    ASSERT_NE(run.router, kInvalidNode);
+    ASSERT_TRUE(sys.validation()->violations().empty());
+
+    sys.network().router(run.router).corruptBufferedFlitForTest(
+        run.dir, run.vc, 1, /*duplicate=*/false);
+    expectCaughtAndReReported(sys, "packet-conservation", "flit gap");
+}
+
+TEST(Checkers, InjectedDuplicateFlitIsCaught)
+{
+    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
+                           /*fail_fast=*/false);
+    system::CmpSystem sys(cfg);
+    sys.run(500);
+    // Duplicate a non-tail flit of a VC with room for the copy plus
+    // one arrival per sweep, so the router's own buffer-overflow panic
+    // cannot pre-empt the checker.
+    const BufferedRun run = runUntilBufferedRun(
+        sys, 2,
+        static_cast<std::size_t>(sys.network().params().vcDepth) - 3);
+    ASSERT_NE(run.router, kInvalidNode);
+    ASSERT_TRUE(sys.validation()->violations().empty());
+
+    sys.network().router(run.router).corruptBufferedFlitForTest(
+        run.dir, run.vc, 1, /*duplicate=*/true);
+    expectCaughtAndReReported(sys, "packet-conservation",
+                              "duplicate flit seq");
+}
+
+/** A bare 4x4x2 network with sinks and every network checker on. */
+struct CheckedNetwork
+{
+    CheckedNetwork()
+        : shape(4, 4, 2),
+          net(sim, shape, noc::NocParams{},
+              std::make_unique<noc::ZxyRouting>(shape), policy),
+          hub(config())
+    {
+        sinks.resize(static_cast<std::size_t>(shape.totalNodes()));
+        for (NodeId n = 0; n < shape.totalNodes(); ++n)
+            net.ni(n).setClient(&sinks[static_cast<std::size_t>(n)]);
+        validate::SystemView view;
+        view.net = &net;
+        validate::addStandardCheckers(hub, view, hub.config());
+        sim.onCycleEnd([this](Cycle now) { hub.onCycle(now); });
+    }
+
+    static validate::ValidationConfig
+    config()
+    {
+        validate::ValidationConfig cfg;
+        cfg.failFast = false;
+        return cfg;
+    }
+
+    struct Sink : noc::NetworkClient
+    {
+        void deliver(noc::PacketPtr, Cycle) override { ++delivered; }
+        int delivered = 0;
+    };
+
+    Simulator sim;
+    MeshShape shape;
+    noc::ArbitrationPolicy policy;
+    noc::Network net;
+    validate::ValidationHub hub;
+    std::vector<Sink> sinks;
+};
+
+TEST(Checkers, PacketsLongerThanSixteenFlitsAreCensused)
+{
+    // Line transfers of 24 flits: seqs 16..23 must neither alias onto
+    // 0..7 (a false "tail flit missing") nor hide a dropped flit.
+    constexpr int kFlits = 24;
+    CheckedNetwork f;
+    for (NodeId src = 0; src < 8; ++src) {
+        f.net.ni(src).send(noc::makePacket(noc::PacketClass::DataResp, src,
+                                           31 - src, 0, kFlits),
+                           0);
+    }
+    f.sim.run(600);
+    int delivered = 0;
+    for (const auto &sink : f.sinks)
+        delivered += sink.delivered;
+    EXPECT_EQ(delivered, 8);
+    for (const auto &v : f.hub.violations())
+        ADD_FAILURE() << "[" << v.checker << "] " << v.message;
+
+    // Four sources converge on node 15, so their packets queue up.
+    for (NodeId src = 0; src < 4; ++src) {
+        f.net.ni(src).send(noc::makePacket(noc::PacketClass::DataResp, src,
+                                           15, 0, kFlits),
+                           f.sim.now());
+    }
+    BufferedRun run;
+    for (int i = 0; i < 500 && run.router == kInvalidNode; ++i) {
+        f.sim.step();
+        run = findBufferedRun(f.net, 3, 5, 17);
+    }
+    ASSERT_NE(run.router, kInvalidNode);
+    ASSERT_TRUE(f.hub.violations().empty());
+    f.net.router(run.router).corruptBufferedFlitForTest(
+        run.dir, run.vc, 1, /*duplicate=*/false);
+    const Cycle corrupted = f.sim.now();
+    f.sim.step();
+    const auto cycles = reportCycles(f.hub, "packet-conservation");
+    ASSERT_FALSE(cycles.empty());
+    EXPECT_EQ(cycles.front(), corrupted);
+}
+
+/** The MESI checker's violations reported at the sweep just run. */
+std::vector<std::string>
+mesiReportsSince(const validate::ValidationHub &hub, std::size_t from)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = from; i < hub.violations().size(); ++i) {
+        if (hub.violations()[i].checker == "mesi-legality")
+            out.push_back(hub.violations()[i].message);
+    }
+    return out;
+}
+
+TEST(Checkers, IncrementalMesiMatchesCensus)
+{
+    // The incremental MESI check (changed blocks plus blocks still in
+    // violation) must report exactly what the full tag census reports,
+    // every cycle: on clean runs, and after a planted second owner.
+    for (const std::uint64_t seed : {1, 7, 4242}) {
+        for (const int mesh : {4, 8}) {
+            for (const int threads : {1, 4}) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " mesh " << mesh
+                             << " threads " << threads);
+                auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
+                                       /*fail_fast=*/false);
+                cfg.seed = seed;
+                cfg.meshWidth = mesh;
+                cfg.meshHeight = mesh;
+                cfg.threads = threads;
+                cfg.validation.maxViolations = ~std::size_t{0};
+                system::CmpSystem sys(cfg);
+                const auto &hub = *sys.validation();
+                const int cores = mesh * mesh;
+                std::vector<const coherence::L1Cache *> l1s;
+                for (int c = 0; c < cores; ++c)
+                    l1s.push_back(&sys.l1(c));
+
+                int violating_sweeps = 0;
+                const auto compare = [&](int cycles) {
+                    for (int i = 0; i < cycles; ++i) {
+                        const std::size_t from = hub.violations().size();
+                        const Cycle now = sys.simulator().now();
+                        sys.run(1);
+                        std::vector<validate::Violation> census;
+                        validate::MesiChecker::census(l1s, now, census);
+                        std::vector<std::string> expected;
+                        for (const auto &v : census)
+                            expected.push_back(v.message);
+                        const auto got = mesiReportsSince(hub, from);
+                        ASSERT_EQ(got, expected) << "cycle " << now;
+                        violating_sweeps += got.empty() ? 0 : 1;
+                    }
+                };
+                sys.run(300);
+                compare(150);
+                ASSERT_EQ(violating_sweeps, 0);
+
+                ASSERT_TRUE(plantSecondOwner(sys, cores));
+                compare(50);
+                EXPECT_GT(violating_sweeps, 0);
+            }
+        }
+    }
+}
+
+/** Every valid (block, state) of @p l1, sorted by block. */
+std::vector<std::pair<BlockAddr, std::uint8_t>>
+tagStates(const coherence::L1Cache &l1)
+{
+    std::vector<std::pair<BlockAddr, std::uint8_t>> out;
+    l1.tags().forEachValid([&](const cache::TagEntry &e) {
+        out.emplace_back(e.addr, e.state);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(L1TagChangeLog, CoversEveryStateChange)
+{
+    // The incremental MESI check is exact only if every tag change that
+    // could create a violation is logged: compare the tag arrays before
+    // and after each cycle, and require every block that appeared,
+    // vanished or changed state to be in its L1's log.
+    for (const std::uint64_t seed : {1, 7}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        auto cfg = smallConfig(system::scenarios::sttram4TsbWb());
+        cfg.validate = false;
+        cfg.seed = seed;
+        system::CmpSystem sys(cfg);
+        const int cores = cfg.meshWidth * cfg.meshHeight;
+        for (int c = 0; c < cores; ++c)
+            sys.l1(c).enableTagChangeLog();
+
+        std::size_t changes = 0;
+        for (int cycle = 0; cycle < 1500; ++cycle) {
+            std::vector<std::vector<std::pair<BlockAddr, std::uint8_t>>>
+                before;
+            for (int c = 0; c < cores; ++c)
+                before.push_back(tagStates(sys.l1(c)));
+            sys.run(1);
+            for (int c = 0; c < cores; ++c) {
+                coherence::TagChangeLog &log = sys.l1(c).tagChangeLog();
+                ASSERT_FALSE(log.overflowed);
+                std::vector<std::pair<BlockAddr, std::uint8_t>> moved;
+                const auto after = tagStates(sys.l1(c));
+                std::set_symmetric_difference(
+                    before[static_cast<std::size_t>(c)].begin(),
+                    before[static_cast<std::size_t>(c)].end(),
+                    after.begin(), after.end(), std::back_inserter(moved));
+                for (const auto &[addr, state] : moved) {
+                    ++changes;
+                    EXPECT_NE(std::find(log.blocks.begin(), log.blocks.end(),
+                                        addr),
+                              log.blocks.end())
+                        << "L1 " << c << " block " << addr << " (state "
+                        << unsigned(state) << ") changed unlogged at cycle "
+                        << cycle;
+                }
+                log.blocks.clear();
+            }
+        }
+        EXPECT_GT(changes, 200u); // the run exercised the log
+    }
 }
 
 using CheckersDeathTest = ::testing::Test;
