@@ -189,14 +189,15 @@ runOne(const system::Scenario &scenario,
             r.reqAtHops[h] = sys.probe()->avgRequestsAtHops(h);
     }
 
-    const double instrs = static_cast<double>(
-        sys.coreStats().counter("instructions_committed").value());
+    // Read-only lookups: Group::counter() would register a writer.
+    const auto count = [](const stats::Group &g, const char *name) {
+        const stats::Counter *c = g.findCounter(name);
+        return c != nullptr ? static_cast<double>(c->value()) : 0.0;
+    };
+    const double instrs = count(sys.coreStats(), "instructions_committed");
     if (instrs > 0) {
         auto pki = [&](const char *counter_name) {
-            return 1000.0 *
-                   static_cast<double>(
-                       sys.cacheStats().counter(counter_name).value()) /
-                   instrs;
+            return 1000.0 * count(sys.cacheStats(), counter_name) / instrs;
         };
         // Load misses plus no-allocate store writes: every one becomes
         // an L2 access, matching the paper's Table 3 accounting.
@@ -204,16 +205,11 @@ runOne(const system::Scenario &scenario,
         r.l2rpki = pki("l2_gets");
         r.l2wpki = pki("l2_stores");
         r.wbpki = pki("l2_putm");
-        const double accesses = static_cast<double>(
-            sys.cacheStats().counter("l2_gets").value() +
-            sys.cacheStats().counter("l2_getm").value() +
-            sys.cacheStats().counter("l2_stores").value());
-        if (accesses > 0) {
-            r.l2MissRatio =
-                static_cast<double>(
-                    sys.cacheStats().counter("l2_misses").value()) /
-                accesses;
-        }
+        const double accesses = count(sys.cacheStats(), "l2_gets") +
+                                count(sys.cacheStats(), "l2_getm") +
+                                count(sys.cacheStats(), "l2_stores");
+        if (accesses > 0)
+            r.l2MissRatio = count(sys.cacheStats(), "l2_misses") / accesses;
     }
 
     // One compact JSON line per run, appended so a whole harness

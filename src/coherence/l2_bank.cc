@@ -702,7 +702,7 @@ L2Bank::tick(Cycle now)
                 std::min<Cycle>(done_at > now ? done_at - now : 0,
                                 0xffff));
             out_.send(std::move(nack), now);
-            config_.faultInjector->noteBusyNackSent();
+            config_.faultInjector->noteBusyNackSent(bank_);
         }
     }
 }

@@ -23,7 +23,7 @@ struct ShardItem
      * sorted by (tickKind, registration index). This is the canonical
      * within-cycle tick order of every engine — the sequential engine
      * walks it directly, and the sharded engine's commit phase merges
-     * per-shard stat/trace logs by it — so results are bit-identical
+     * per-shard trace logs by it — so results are bit-identical
      * across engines, thread counts, and elision modes.
      */
     std::uint32_t ordinal = 0;

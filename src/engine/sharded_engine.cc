@@ -144,7 +144,6 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
 {
     ShardState &st = *shard_state_[shard];
     ChannelBase::setStagingList(&st.staged_channels);
-    stats::setTickLog(&st.tick_log);
     telemetry::setTraceLog(&st.trace_log);
     const std::vector<ShardItem> &items = plan_.shards[shard];
     std::uint64_t ticked = 0;
@@ -160,7 +159,6 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
     }
     st.ticked += ticked;
     ChannelBase::setStagingList(nullptr);
-    stats::setTickLog(nullptr);
     telemetry::setTraceLog(nullptr);
 }
 
@@ -182,15 +180,13 @@ ShardedParallelEngine::runSerial(Cycle now)
 void
 ShardedParallelEngine::commitStagedState()
 {
-    // Commit phase. Channel splices and stat replay are order-free:
-    // each channel is enrolled in exactly one shard's list (channels
-    // are single-sender), and every stat mutation commutes. Only the
-    // trace logs need the ordinal merge.
+    // Commit phase. Channel splices are order-free: each channel is
+    // enrolled in exactly one shard's list (channels are single-sender).
+    // Only the trace logs need the ordinal merge.
     for (auto &st : shard_state_) {
         for (ChannelBase *ch : st->staged_channels)
             ch->commitStaged();
         st->staged_channels.clear();
-        st->tick_log.replay();
     }
     if (!trace_logs_.empty())
         telemetry::TraceLog::applyInOrder(trace_logs_.data(),

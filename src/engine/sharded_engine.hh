@@ -15,7 +15,6 @@
 #include "engine/engine.hh"
 #include "engine/shard_plan.hh"
 #include "sim/channel.hh"
-#include "sim/stats.hh"
 #include "telemetry/trace.hh"
 
 namespace stacknoc::engine {
@@ -26,17 +25,17 @@ namespace stacknoc::engine {
  *
  *  1. Parallel compute phase: every shard ticks its active components
  *     in ascending schedule-ordinal order (kind-batched, devirtualized
- *     dispatch) with thread-local staging installed, so channel pushes,
- *     stat mutations and trace records are deferred into per-shard
- *     buffers instead of touching shared state. With elision on, a
- *     component reporting quiescent() after its tick leaves the active
- *     set until a wake re-arms it.
+ *     dispatch) with thread-local staging installed, so channel pushes
+ *     and trace records are deferred into per-shard buffers instead of
+ *     touching shared state. Stats need no deferral: every component
+ *     owns its stat writers, and stats::Group sums them on read.
+ *     With elision on, a component reporting quiescent() after its
+ *     tick leaves the active set until a wake re-arms it.
  *  2. Barrier (sense = epoch counter, spin with yield fallback).
  *  3. Commit phase (main thread): staged channel values are spliced
- *     into the live queues (waking each channel's receiver); each
- *     shard's stat log is replayed front to back (every stat mutation
- *     commutes); trace logs are merged by schedule ordinal — the exact
- *     sequential recording order — and replayed.
+ *     into the live queues (waking each channel's receiver); trace
+ *     logs are merged by schedule ordinal — the exact sequential
+ *     recording order — and replayed.
  *  4. Serial phase (main thread): components registered with
  *     kSerialAffinity tick with staging off.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
@@ -80,7 +79,6 @@ class ShardedParallelEngine : public ExecutionEngine
     struct ShardState
     {
         std::vector<ChannelBase *> staged_channels;
-        stats::TickLog tick_log;
         telemetry::TraceLog trace_log;
         /**
          * Active flags, 1:1 with the shard's plan items. Written by
@@ -100,7 +98,7 @@ class ShardedParallelEngine : public ExecutionEngine
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Commit phase: splice channels, replay stat and trace logs. */
+    /** Commit phase: splice channels, merge trace logs. */
     void commitStagedState();
 
     /** Serial-phase body: tick (active) serial components. */

@@ -25,22 +25,21 @@ FaultInjector::FaultInjector(const FaultSpec &spec, std::uint64_t seed,
                              const MeshShape &shape, int num_banks)
     : spec_(spec), shape_(shape),
       stats_("faults"),
-      sttWriteFailures_(stats_.counter("stt_write_failures")),
-      sttWriteRetryRounds_(stats_.counter("stt_write_retry_rounds")),
-      sttWritesRecovered_(stats_.counter("stt_writes_recovered")),
-      sttWritesAbandoned_(stats_.counter("stt_writes_abandoned")),
-      busyNacksSent_(stats_.counter("busy_nacks_sent")),
-      linkPacketsCorrupted_(stats_.counter("link_packets_corrupted")),
-      linkRetransmits_(stats_.counter("link_retransmits")),
-      linkFlitsRetransmitted_(
-          stats_.counter("link_flits_retransmitted")),
-      linkPacketsRecovered_(stats_.counter("link_packets_recovered")),
-      linkPacketsDropped_(stats_.counter("link_packets_dropped")),
-      routerStuckCycles_(stats_.counter("router_stuck_cycles")),
-      retriesPerWriteHist_(stats_.histogram("retries_per_write")),
-      writeRecoveryLatencyHist_(stats_.histogram("write_recovery_latency")),
-      retransmitsPerPacketHist_(stats_.histogram("retransmits_per_packet")),
-      linkRecoveryLatencyHist_(stats_.histogram("link_recovery_latency"))
+      sttWriteFailures_(stats_, "stt_write_failures", num_banks),
+      sttWriteRetryRounds_(stats_, "stt_write_retry_rounds", num_banks),
+      sttWritesRecovered_(stats_, "stt_writes_recovered", num_banks),
+      sttWritesAbandoned_(stats_, "stt_writes_abandoned", num_banks),
+      busyNacksSent_(stats_, "busy_nacks_sent", num_banks),
+      retriesPerWriteHist_(stats_, "retries_per_write", num_banks),
+      writeRecoveryLatencyHist_(stats_, "write_recovery_latency", num_banks),
+      linkPacketsCorrupted_(stats_, "link_packets_corrupted", nodes()),
+      linkRetransmits_(stats_, "link_retransmits", nodes()),
+      linkFlitsRetransmitted_(stats_, "link_flits_retransmitted", nodes()),
+      linkPacketsRecovered_(stats_, "link_packets_recovered", nodes()),
+      linkPacketsDropped_(stats_, "link_packets_dropped", nodes()),
+      routerStuckCycles_(stats_, "router_stuck_cycles", nodes()),
+      retransmitsPerPacketHist_(stats_, "retransmits_per_packet", nodes()),
+      linkRecoveryLatencyHist_(stats_, "link_recovery_latency", nodes())
 {
     bankStreams_.reserve(static_cast<std::size_t>(num_banks));
     for (int b = 0; b < num_banks; ++b)

@@ -62,7 +62,8 @@ class SplitMix64
 /**
  * The per-run fault oracle: owns the spec, the per-site streams, and the
  * "faults" statistics group. Shared (by raw pointer) with banks, NIs and
- * routers; all draw methods are called from the owning site's tick only.
+ * routers; all draw and note methods are called from the owning site's
+ * tick only, and each site (a bank, a node) has its own stat writers.
  */
 class FaultInjector
 {
@@ -84,19 +85,20 @@ class FaultInjector
             < spec_.sttWriteBer;
     }
 
-    void noteWriteFailure() { sttWriteFailures_.inc(); }
-    void noteWriteRetryRound() { sttWriteRetryRounds_.inc(); }
-    void noteWriteAbandoned() { sttWritesAbandoned_.inc(); }
+    void noteWriteFailure(BankId bank) { sttWriteFailures_[bank].inc(); }
+    void noteWriteRetryRound(BankId bank) { sttWriteRetryRounds_[bank].inc(); }
+    void noteWriteAbandoned(BankId bank) { sttWritesAbandoned_[bank].inc(); }
 
     void
-    noteWriteRecovered(int failures, Cycle extra_cycles)
+    noteWriteRecovered(BankId bank, int failures, Cycle extra_cycles)
     {
-        sttWritesRecovered_.inc();
-        retriesPerWriteHist_.sample(static_cast<std::uint64_t>(failures));
-        writeRecoveryLatencyHist_.sample(extra_cycles);
+        sttWritesRecovered_[bank].inc();
+        retriesPerWriteHist_[bank].sample(
+            static_cast<std::uint64_t>(failures));
+        writeRecoveryLatencyHist_[bank].sample(extra_cycles);
     }
 
-    void noteBusyNackSent() { busyNacksSent_.inc(); }
+    void noteBusyNackSent(BankId bank) { busyNacksSent_[bank].inc(); }
 
     // ---- Link/TSB flit corruption (drawn by the ejecting NI) ----
 
@@ -116,28 +118,28 @@ class FaultInjector
         return niStreams_[static_cast<std::size_t>(dest)].uniform() < p;
     }
 
-    void notePacketCorrupted() { linkPacketsCorrupted_.inc(); }
+    void notePacketCorrupted(NodeId ni) { linkPacketsCorrupted_[ni].inc(); }
 
-    /** One packet retransmission of @p num_flits flits was requested.
-     *  Tracks both the episode count and the flit volume; the latter
-     *  feeds the retransmit-flit energy term of computeEnergy(). */
+    /** NI @p ni requested one packet retransmission of @p num_flits
+     *  flits. Tracks both the episode count and the flit volume; the
+     *  latter feeds the retransmit-flit energy term of computeEnergy(). */
     void
-    noteRetransmit(int num_flits)
+    noteRetransmit(NodeId ni, int num_flits)
     {
-        linkRetransmits_.inc();
-        linkFlitsRetransmitted_.inc(
+        linkRetransmits_[ni].inc();
+        linkFlitsRetransmitted_[ni].inc(
             static_cast<std::uint64_t>(num_flits));
     }
 
-    void notePacketDropped() { linkPacketsDropped_.inc(); }
+    void notePacketDropped(NodeId ni) { linkPacketsDropped_[ni].inc(); }
 
     void
-    notePacketRecovered(int retransmits, Cycle extra_cycles)
+    notePacketRecovered(NodeId ni, int retransmits, Cycle extra_cycles)
     {
-        linkPacketsRecovered_.inc();
-        retransmitsPerPacketHist_.sample(
+        linkPacketsRecovered_[ni].inc();
+        retransmitsPerPacketHist_[ni].sample(
             static_cast<std::uint64_t>(retransmits));
-        linkRecoveryLatencyHist_.sample(extra_cycles);
+        linkRecoveryLatencyHist_[ni].sample(extra_cycles);
     }
 
     // ---- Stuck router (checked by the router's tick) ----
@@ -149,7 +151,7 @@ class FaultInjector
         if (node != spec_.stuckRouter || now < spec_.stuckFrom
             || now > spec_.stuckTo)
             return false;
-        routerStuckCycles_.inc();
+        routerStuckCycles_[node].inc();
         return true;
     }
 
@@ -184,6 +186,8 @@ class FaultInjector
     static std::uint64_t siteSeed(std::uint64_t seed, std::uint64_t kind,
                                   std::uint64_t site);
 
+    int nodes() const { return shape_.totalNodes(); }
+
     FaultSpec spec_;
     MeshShape shape_;
 
@@ -191,21 +195,23 @@ class FaultInjector
     std::vector<SplitMix64> niStreams_;   //!< one per node
 
     stats::Group stats_;
-    stats::Counter &sttWriteFailures_;
-    stats::Counter &sttWriteRetryRounds_;
-    stats::Counter &sttWritesRecovered_;
-    stats::Counter &sttWritesAbandoned_;
-    stats::Counter &busyNacksSent_;
-    stats::Counter &linkPacketsCorrupted_;
-    stats::Counter &linkRetransmits_;
-    stats::Counter &linkFlitsRetransmitted_;
-    stats::Counter &linkPacketsRecovered_;
-    stats::Counter &linkPacketsDropped_;
-    stats::Counter &routerStuckCycles_;
-    stats::Histogram &retriesPerWriteHist_;
-    stats::Histogram &writeRecoveryLatencyHist_;
-    stats::Histogram &retransmitsPerPacketHist_;
-    stats::Histogram &linkRecoveryLatencyHist_;
+    // Per bank:
+    stats::PerSite<stats::Counter> sttWriteFailures_;
+    stats::PerSite<stats::Counter> sttWriteRetryRounds_;
+    stats::PerSite<stats::Counter> sttWritesRecovered_;
+    stats::PerSite<stats::Counter> sttWritesAbandoned_;
+    stats::PerSite<stats::Counter> busyNacksSent_;
+    stats::PerSite<stats::Histogram> retriesPerWriteHist_;
+    stats::PerSite<stats::Histogram> writeRecoveryLatencyHist_;
+    // Per node:
+    stats::PerSite<stats::Counter> linkPacketsCorrupted_;
+    stats::PerSite<stats::Counter> linkRetransmits_;
+    stats::PerSite<stats::Counter> linkFlitsRetransmitted_;
+    stats::PerSite<stats::Counter> linkPacketsRecovered_;
+    stats::PerSite<stats::Counter> linkPacketsDropped_;
+    stats::PerSite<stats::Counter> routerStuckCycles_;
+    stats::PerSite<stats::Histogram> retransmitsPerPacketHist_;
+    stats::PerSite<stats::Histogram> linkRecoveryLatencyHist_;
 };
 
 } // namespace stacknoc::fault

@@ -103,22 +103,22 @@ BankController::writeNeedsRetry(int &failures)
     if (!faults_->drawWriteFailure(bankId_)) {
         if (failures > 0) {
             faults_->noteWriteRecovered(
-                failures, static_cast<Cycle>(failures)
-                              * bank_.params().writeCycles);
+                bankId_, failures,
+                static_cast<Cycle>(failures) * bank_.params().writeCycles);
         }
         retryActive_ = false;
         return false;
     }
-    faults_->noteWriteFailure();
+    faults_->noteWriteFailure(bankId_);
     ++retryEpisodes_;
     if (failures >= faults_->spec().sttWriteRetries) {
         // Retry budget exhausted: hand the line to ECC and complete.
-        faults_->noteWriteAbandoned();
+        faults_->noteWriteAbandoned(bankId_);
         retryActive_ = false;
         return false;
     }
     ++failures;
-    faults_->noteWriteRetryRound();
+    faults_->noteWriteRetryRound(bankId_);
     ++retryRoundsTotal_;
     retryActive_ = true;
     return true;

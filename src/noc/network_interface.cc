@@ -135,17 +135,17 @@ NetworkInterface::drainEjectBuffers(Cycle now)
                     if (faults_->drawPacketCorruption(front.pkt->src, id_,
                                                       front.pkt->numFlits)) {
                         if (vc.retxAttempts == 0)
-                            faults_->notePacketCorrupted();
+                            faults_->notePacketCorrupted(id_);
                         ++vc.retxAttempts;
                         if (vc.retxAttempts
                             > faults_->spec().flitRetries) {
-                            faults_->notePacketDropped();
+                            faults_->notePacketDropped(id_);
                             vc.dropping = true;
                             // fall through: consume flits, return
                             // credits, never dispatch
                         } else {
                             faults_->noteRetransmit(
-                                front.pkt->numFlits);
+                                id_, front.pkt->numFlits);
                             flitsRetransmittedTotal_ +=
                                 static_cast<std::uint64_t>(
                                     front.pkt->numFlits);
@@ -156,7 +156,7 @@ NetworkInterface::drainEjectBuffers(Cycle now)
                     } else {
                         if (vc.retxAttempts > 0) {
                             faults_->notePacketRecovered(
-                                vc.retxAttempts,
+                                id_, vc.retxAttempts,
                                 static_cast<Cycle>(vc.retxAttempts)
                                     * faults_->spec().flitRetryPenalty);
                         }
@@ -216,15 +216,6 @@ NetworkInterface::drainEjectBuffers(Cycle now)
             }
         }
     }
-}
-
-int
-NetworkInterface::ejectBufferedFlits() const
-{
-    int n = 0;
-    for (const auto &vc : ejectVcs_)
-        n += static_cast<int>(vc.buffer.size());
-    return n;
 }
 
 void

@@ -173,9 +173,6 @@ class NetworkInterface final : public Ticking, public PacketSender
         return true;
     }
 
-    /** Flits parked in ejection buffers (for drain checks). */
-    int ejectBufferedFlits() const;
-
     /**
      * Invoke @p fn(pkt, injected) for every packet waiting at this NI:
      * queued packets (injected = false) and packets currently being

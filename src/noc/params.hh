@@ -30,9 +30,6 @@ struct NocParams
     /** Flit buffer depth per VC. */
     int vcDepth = 5;
 
-    /** Flits in a data-bearing packet (8 data + 1 header). */
-    int dataPacketFlits = 9;
-
     /** Link traversal latency in cycles. */
     Cycle linkLatency = 1;
 

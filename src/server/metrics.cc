@@ -130,14 +130,4 @@ MetricsRegistry::renderPrometheus(std::ostream &os) const
     }
 }
 
-std::size_t
-MetricsRegistry::seriesCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[name, fam] : families_)
-        n += fam.counters.size() + fam.gauges.size() +
-             fam.histograms.size();
-    return n;
-}
-
 } // namespace stacknoc::server

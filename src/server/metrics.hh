@@ -12,12 +12,11 @@
  *
  * Lock-free single-writer by construction: the CampaignServer's one
  * poll loop is the only thread that ever touches the registry, so the
- * mutators are plain stores — no atomics, no TickLog deferral, no
- * observable cost when nobody scrapes. The simulation itself is never
- * instrumented here; workers are separate processes and the registry
- * only counts what crosses the server's file descriptors, which is
- * what keeps fleet observability observer-only with respect to
- * simulated state.
+ * mutators are plain stores — no atomics, no observable cost when
+ * nobody scrapes. The simulation itself is never instrumented here;
+ * workers are separate processes and the registry only counts what
+ * crosses the server's file descriptors, which is what keeps fleet
+ * observability observer-only with respect to simulated state.
  */
 
 #ifndef STACKNOC_SERVER_METRICS_HH
@@ -74,9 +73,6 @@ class MetricsRegistry
 
     /** Prometheus text exposition format v0.0.4. */
     void renderPrometheus(std::ostream &os) const;
-
-    /** Number of individual series (counters + gauges + histograms). */
-    std::size_t seriesCount() const;
 
   private:
     enum class Kind { Counter, Gauge, Histogram };

@@ -8,30 +8,6 @@
 
 namespace stacknoc::stats {
 
-void
-TickLog::replay()
-{
-    panic_if(tickLog() != nullptr,
-             "TickLog::replay would re-defer into an installed log");
-    for (const Entry &e : entries_) {
-        switch (e.op) {
-          case Op::CounterInc:
-            static_cast<Counter *>(e.target)->inc(e.a);
-            break;
-          case Op::AvgSample:
-            static_cast<Average *>(e.target)->sample(e.a);
-            break;
-          case Op::DistSample:
-            static_cast<Distribution *>(e.target)->sample(e.a, e.b);
-            break;
-          case Op::HistSample:
-            static_cast<Histogram *>(e.target)->sample(e.a, e.b);
-            break;
-        }
-    }
-    entries_.clear();
-}
-
 Distribution::Distribution(std::vector<std::uint64_t> edges)
     : edges_(std::move(edges)), counts_(edges_.size() + 1, 0)
 {
@@ -43,10 +19,6 @@ Distribution::Distribution(std::vector<std::uint64_t> edges)
 void
 Distribution::sample(std::uint64_t v, std::uint64_t weight)
 {
-    if (TickLog *log = tickLog()) {
-        log->distributionSample(this, v, weight);
-        return;
-    }
     std::size_t bin = edges_.size();
     for (std::size_t i = 0; i < edges_.size(); ++i) {
         if (v < edges_[i]) {
@@ -61,7 +33,7 @@ Distribution::sample(std::uint64_t v, std::uint64_t weight)
 double
 Distribution::binFraction(std::size_t i) const
 {
-    return total_ ? static_cast<double>(counts_.at(i)) / total_ : 0.0;
+    return total() ? static_cast<double>(binCount(i)) / total() : 0.0;
 }
 
 std::string
@@ -74,7 +46,7 @@ Distribution::binLabel(std::size_t i) const
 }
 
 void
-Distribution::reset()
+Distribution::zero()
 {
     for (auto &c : counts_)
         c = 0;
@@ -106,10 +78,6 @@ Histogram::bucketHi(std::size_t i)
 void
 Histogram::sample(std::uint64_t v, std::uint64_t weight)
 {
-    if (TickLog *log = tickLog()) {
-        log->histogramSample(this, v, weight);
-        return;
-    }
     if (weight == 0)
         return;
     counts_[bucketOf(v)] += weight;
@@ -122,27 +90,52 @@ Histogram::sample(std::uint64_t v, std::uint64_t weight)
 double
 Histogram::mean() const
 {
-    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
-                  : 0.0;
+    return count() ? static_cast<double>(sum()) / count() : 0.0;
+}
+
+std::uint64_t
+Histogram::minValue() const
+{
+    // An empty writer's min_ is ~0, so it never wins the min.
+    std::uint64_t lo = ~0ULL;
+    forEach([&](const Histogram &w) { lo = std::min(lo, w.min_); });
+    return count() ? lo : 0;
+}
+
+std::uint64_t
+Histogram::maxValue() const
+{
+    std::uint64_t hi = 0;
+    forEach([&](const Histogram &w) { hi = std::max(hi, w.max_); });
+    return hi;
 }
 
 double
 Histogram::percentile(double p) const
 {
-    if (count_ == 0)
+    std::array<std::uint64_t, kNumBuckets> counts{};
+    std::uint64_t count = 0;
+    forEach([&](const Histogram &w) {
+        for (std::size_t i = 0; i < kNumBuckets; ++i)
+            counts[i] += w.counts_[i];
+        count += w.count_;
+    });
+    if (count == 0)
         return 0.0;
+    const double min = static_cast<double>(minValue());
+    const double max = static_cast<double>(maxValue());
     p = std::clamp(p, 0.0, 1.0);
     // 1-based rank of the selected sample.
-    const double exact_rank = p * static_cast<double>(count_);
+    const double exact_rank = p * static_cast<double>(count);
     const std::uint64_t rank = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(exact_rank + 0.5));
 
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < kNumBuckets; ++i) {
-        if (counts_[i] == 0)
+        if (counts[i] == 0)
             continue;
-        if (cum + counts_[i] < rank) {
-            cum += counts_[i];
+        if (cum + counts[i] < rank) {
+            cum += counts[i];
             continue;
         }
         const double lo = static_cast<double>(bucketLo(i));
@@ -151,16 +144,14 @@ Histogram::percentile(double p) const
         // fraction (k - 0.5) / n of the bucket's width.
         const double frac =
             (static_cast<double>(rank - cum) - 0.5) /
-            static_cast<double>(counts_[i]);
-        const double v = lo + frac * (hi - lo);
-        return std::clamp(v, static_cast<double>(min_),
-                          static_cast<double>(max_));
+            static_cast<double>(counts[i]);
+        return std::clamp(lo + frac * (hi - lo), min, max);
     }
-    return static_cast<double>(max_);
+    return max;
 }
 
 void
-Histogram::reset()
+Histogram::zero()
 {
     counts_.fill(0);
     count_ = 0;
@@ -169,34 +160,55 @@ Histogram::reset()
     max_ = 0;
 }
 
+namespace {
+
+/**
+ * Register a writer of @p name: the name's first writer lives in
+ * @p heads, every later one in @p more, linked to the first one.
+ */
+template <class T, class... Args>
+T &
+addWriter(std::map<std::string, T> &heads, std::deque<T> &more,
+          const std::string &name, const Args &...args)
+{
+    auto [it, first] = heads.try_emplace(name, args...);
+    if (first)
+        return it->second;
+    T &w = more.emplace_back(args...);
+    it->second.link(w);
+    return w;
+}
+
+} // namespace
+
 Counter &
 Group::counter(const std::string &stat_name)
 {
-    return counters_[stat_name];
+    return addWriter(counters_, moreCounters_, stat_name);
 }
 
 Average &
 Group::average(const std::string &stat_name)
 {
-    return averages_[stat_name];
+    return addWriter(averages_, moreAverages_, stat_name);
 }
 
 Distribution &
 Group::distribution(const std::string &stat_name,
                     std::vector<std::uint64_t> edges)
 {
-    auto it = distributions_.find(stat_name);
-    if (it == distributions_.end()) {
-        it = distributions_.emplace(stat_name, Distribution(std::move(edges)))
-                 .first;
-    }
-    return it->second;
+    Distribution &d =
+        addWriter(distributions_, moreDistributions_, stat_name, edges);
+    panic_if(distributions_.at(stat_name).edges() != edges,
+             "writers of distribution '%s' disagree on bin edges",
+             stat_name.c_str());
+    return d;
 }
 
 Histogram &
 Group::histogram(const std::string &stat_name)
 {
-    return histograms_[stat_name];
+    return addWriter(histograms_, moreHistograms_, stat_name);
 }
 
 const Counter *

@@ -10,125 +10,93 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace stacknoc::stats {
 
-class Counter;
-class Average;
-class Distribution;
-class Histogram;
+namespace detail {
 
 /**
- * A deferred statistics-mutation log, the mechanism that keeps shared
- * stat objects (one Counter referenced by all 64 routers, one Average
- * sampled by every NI, ...) data-race free under the sharded parallel
- * execution engine.
- *
- * Each worker thread installs one TickLog via setTickLog(); while
- * installed, every Counter::inc / Average::sample / Histogram::sample /
- * Distribution::sample appends an entry instead of mutating the stat.
- * After the phase barrier the engine replays each shard's log on one
- * thread. Every mutation is an integer add, min or max, so the replay
- * order cannot change any result: the log needs no ordering and the
- * shards' logs need no merge.
- *
- * With no log installed (the default) every stat mutates immediately.
+ * The writers of one stat name. Every registration (Group::counter(),
+ * ...) returns a fresh writer, so a component only mutates its own
+ * writers and no two shards write the same one. Reads fold all writers
+ * (the first one lists the rest) from whichever writer they start at;
+ * each fold is an integer sum, min or max, so order cannot change it.
+ * Writers are cache-line aligned, so no two share a line.
  */
-class TickLog
+template <class T>
+class alignas(64) Writers
 {
   public:
+    Writers() = default;
+    Writers(const Writers &) = delete;
+    Writers &operator=(const Writers &) = delete;
+
+    /** Add @p w, a fresh writer, to this stat. Call on its first writer. */
     void
-    counterInc(Counter *c, std::uint64_t n)
+    link(T &w)
     {
-        entries_.push_back({Op::CounterInc, c, n, 0});
+        w.Writers::first_ = this;
+        more_.push_back(&w);
     }
 
+    /** Zero every writer of this stat. */
     void
-    averageSample(Average *a, std::uint64_t v)
+    reset()
     {
-        entries_.push_back({Op::AvgSample, a, v, 0});
+        static_cast<T *>(first_)->zero();
+        for (Writers *w : first_->more_)
+            static_cast<T *>(w)->zero();
     }
 
+  protected:
+    /** Call @p f on every writer of this stat. */
+    template <class F>
     void
-    distributionSample(Distribution *d, std::uint64_t v, std::uint64_t w)
+    forEach(F &&f) const
     {
-        entries_.push_back({Op::DistSample, d, v, w});
+        const Writers *first = first_;
+        f(static_cast<const T &>(*first));
+        for (const Writers *w : first->more_)
+            f(static_cast<const T &>(*w));
     }
 
-    void
-    histogramSample(Histogram *h, std::uint64_t v, std::uint64_t w)
+    /** @return the sum of @p field over every writer. */
+    template <class F>
+    std::uint64_t
+    sumOf(F &&field) const
     {
-        entries_.push_back({Op::HistSample, h, v, w});
+        std::uint64_t sum = 0;
+        forEach([&](const T &w) { sum += std::invoke(field, w); });
+        return sum;
     }
-
-    /**
-     * Apply every entry front to back, then clear the log. Must run
-     * with no TickLog installed on the calling thread (entries are
-     * replayed through the ordinary stat mutators).
-     */
-    void replay();
 
   private:
-    enum class Op : std::uint8_t {
-        CounterInc,
-        AvgSample,
-        DistSample,
-        HistSample,
-    };
-
-    struct Entry
-    {
-        Op op;
-        void *target;
-        std::uint64_t a; //!< count / value
-        std::uint64_t b; //!< weight
-    };
-
-    std::vector<Entry> entries_;
+    Writers *first_ = this;
+    std::vector<Writers *> more_; //!< later writers (first writer only)
 };
 
-namespace detail {
-inline thread_local TickLog *t_tick_log = nullptr;
 } // namespace detail
 
-/** Install @p log as this thread's deferral target (null = immediate). */
-inline void
-setTickLog(TickLog *log)
-{
-    detail::t_tick_log = log;
-}
-
-/** @return this thread's installed deferral log, or null. */
-inline TickLog *
-tickLog()
-{
-    return detail::t_tick_log;
-}
-
 /** A monotonically growing scalar statistic. */
-class Counter
+class Counter : public detail::Writers<Counter>
 {
   public:
-    void
-    inc(std::uint64_t n = 1)
-    {
-        if (TickLog *log = tickLog()) {
-            log->counterInc(this, n);
-            return;
-        }
-        value_ += n;
-    }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
+    void inc(std::uint64_t n = 1) { value_ += n; }
+    std::uint64_t value() const { return sumOf(&Counter::value_); }
 
   private:
+    friend class detail::Writers<Counter>;
+    void zero() { value_ = 0; }
+
     std::uint64_t value_ = 0;
 };
 
@@ -137,16 +105,12 @@ class Counter
  * integer, so samples commute; mean() converts it to double, which is
  * exact below 2^53.
  */
-class Average
+class Average : public detail::Writers<Average>
 {
   public:
     void
     sample(std::uint64_t v)
     {
-        if (TickLog *log = tickLog()) {
-            log->averageSample(this, v);
-            return;
-        }
         sum_ += v;
         ++count_;
     }
@@ -154,19 +118,15 @@ class Average
     double
     mean() const
     {
-        return count_ ? static_cast<double>(sum_) / count_ : 0.0;
+        return count() ? static_cast<double>(sum()) / count() : 0.0;
     }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t count() const { return count_; }
-
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-    }
+    std::uint64_t sum() const { return sumOf(&Average::sum_); }
+    std::uint64_t count() const { return sumOf(&Average::count_); }
 
   private:
+    friend class detail::Writers<Average>;
+    void zero() { sum_ = count_ = 0; }
+
     std::uint64_t sum_ = 0;
     std::uint64_t count_ = 0;
 };
@@ -177,7 +137,7 @@ class Average
  * Edges {e0, e1, ..., en} define bins [0,e0), [e0,e1), ..., [en,inf).
  * Figure 3 of the paper uses edges {16, 33, 66, 99, 132, 165}.
  */
-class Distribution
+class Distribution : public detail::Writers<Distribution>
 {
   public:
     Distribution() = default;
@@ -186,8 +146,12 @@ class Distribution
     void sample(std::uint64_t v, std::uint64_t weight = 1);
 
     std::size_t numBins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t total() const { return total_; }
+    std::uint64_t
+    binCount(std::size_t i) const
+    {
+        return sumOf([i](const Distribution &w) { return w.counts_.at(i); });
+    }
+    std::uint64_t total() const { return sumOf(&Distribution::total_); }
 
     /** @return fraction of samples in bin @p i (0 when empty). */
     double binFraction(std::size_t i) const;
@@ -197,9 +161,10 @@ class Distribution
 
     const std::vector<std::uint64_t> &edges() const { return edges_; }
 
-    void reset();
-
   private:
+    friend class detail::Writers<Distribution>;
+    void zero();
+
     std::vector<std::uint64_t> edges_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
@@ -212,7 +177,7 @@ class Distribution
  * side, so mean() is exact and percentile() is clamped to observed
  * bounds.
  */
-class Histogram
+class Histogram : public detail::Writers<Histogram>
 {
   public:
     /** Buckets 0..64: value 0 plus one bucket per bit width. */
@@ -220,11 +185,12 @@ class Histogram
 
     void sample(std::uint64_t v, std::uint64_t weight = 1);
 
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
+    std::uint64_t count() const { return sumOf(&Histogram::count_); }
+    std::uint64_t sum() const { return sumOf(&Histogram::sum_); }
     double mean() const;
-    std::uint64_t minValue() const { return count_ ? min_ : 0; }
-    std::uint64_t maxValue() const { return max_; }
+    /** Smallest sample of every writer (empty writers ignored), or 0. */
+    std::uint64_t minValue() const;
+    std::uint64_t maxValue() const;
 
     /**
      * Rank-based percentile for @p p in [0, 1], linearly interpolated
@@ -243,14 +209,16 @@ class Histogram
     /** Inclusive upper bound of bucket @p i. */
     static std::uint64_t bucketHi(std::size_t i);
 
-    std::uint64_t bucketCount(std::size_t i) const
+    std::uint64_t
+    bucketCount(std::size_t i) const
     {
-        return counts_.at(i);
+        return sumOf([i](const Histogram &w) { return w.counts_.at(i); });
     }
 
-    void reset();
-
   private:
+    friend class detail::Writers<Histogram>;
+    void zero();
+
     std::array<std::uint64_t, kNumBuckets> counts_{};
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
@@ -260,7 +228,9 @@ class Histogram
 
 /**
  * A named collection of statistics. Groups own their stats; components
- * hold references obtained at construction time.
+ * hold references obtained at construction time. Every registration
+ * returns a new writer of the named stat (see detail::Writers), and
+ * every read of a stat sums all of its writers.
  */
 class Group
 {
@@ -269,6 +239,7 @@ class Group
 
     Counter &counter(const std::string &stat_name);
     Average &average(const std::string &stat_name);
+    /** Every writer of a distribution must use the same @p edges. */
     Distribution &distribution(const std::string &stat_name,
                                std::vector<std::uint64_t> edges);
     Histogram &histogram(const std::string &stat_name);
@@ -284,10 +255,10 @@ class Group
     /** Pretty-print every stat in the group. */
     void dump(std::ostream &os) const;
 
-    /** Reset every stat in the group to zero. */
+    /** Reset every writer of every stat in the group to zero. */
     void reset();
 
-    // Read-only iteration, used by the telemetry exporters.
+    // Read-only iteration by name, used by the telemetry exporters.
     const std::map<std::string, Counter> &allCounters() const
     {
         return counters_;
@@ -307,10 +278,39 @@ class Group
 
   private:
     std::string name_;
+    /** Each name's first writer; later writers live in the deques. */
     std::map<std::string, Counter> counters_;
     std::map<std::string, Average> averages_;
     std::map<std::string, Distribution> distributions_;
     std::map<std::string, Histogram> histograms_;
+    std::deque<Counter> moreCounters_;
+    std::deque<Average> moreAverages_;
+    std::deque<Distribution> moreDistributions_;
+    std::deque<Histogram> moreHistograms_;
+};
+
+/** One writer of a stat per site (a node, a bank), for an object that
+ *  components on every shard call into with their own site id. */
+template <class T>
+class PerSite
+{
+  public:
+    PerSite(Group &g, const std::string &name, int sites)
+    {
+        for (int s = 0; s < sites; ++s) {
+            if constexpr (std::is_same_v<T, Counter>)
+                writers_.push_back(&g.counter(name));
+            else if constexpr (std::is_same_v<T, Average>)
+                writers_.push_back(&g.average(name));
+            else
+                writers_.push_back(&g.histogram(name));
+        }
+    }
+
+    T &operator[](std::size_t site) { return *writers_[site]; }
+
+  private:
+    std::vector<T *> writers_;
 };
 
 } // namespace stacknoc::stats

@@ -17,13 +17,13 @@ BankAwarePolicy::BankAwarePolicy(
       holdMargin_(static_cast<std::size_t>(regions.numBanks()), 0),
       holdCyclesByBank_(static_cast<std::size_t>(regions.numBanks()), 0),
       stats_("sttnoc"),
-      holdsStarted_(stats_.counter("holds_started")),
-      holdCapReleases_(stats_.counter("hold_cap_releases")),
-      busyMarks_(stats_.counter("busy_marks")),
-      busyNacks_(stats_.counter("busy_nacks")),
-      nackReopens_(stats_.counter("nack_window_reopens")),
-      busyDuration_(stats_.average("busy_duration")),
-      holdDurationHist_(stats_.histogram("parent_hold_duration_hist"))
+      holdsStarted_(stats_, "holds_started", nodes()),
+      holdCapReleases_(stats_, "hold_cap_releases", nodes()),
+      busyMarks_(stats_, "busy_marks", nodes()),
+      busyNacks_(stats_, "busy_nacks", nodes()),
+      nackReopens_(stats_, "nack_window_reopens", nodes()),
+      busyDuration_(stats_, "busy_duration", nodes()),
+      holdDurationHist_(stats_, "parent_hold_duration_hist", nodes())
 {
     for (BankId b = 0; b < regions_.numBanks(); ++b) {
         const int dist = regions_.shape().hopDistance(
@@ -96,7 +96,7 @@ BankAwarePolicy::eligible(NodeId router, noc::Packet &pkt, Cycle now)
         }
     }
     if (now - pkt.firstHeldAt >= params_.holdCap) {
-        holdCapReleases_.inc();
+        holdCapReleases_[router].inc();
         return true; // starvation guard
     }
     return false;
@@ -119,7 +119,7 @@ BankAwarePolicy::priorityClass(NodeId router, const noc::Packet &pkt,
         return 1;
     // A write toward a child predicted busy with an earlier write:
     // yield to idle-bank requests, reads, coherence and responses.
-    holdsStarted_.inc();
+    holdsStarted_[router].inc();
     ++holdCyclesByBank_[static_cast<std::size_t>(bank)];
     return 2;
 }
@@ -131,7 +131,7 @@ BankAwarePolicy::onForward(NodeId router, noc::Packet &pkt, Cycle now)
     if (bank == kInvalidBank)
         return;
     if (pkt.firstHeldAt != kCycleNever) {
-        holdDurationHist_.sample(now - pkt.firstHeldAt);
+        holdDurationHist_[router].sample(now - pkt.firstHeldAt);
         holdCyclesByBank_[static_cast<std::size_t>(bank)] +=
             static_cast<std::uint64_t>(now - pkt.firstHeldAt);
         if (auto *t = telemetry::tracer(); t && t->tracked(pkt.id)) {
@@ -154,8 +154,8 @@ BankAwarePolicy::onForward(NodeId router, noc::Packet &pkt, Cycle now)
                   estimator_->estimate(bank, now) +
                   params_.writeServiceCycles +
                   holdMargin_[static_cast<std::size_t>(bank)];
-        busyMarks_.inc();
-        busyDuration_.sample(horizon - now);
+        busyMarks_[router].inc();
+        busyDuration_[router].sample(horizon - now);
     }
 }
 
@@ -180,7 +180,8 @@ BankAwarePolicy::onBusyNack(const noc::Packet &pkt, Cycle now)
     const BankId bank = static_cast<BankId>(pkt.info.origin);
     if (bank < 0 || bank >= regions_.numBanks())
         return;
-    busyNacks_.inc();
+    const NodeId parent = parents_.parentOf(bank);
+    busyNacks_[parent].inc();
 
     // The bank reports it stays busy for another aux cycles (one
     // write-verify-retry round, clamped to the recovery contract).
@@ -189,7 +190,7 @@ BankAwarePolicy::onBusyNack(const noc::Packet &pkt, Cycle now)
     auto &horizon = busyUntil_[static_cast<std::size_t>(bank)];
     if (now + remaining > horizon) {
         horizon = now + remaining;
-        nackReopens_.inc();
+        nackReopens_[parent].inc();
     }
 
     // Adaptive hold margin: EWMA (alpha = 1/8) of the overshoot each

@@ -133,6 +133,8 @@ class BankAwarePolicy : public noc::ArbitrationPolicy,
     /** @return whether @p pkt may be held at its parent. */
     static bool holdable(const noc::Packet &pkt);
 
+    int nodes() const { return regions_.shape().totalNodes(); }
+
     const RegionMap &regions_;
     const ParentMap &parents_;
     SttAwareParams params_;
@@ -149,13 +151,15 @@ class BankAwarePolicy : public noc::ArbitrationPolicy,
     std::vector<std::uint64_t> holdCyclesByBank_;
 
     stats::Group stats_;
-    stats::Counter &holdsStarted_;
-    stats::Counter &holdCapReleases_;
-    stats::Counter &busyMarks_;
-    stats::Counter &busyNacks_;
-    stats::Counter &nackReopens_;
-    stats::Average &busyDuration_;
-    stats::Histogram &holdDurationHist_;
+    // Per node: routers write with their own NodeId, and a bank's NACKs
+    // are counted at its parent node.
+    stats::PerSite<stats::Counter> holdsStarted_;
+    stats::PerSite<stats::Counter> holdCapReleases_;
+    stats::PerSite<stats::Counter> busyMarks_;
+    stats::PerSite<stats::Counter> busyNacks_;
+    stats::PerSite<stats::Counter> nackReopens_;
+    stats::PerSite<stats::Average> busyDuration_;
+    stats::PerSite<stats::Histogram> holdDurationHist_;
 };
 
 } // namespace stacknoc::sttnoc

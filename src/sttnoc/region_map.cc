@@ -168,14 +168,4 @@ RegionMap::nodeOfBank(BankId bank) const
     return bank + shape_.nodesPerLayer();
 }
 
-std::vector<BankId>
-RegionMap::banksInRegion(int r) const
-{
-    std::vector<BankId> banks;
-    for (BankId b = 0; b < numBanks(); ++b)
-        if (regionOf(b) == r)
-            banks.push_back(b);
-    return banks;
-}
-
 } // namespace stacknoc::sttnoc

@@ -69,9 +69,6 @@ class RegionMap
     /** @return number of banks (== nodes per layer). */
     int numBanks() const { return shape_.nodesPerLayer(); }
 
-    /** @return banks belonging to region @p r. */
-    std::vector<BankId> banksInRegion(int r) const;
-
   private:
     struct Rect
     {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Cycle-accounting profiler: attributes the execution engine's wall
- * time to per-cycle phases (parallel compute, barrier wait, commit
- * replay, serial slot, cycle-end callbacks), to individual shards of
+ * time to per-cycle phases (parallel compute, barrier wait, commit,
+ * serial slot, cycle-end callbacks), to individual shards of
  * the parallel engine, and to component kinds under the sequential
  * engine.
  *
@@ -45,7 +45,7 @@ namespace stacknoc::telemetry {
 enum class EnginePhase : std::uint8_t {
     Compute = 0, //!< component ticks (main thread's own shard)
     Barrier,     //!< main thread waiting on worker shards
-    Commit,      //!< staged channel splice + ordinal-ordered replay
+    Commit,      //!< staged channel splice + trace-log merge
     Serial,      //!< serial-affinity components (e.g. the RCA fabric)
     CycleEnd,    //!< cycle-end callbacks (probes, samplers) + clock
 };

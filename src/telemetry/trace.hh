@@ -138,11 +138,11 @@ class CsvTraceSink : public TraceSink
 class PacketTracer;
 
 /**
- * A deferred trace-record log, the tracing counterpart of
- * stats::TickLog. Unlike stat mutations, trace records do not commute:
- * the PacketTracer ring is a single shared buffer whose contents (and
- * overwrite order) must be bit-identical between the sequential and
- * sharded engines. So during a parallel compute phase
+ * A deferred trace-record log. Unlike stat mutations, which each
+ * component makes on its own stat writers, trace records do not
+ * commute: the PacketTracer ring is a single shared buffer whose
+ * contents (and overwrite order) must be bit-identical between the
+ * sequential and sharded engines. So during a parallel compute phase
  * each worker thread installs a TraceLog via setTraceLog();
  * PacketTracer::record then appends here, tagged with the ordinal of
  * the component currently ticking, and after the phase barrier the

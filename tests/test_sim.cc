@@ -132,67 +132,105 @@ TEST(Stats, AverageSumIsExact)
     EXPECT_EQ(a.count(), 2u);
 }
 
-/** The stats one TickLog replay test mutates. */
-struct ReplayStats
+/** One writer of each stat kind, as one component registers them. */
+struct StatWriters
 {
-    stats::Counter counter;
-    stats::Average average;
-    stats::Distribution dist{{16, 33, 66}};
-    stats::Histogram hist;
+    explicit StatWriters(stats::Group &g)
+        : counter(g.counter("c")), average(g.average("a")),
+          dist(g.distribution("d", {16, 33, 66})), hist(g.histogram("h"))
+    {
+    }
+
+    stats::Counter &counter;
+    stats::Average &average;
+    stats::Distribution &dist;
+    stats::Histogram &hist;
 };
 
-/** Log one batch of mutations per log, as two shards would. */
 void
-fillLogs(ReplayStats &st, stats::TickLog &a, stats::TickLog &b)
+sampleFirstBatch(StatWriters &w)
 {
-    stats::setTickLog(&a);
-    st.counter.inc(3);
-    st.average.sample(40);
-    st.dist.sample(20);
-    st.hist.sample(7);
-    st.hist.sample(1000, 2);
-    stats::setTickLog(&b);
-    st.counter.inc();
-    st.average.sample(5);
-    st.dist.sample(70, 3);
-    st.hist.sample(0);
-    st.hist.sample(300);
-    stats::setTickLog(nullptr);
+    w.counter.inc(3);
+    w.average.sample(40);
+    w.dist.sample(20);
+    w.hist.sample(7);
+    w.hist.sample(1000, 2);
 }
 
-TEST(Stats, TickLogReplayIsOrderFree)
+void
+sampleSecondBatch(StatWriters &w)
 {
-    ReplayStats ab;
-    ReplayStats ba;
-    stats::TickLog a;
-    stats::TickLog b;
-    fillLogs(ab, a, b);
-    EXPECT_EQ(ab.counter.value(), 0u) << "mutations must be deferred";
-    a.replay();
-    b.replay();
-    fillLogs(ba, a, b);
-    b.replay();
-    a.replay();
+    w.counter.inc();
+    w.average.sample(5);
+    w.dist.sample(70, 3);
+    w.hist.sample(3);
+    w.hist.sample(300);
+    w.hist.sample(40, 4);
+}
 
-    EXPECT_EQ(ab.counter.value(), 4u);
-    EXPECT_EQ(ab.counter.value(), ba.counter.value());
-    EXPECT_EQ(ab.average.sum(), 45u);
-    EXPECT_EQ(ab.average.sum(), ba.average.sum());
-    EXPECT_EQ(ab.average.count(), ba.average.count());
-    EXPECT_EQ(ab.average.mean(), ba.average.mean());
-    EXPECT_EQ(ab.dist.total(), 4u);
-    for (std::size_t i = 0; i < ab.dist.numBins(); ++i)
-        EXPECT_EQ(ab.dist.binCount(i), ba.dist.binCount(i)) << "bin " << i;
-    EXPECT_EQ(ab.hist.count(), 5u);
-    EXPECT_EQ(ab.hist.count(), ba.hist.count());
-    EXPECT_EQ(ab.hist.sum(), ba.hist.sum());
-    EXPECT_EQ(ab.hist.minValue(), 0u);
-    EXPECT_EQ(ab.hist.minValue(), ba.hist.minValue());
-    EXPECT_EQ(ab.hist.maxValue(), 1000u);
-    EXPECT_EQ(ab.hist.maxValue(), ba.hist.maxValue());
+/** Expect every read accessor of @p w to read exactly like @p ref. */
+void
+expectSameReads(const StatWriters &w, const StatWriters &ref)
+{
+    EXPECT_EQ(w.counter.value(), ref.counter.value());
+    EXPECT_EQ(w.average.sum(), ref.average.sum());
+    EXPECT_EQ(w.average.count(), ref.average.count());
+    EXPECT_EQ(w.average.mean(), ref.average.mean());
+    EXPECT_EQ(w.dist.total(), ref.dist.total());
+    for (std::size_t i = 0; i < ref.dist.numBins(); ++i) {
+        EXPECT_EQ(w.dist.binCount(i), ref.dist.binCount(i)) << "bin " << i;
+        EXPECT_EQ(w.dist.binFraction(i), ref.dist.binFraction(i));
+    }
+    EXPECT_EQ(w.hist.count(), ref.hist.count());
+    EXPECT_EQ(w.hist.sum(), ref.hist.sum());
+    EXPECT_EQ(w.hist.mean(), ref.hist.mean());
+    EXPECT_EQ(w.hist.minValue(), ref.hist.minValue());
+    EXPECT_EQ(w.hist.maxValue(), ref.hist.maxValue());
+    EXPECT_EQ(w.hist.percentile(0.5), ref.hist.percentile(0.5));
+    EXPECT_EQ(w.hist.percentile(0.95), ref.hist.percentile(0.95));
     for (std::size_t i = 0; i < stats::Histogram::kNumBuckets; ++i) {
-        EXPECT_EQ(ab.hist.bucketCount(i), ba.hist.bucketCount(i))
+        EXPECT_EQ(w.hist.bucketCount(i), ref.hist.bucketCount(i))
             << "bucket " << i;
+    }
+}
+
+TEST(Stats, WritersSumOnRead)
+{
+    stats::Group single("single");
+    StatWriters ref(single);
+    sampleFirstBatch(ref);
+    sampleSecondBatch(ref);
+    ASSERT_EQ(ref.counter.value(), 4u);
+    ASSERT_EQ(ref.hist.count(), 9u);
+    ASSERT_EQ(ref.hist.minValue(), 3u);
+    ASSERT_EQ(ref.hist.maxValue(), 1000u);
+
+    // Three writers of every stat: two split the samples, one stays
+    // empty and must not pull minValue() down to 0.
+    stats::Group g("g");
+    StatWriters first(g);
+    StatWriters second(g);
+    StatWriters empty(g);
+    sampleFirstBatch(first);
+    sampleSecondBatch(second);
+    ASSERT_NE(&first.counter, &second.counter);
+    for (const StatWriters *w : {&first, &second, &empty})
+        expectSameReads(*w, ref);
+    EXPECT_EQ(g.findCounter("c")->value(), 4u);
+    EXPECT_EQ(g.findHistogram("h")->percentile(0.5),
+              ref.hist.percentile(0.5));
+
+    g.reset();
+    for (const StatWriters *w : {&first, &second, &empty}) {
+        EXPECT_EQ(w->counter.value(), 0u);
+        EXPECT_EQ(w->average.count(), 0u);
+        EXPECT_EQ(w->average.sum(), 0u);
+        EXPECT_EQ(w->dist.total(), 0u);
+        EXPECT_EQ(w->hist.count(), 0u);
+        EXPECT_EQ(w->hist.sum(), 0u);
+        EXPECT_EQ(w->hist.minValue(), 0u);
+        EXPECT_EQ(w->hist.maxValue(), 0u);
+        EXPECT_EQ(w->hist.percentile(0.5), 0.0);
     }
 }
 

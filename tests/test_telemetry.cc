@@ -110,7 +110,10 @@ TEST(Histogram, GroupIntegration)
     stats::Group g("test");
     auto &h = g.histogram("lat");
     h.sample(7);
-    EXPECT_EQ(&g.histogram("lat"), &h); // same name, same object
+    // Same name: a second writer, and reads sum both.
+    auto &h2 = g.histogram("lat");
+    EXPECT_NE(&h2, &h);
+    EXPECT_EQ(h2.count(), 1u);
     ASSERT_NE(g.findHistogram("lat"), nullptr);
     EXPECT_EQ(g.findHistogram("lat")->count(), 1u);
     EXPECT_EQ(g.findHistogram("nope"), nullptr);

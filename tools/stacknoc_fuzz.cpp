@@ -7,9 +7,11 @@
  * parent hops, technology, write buffer and depth, read priority, TSB
  * placement, admission caps, workload, duration, seed) from a master
  * seed, builds the system with every checker enabled, and simulates.
- * Any invariant violation fails the run; the fuzzer then bisects the
- * duration down to the shortest failing prefix and writes a replayable
- * reproducer file: the case's RunSpec key=value rendering.
+ * Any invariant violation fails the run, and so, with --threads N > 1,
+ * does a stats digest other than the same case's on one thread. The
+ * fuzzer then bisects the duration down to the shortest failing prefix
+ * and writes a replayable reproducer file: the case's RunSpec key=value
+ * rendering.
  *
  *   stacknoc_fuzz                         # 50 runs from seed 1
  *   stacknoc_fuzz --runs 200 --seed 7
@@ -39,6 +41,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "noc/packet.hh"
+#include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
 #include "system/run_spec.hh"
 
@@ -130,25 +133,44 @@ describe(const system::RunSpec &fc)
     return fc.toKeyValues(system::kRepro, ' ');
 }
 
-/** @return violations seen when running @p fc for @p cycles cycles. */
+/**
+ * @return failures seen when running @p fc for @p cycles cycles: its
+ * invariant violations, plus one when a run on --threads N > 1 ends
+ * with another stats digest than the same case on one thread.
+ */
 std::size_t
 runCase(system::RunSpec fc, Cycle cycles, bool fail_fast = false)
 {
-    // Fresh id streams per run, so bisection replays the exact packets
-    // of the original failure and consecutive runs can't overflow a
-    // stream.
-    noc::resetPacketIds();
-    fc.threads = g_threads;
-    system::SystemConfig cfg;
-    if (const std::string err = fc.toConfig(cfg); !err.empty())
-        cli::reject(kTool, err);
-    cfg.validate = true;
-    cfg.validation.failFast = fail_fast; // else collect, then minimize
-    system::CmpSystem sys(cfg);
-    if (fc.warmup > 0)
-        sys.warmup(fc.warmup);
-    sys.run(cycles);
-    return sys.validation()->violations().size();
+    std::size_t failures = 0;
+    std::uint64_t digest = 0;
+    for (const std::uint64_t threads : {g_threads, std::uint64_t{1}}) {
+        // Fresh id streams per run, so bisection replays the exact
+        // packets of the original failure and consecutive runs can't
+        // overflow a stream.
+        noc::resetPacketIds();
+        fc.threads = threads;
+        system::SystemConfig cfg;
+        if (const std::string err = fc.toConfig(cfg); !err.empty())
+            cli::reject(kTool, err);
+        cfg.validate = true;
+        cfg.validation.failFast = fail_fast; // else collect, then minimize
+        system::CmpSystem sys(cfg);
+        if (fc.warmup > 0)
+            sys.warmup(fc.warmup);
+        sys.run(cycles);
+        if (threads == g_threads) {
+            failures = sys.validation()->violations().size();
+            digest = snapshot::statsDigest(sys);
+            if (threads == 1)
+                break;
+        } else if (snapshot::statsDigest(sys) != digest) {
+            std::fprintf(stderr, "  stats digest on %llu threads differs "
+                         "from 1 thread\n",
+                         static_cast<unsigned long long>(g_threads));
+            ++failures;
+        }
+    }
+    return failures;
 }
 
 /** Write @p fc as a reproducer: its RunSpec key=value rendering. */
@@ -193,7 +215,7 @@ minimizeCase(system::RunSpec fc)
         std::fprintf(stderr, "  bisect: %llu cycles... ",
                      static_cast<unsigned long long>(mid));
         const std::size_t n = runCase(fc, mid);
-        std::fprintf(stderr, "%zu violation(s)\n", n);
+        std::fprintf(stderr, "%zu failure(s)\n", n);
         if (n > 0)
             hi = mid;
         else
@@ -210,8 +232,11 @@ usage()
   --runs N        randomized runs (default 50)
   --seed N        master seed (default 1)
   --out PREFIX    reproducer file prefix (default fuzz-fail)
-  --replay FILE   re-run one reproducer with fail-fast diagnostics
-  --threads N     execution-engine threads per run (default 1)
+  --replay FILE   re-run one reproducer with fail-fast diagnostics (give
+                  it the failing run's --threads)
+  --threads N     execution-engine threads per run (default 1); N > 1
+                  also reruns each case on 1 thread and fails it if
+                  the stats digests differ
   --jobs N        worker processes (default 1; 0 = hardware threads);
                   the case list and reproducer names are identical
                   for any N
@@ -241,15 +266,16 @@ fuzzOne(const system::RunSpec &fc, const std::string &repro_path)
     const std::size_t n = runCase(fc, fc.cycles);
     if (n == 0)
         return 0;
-    std::fprintf(stderr, "  FAILED: %zu violation(s); minimizing\n", n);
+    std::fprintf(stderr, "  FAILED: %zu failure(s); minimizing\n", n);
     const system::RunSpec min = minimizeCase(fc);
     writeCase(min, repro_path);
     std::fprintf(stderr,
                  "  reproducer written to %s (%llu cycles); replay "
-                 "with --replay %s\n",
+                 "with --replay %s --threads %llu\n",
                  repro_path.c_str(),
                  static_cast<unsigned long long>(min.cycles),
-                 repro_path.c_str());
+                 repro_path.c_str(),
+                 static_cast<unsigned long long>(g_threads));
     return n;
 }
 
@@ -310,8 +336,10 @@ main(int argc, char **argv)
         const system::RunSpec fc = readCase(replay_path);
         std::fprintf(stderr, "replaying: %s\n", describe(fc).c_str());
         // Fail fast: the hub dumps cycle-stamped diagnostics and
-        // aborts at the first violating sweep.
-        runCase(fc, fc.cycles, true);
+        // aborts at the first violating sweep. A failure that returns
+        // is a stats digest mismatch between thread counts.
+        if (runCase(fc, fc.cycles, true) > 0)
+            return 1;
         std::printf("replay clean: no violations in %llu cycles\n",
                     static_cast<unsigned long long>(fc.cycles));
         return 0;
