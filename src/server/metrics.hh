@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet-level metrics for the campaign server: the registry behind
- * `GET /metrics` and the `status` command.
+ * the socket's `metrics` and `status` commands.
  *
  * A MetricsRegistry is a small, ordered catalogue of named metric
  * families — monotonic counters, settable gauges, and log2-bucketed

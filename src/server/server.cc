@@ -9,15 +9,12 @@
 #include <sstream>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "server/http.hh"
 #include "server/protocol.hh"
 #include "snapshot/checkpoint.hh"
 #include "telemetry/json.hh"
@@ -38,6 +35,17 @@ eventLine(const std::function<void(JsonWriter &)> &body)
     body(w);
     w.endObject();
     return os.str();
+}
+
+/** A request-level error event (id 0: no job was created). */
+std::string
+errorLine(const std::string &reason)
+{
+    return eventLine([&](JsonWriter &w) {
+        w.kv("event", "error");
+        w.kv("id", std::uint64_t{0});
+        w.kv("reason", reason);
+    });
 }
 
 std::uint64_t
@@ -91,7 +99,6 @@ constexpr const char *kWorkerRespawns =
 constexpr const char *kWorkerBusyFraction =
     "stacknoc_worker_busy_fraction";
 constexpr const char *kWorkerJobs = "stacknoc_worker_jobs_total";
-constexpr const char *kHttpRequests = "stacknoc_http_requests_total";
 constexpr const char *kStoreRecovered =
     "stacknoc_store_recovered_records";
 constexpr const char *kStoreSkipped = "stacknoc_store_skipped_records";
@@ -164,8 +171,6 @@ helpOf(const char *name)
         return "Fraction of server uptime each worker spent busy";
     if (name == kWorkerJobs)
         return "Jobs dispatched to each worker";
-    if (name == kHttpRequests)
-        return "HTTP requests by endpoint";
     if (name == kStoreRecovered)
         return "Result-store records recovered at startup";
     if (name == kStoreSkipped)
@@ -186,6 +191,9 @@ helpOf(const char *name)
         return "Constant 1, labelled with version and protocol";
     return "";
 }
+
+/** Longest command line a client may send; JobRequest JSON is tiny. */
+constexpr std::size_t kMaxLineBytes = 1024 * 1024;
 
 // SIGTERM self-pipe: the handler only writes one byte; the poll loop
 // reads it and starts the graceful drain on the main thread, so no
@@ -210,8 +218,6 @@ CampaignServer::~CampaignServer()
     killWorkers();
     if (listenFd_ >= 0)
         ::close(listenFd_);
-    if (httpListenFd_ >= 0)
-        ::close(httpListenFd_);
     if (sigFd_ >= 0) {
         ::close(sigFd_);
         if (gSigWriteFd >= 0) {
@@ -220,8 +226,6 @@ CampaignServer::~CampaignServer()
         }
     }
     for (auto &[fd, c] : clients_)
-        ::close(fd);
-    for (auto &[fd, h] : httpClients_)
         ::close(fd);
     if (!opt_.socketPath.empty())
         ::unlink(opt_.socketPath.c_str());
@@ -271,8 +275,6 @@ CampaignServer::spawnWorker(Worker &w, std::string &err)
         ::close(fromPipe[1]);
         if (listenFd_ >= 0)
             ::close(listenFd_);
-        if (httpListenFd_ >= 0)
-            ::close(httpListenFd_);
         if (sigFd_ >= 0)
             ::close(sigFd_);
         if (gSigWriteFd >= 0)
@@ -380,57 +382,30 @@ CampaignServer::start(std::string &err)
         err = std::string("socket: ") + std::strerror(errno);
         return false;
     }
+    // Bind under a temporary name and rename it into place once
+    // listening: a client that finds the socket file can connect
+    // (connect() to a bound, not yet listening socket is refused).
+    const std::string bindPath = opt_.socketPath + ".bind";
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    if (opt_.socketPath.size() >= sizeof(addr.sun_path)) {
+    if (bindPath.size() >= sizeof(addr.sun_path)) {
         err = "socket path too long: " + opt_.socketPath;
         return false;
     }
-    std::strncpy(addr.sun_path, opt_.socketPath.c_str(),
+    std::strncpy(addr.sun_path, bindPath.c_str(),
                  sizeof(addr.sun_path) - 1);
-    ::unlink(opt_.socketPath.c_str());
+    ::unlink(bindPath.c_str());
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0) {
-        err = "bind '" + opt_.socketPath +
+        err = "bind '" + bindPath + "': " + std::strerror(errno);
+        return false;
+    }
+    if (::listen(listenFd_, 64) != 0 ||
+        ::rename(bindPath.c_str(), opt_.socketPath.c_str()) != 0) {
+        err = "listen on '" + opt_.socketPath +
               "': " + std::strerror(errno);
+        ::unlink(bindPath.c_str());
         return false;
-    }
-    if (::listen(listenFd_, 64) != 0) {
-        err = std::string("listen: ") + std::strerror(errno);
-        return false;
-    }
-
-    if (opt_.httpPort >= 0) {
-        httpListenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (httpListenFd_ < 0) {
-            err = std::string("http socket: ") + std::strerror(errno);
-            return false;
-        }
-        const int one = 1;
-        ::setsockopt(httpListenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in haddr{};
-        haddr.sin_family = AF_INET;
-        haddr.sin_addr.s_addr = htonl(INADDR_ANY);
-        haddr.sin_port =
-            htons(static_cast<std::uint16_t>(opt_.httpPort));
-        if (::bind(httpListenFd_,
-                   reinterpret_cast<sockaddr *>(&haddr),
-                   sizeof haddr) != 0) {
-            err = "http bind port " + std::to_string(opt_.httpPort) +
-                  ": " + std::strerror(errno);
-            return false;
-        }
-        if (::listen(httpListenFd_, 64) != 0) {
-            err = std::string("http listen: ") + std::strerror(errno);
-            return false;
-        }
-        sockaddr_in bound{};
-        socklen_t blen = sizeof bound;
-        if (::getsockname(httpListenFd_,
-                          reinterpret_cast<sockaddr *>(&bound),
-                          &blen) == 0)
-            httpPort_ = static_cast<int>(ntohs(bound.sin_port));
     }
 
     // Pre-create every metric family so the first scrape already
@@ -441,14 +416,14 @@ CampaignServer::start(std::string &err)
           kCacheMisses, kSimCycles, kCkptRestores, kCkptColdWarms,
           kCkptSaves, kCkptEvictions, kCkptRestoreFallbacks,
           kWorkerRespawns})
-        metrics_.counter(name, helpOf(name));
+        counter(name);
     for (const char *name :
          {kCacheEntries, kCacheBytes, kQueueDepth, kCkptBytes,
           kCkptFiles, kWorkers, kWorkersBusy, kUptime})
         metrics_.gauge(name, helpOf(name));
     if (store_.enabled()) {
         for (const char *name : {kStoreAppends, kStoreAppendFailures})
-            metrics_.counter(name, helpOf(name));
+            counter(name);
         for (const char *name : {kStoreRecovered, kStoreSkipped,
                                  kStoreSegments, kStoreBytes})
             metrics_.gauge(name, helpOf(name));
@@ -462,9 +437,6 @@ CampaignServer::start(std::string &err)
          {"restore", "warm", "measure", "publish", "total"})
         metrics_.histogram(kJobPhase, helpOf(kJobPhase),
                            std::string("phase=\"") + phase + "\"");
-    for (const char *ep : {"metrics", "status", "run", "other"})
-        metrics_.counter(kHttpRequests, helpOf(kHttpRequests),
-                         std::string("endpoint=\"") + ep + "\"");
     metrics_
         .gauge(kBuildInfo, helpOf(kBuildInfo),
                std::string("version=\"") + kServerVersion +
@@ -476,7 +448,6 @@ CampaignServer::start(std::string &err)
         jw.kv("version", kServerVersion);
         jw.kv("protocol", kProtocolVersion);
         jw.kv("socket", opt_.socketPath);
-        jw.kv("http_port", httpPort_);
         jw.kv("workers", opt_.workers);
         jw.kv("ckpt_dir", opt_.ckptDir);
         jw.kv("ckpt_cap_bytes", opt_.ckptCapBytes);
@@ -495,19 +466,6 @@ CampaignServer::start(std::string &err)
     // A previous server's leftovers count against the cap immediately.
     enforceCkptCap();
     return true;
-}
-
-void
-CampaignServer::sendRaw(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n <= 0)
-            return;
-        off += static_cast<std::size_t>(n);
-    }
 }
 
 void
@@ -539,38 +497,11 @@ CampaignServer::closeClient(int fd)
     // Orphan any queued/in-flight jobs: they still run (to fill the
     // cache) but their events have nowhere to go.
     for (auto &j : queue_)
-        if (j.transport == Transport::Unix && j.clientFd == fd)
+        if (j.clientFd == fd)
             j.clientFd = -1;
     for (auto &[id, j] : inflight_)
-        if (j.transport == Transport::Unix && j.clientFd == fd)
+        if (j.clientFd == fd)
             j.clientFd = -1;
-}
-
-void
-CampaignServer::closeHttpClient(int fd)
-{
-    const auto it = httpClients_.find(fd);
-    if (it == httpClients_.end())
-        return;
-    ::close(fd);
-    httpClients_.erase(it);
-    for (auto &j : queue_)
-        if (j.transport == Transport::Http && j.clientFd == fd)
-            j.clientFd = -1;
-    for (auto &[id, j] : inflight_)
-        if (j.transport == Transport::Http && j.clientFd == fd)
-            j.clientFd = -1;
-}
-
-void
-CampaignServer::finishHttpJob(int fd, int status,
-                              const std::string &body)
-{
-    const auto it = httpClients_.find(fd);
-    if (it == httpClients_.end())
-        return; // requester gave up; the job still filled the cache
-    sendRaw(fd, httpResponse(status, "application/json", body));
-    closeHttpClient(fd);
 }
 
 std::string
@@ -632,9 +563,7 @@ CampaignServer::dispatchJobs()
         metrics_.histogram(kQueueWait, helpOf(kQueueWait)).sample(wait);
         const std::size_t idx =
             static_cast<std::size_t>(&w - workers_.data());
-        metrics_
-            .counter(kWorkerJobs, helpOf(kWorkerJobs),
-                     "worker=\"" + std::to_string(idx) + "\"")
+        counter(kWorkerJobs, "worker=\"" + std::to_string(idx) + "\"")
             .inc();
         w.busy = true;
         w.jobId = job.id;
@@ -656,8 +585,7 @@ CampaignServer::dispatchJobs()
 void
 CampaignServer::finalFail(Job &&job, const std::string &reason)
 {
-    metrics_.counter(kJobsFailed, helpOf(kJobsFailed)).inc();
-    ++failed_;
+    counter(kJobsFailed).inc();
     log_.event("job_failed", [&](JsonWriter &jw) {
         jw.kv("id", job.id);
         jw.kv("key", hexKey(job.key));
@@ -675,10 +603,7 @@ CampaignServer::finalFail(Job &&job, const std::string &reason)
             jw.value(h);
         jw.endArray();
     });
-    if (job.transport == Transport::Http)
-        finishHttpJob(job.clientFd, 500, ev);
-    else
-        sendToClient(job.clientFd, ev);
+    sendToClient(job.clientFd, ev);
 }
 
 void
@@ -701,8 +626,7 @@ CampaignServer::failAttempt(Job &&job, const std::string &reason)
     job.attempt += 1;
     job.forceCold = job.attempt > opt_.jobRetries;
     job.notBeforeUs = monoUs() + backoffUs;
-    metrics_.counter(kJobRetries, helpOf(kJobRetries)).inc();
-    ++retried_;
+    counter(kJobRetries).inc();
     log_.event("job_retried", [&](JsonWriter &jw) {
         jw.kv("id", job.id);
         jw.kv("key", hexKey(job.key));
@@ -730,9 +654,7 @@ CampaignServer::checkDeadlines()
         // The kill surfaces as pipe EOF; onWorkerDeath routes the job
         // through failAttempt with the deadline reason.
         w.deadlineKilled = true;
-        ++deadlineKills_;
-        metrics_.counter(kJobDeadlineKills, helpOf(kJobDeadlineKills))
-            .inc();
+        counter(kJobDeadlineKills).inc();
         log_.event("job_deadline_kill", [&](JsonWriter &jw) {
             jw.kv("id", w.jobId);
             jw.kv("key", hexKey(it->second.key));
@@ -774,6 +696,12 @@ CampaignServer::beginDrain()
         jw.kv("inflight",
               static_cast<std::uint64_t>(inflight_.size()));
     });
+}
+
+stats::Counter &
+CampaignServer::counter(const char *name, const std::string &labels)
+{
+    return metrics_.counter(name, helpOf(name), labels);
 }
 
 void
@@ -847,13 +775,13 @@ CampaignServer::statusJson()
         w.kv("queued", static_cast<std::uint64_t>(queue_.size()));
         w.kv("cache_entries",
              static_cast<std::uint64_t>(cache_.size()));
-        w.kv("cache_hits", cacheHits_);
-        w.kv("completed", completed_);
-        w.kv("jobs_failed", failed_);
-        w.kv("jobs_retried", retried_);
-        w.kv("jobs_shed", shed_);
-        w.kv("deadline_kills", deadlineKills_);
-        w.kv("worker_respawns", respawns_);
+        w.kv("cache_hits", count(kCacheHits));
+        w.kv("completed", count(kJobsCompleted));
+        w.kv("jobs_failed", count(kJobsFailed));
+        w.kv("jobs_retried", count(kJobRetries));
+        w.kv("jobs_shed", count(kJobsShed));
+        w.kv("deadline_kills", count(kJobDeadlineKills));
+        w.kv("worker_respawns", count(kWorkerRespawns));
         w.kv("draining", draining_);
         if (store_.enabled()) {
             w.kv("store_recovered", store_.stats().recoveredRecords);
@@ -871,7 +799,7 @@ CampaignServer::enforceCkptCap()
     const auto evicted =
         snapshot::evictCheckpointsLru(opt_.ckptDir, opt_.ckptCapBytes);
     for (const auto &e : evicted) {
-        metrics_.counter(kCkptEvictions, helpOf(kCkptEvictions)).inc();
+        counter(kCkptEvictions).inc();
         log_.event("ckpt_evicted", [&](JsonWriter &jw) {
             jw.kv("file", e.file);
             jw.kv("bytes", e.bytes);
@@ -880,22 +808,8 @@ CampaignServer::enforceCkptCap()
 }
 
 void
-CampaignServer::submitRun(const JsonValue &doc, Transport transport,
-                          int clientFd)
+CampaignServer::submitRun(const JsonValue &doc, int clientFd)
 {
-    const auto reject = [&](const std::string &reason) {
-        metrics_.counter(kJobsRejected, helpOf(kJobsRejected)).inc();
-        const std::string ev = eventLine([&](JsonWriter &w) {
-            w.kv("event", "error");
-            w.kv("id", std::uint64_t{0});
-            w.kv("reason", reason);
-        });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 400, ev);
-        else
-            sendToClient(clientFd, ev);
-    };
-
     // Resolve the config now so bad requests fail at submission, not
     // in a worker.
     JobRequest req;
@@ -904,7 +818,8 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
     if (err.empty())
         err = req.spec.toConfig(cfg);
     if (!err.empty()) {
-        reject(err);
+        counter(kJobsRejected).inc();
+        sendToClient(clientFd, errorLine(err));
         return;
     }
 
@@ -916,23 +831,19 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
     // but new work is refused while draining and shed when the queue
     // is at its bound — with enough structure for the client to retry.
     if (!hit && draining_) {
-        metrics_.counter(kJobsRejected, helpOf(kJobsRejected)).inc();
-        const std::string ev = eventLine([&](JsonWriter &w) {
-            w.kv("event", "error");
-            w.kv("id", std::uint64_t{0});
-            w.kv("reason", "server draining; not accepting new jobs");
-            w.kv("draining", true);
-        });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 503, ev);
-        else
-            sendToClient(clientFd, ev);
+        counter(kJobsRejected).inc();
+        sendToClient(clientFd, eventLine([&](JsonWriter &w) {
+                         w.kv("event", "error");
+                         w.kv("id", std::uint64_t{0});
+                         w.kv("reason",
+                              "server draining; not accepting new jobs");
+                         w.kv("draining", true);
+                     }));
         return;
     }
     if (!hit && opt_.maxQueue > 0 &&
         queue_.size() >= static_cast<std::size_t>(opt_.maxQueue)) {
-        metrics_.counter(kJobsShed, helpOf(kJobsShed)).inc();
-        ++shed_;
+        counter(kJobsShed).inc();
         // Rough drain-time estimate: jobs ahead over pool width, at
         // a conservative 250 ms per job, capped so clients never park
         // for long on a transient spike.
@@ -946,46 +857,35 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
             jw.kv("queued", static_cast<std::uint64_t>(queue_.size()));
             jw.kv("retry_after_ms", retryMs);
         });
-        const std::string ev = eventLine([&](JsonWriter &w) {
-            w.kv("event", "error");
-            w.kv("id", std::uint64_t{0});
-            w.kv("reason", "queue full (" +
-                               std::to_string(queue_.size()) +
-                               " jobs waiting); retry later");
-            w.kv("shed", true);
-            w.kv("retry_after_ms", retryMs);
-        });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 503, ev);
-        else
-            sendToClient(clientFd, ev);
+        sendToClient(clientFd, eventLine([&](JsonWriter &w) {
+                         w.kv("event", "error");
+                         w.kv("id", std::uint64_t{0});
+                         w.kv("reason", "queue full (" +
+                                            std::to_string(queue_.size()) +
+                                            " jobs waiting); retry later");
+                         w.kv("shed", true);
+                         w.kv("retry_after_ms", retryMs);
+                     }));
         return;
     }
 
     const std::uint64_t id = nextJobId_++;
-    metrics_.counter(kJobsSubmitted, helpOf(kJobsSubmitted)).inc();
-    metrics_
-        .counter(hit ? kCacheHits : kCacheMisses,
-                 helpOf(hit ? kCacheHits : kCacheMisses))
-        .inc();
+    counter(kJobsSubmitted).inc();
+    counter(hit ? kCacheHits : kCacheMisses).inc();
     log_.event("job_submitted", [&](JsonWriter &jw) {
         jw.kv("id", id);
         jw.kv("key", hexKey(key));
         jw.kv("cache", hit ? "hit" : "miss");
-        jw.kv("transport",
-              transport == Transport::Http ? "http" : "unix");
     });
 
-    if (transport == Transport::Unix)
-        sendToClient(clientFd, eventLine([&](JsonWriter &w) {
-                         w.kv("event", "accepted");
-                         w.kv("id", id);
-                         w.kv("cache", hit ? "hit" : "miss");
-                         w.kv("key", hexKey(key));
-                     }));
+    sendToClient(clientFd, eventLine([&](JsonWriter &w) {
+                     w.kv("event", "accepted");
+                     w.kv("id", id);
+                     w.kv("cache", hit ? "hit" : "miss");
+                     w.kv("key", hexKey(key));
+                 }));
 
     if (hit) {
-        ++cacheHits_;
         std::ostringstream os;
         os << "{\"event\":\"result\",\"id\":" << id
            << ",\"cached\":true,\"key\":\"" << hexKey(key)
@@ -994,16 +894,12 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
             jw.kv("id", id);
             jw.kv("key", hexKey(key));
         });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 200, os.str());
-        else
-            sendToClient(clientFd, os.str());
+        sendToClient(clientFd, os.str());
         return;
     }
 
     Job job;
     job.id = id;
-    job.transport = transport;
     job.clientFd = clientFd;
     job.key = key;
     job.req = req;
@@ -1018,11 +914,7 @@ CampaignServer::handleClientLine(Client &c, const std::string &line)
     std::string perr;
     const auto doc = JsonValue::parse(line, &perr);
     if (!doc || !doc->isObject()) {
-        sendToClient(c.fd, eventLine([&](JsonWriter &w) {
-                         w.kv("event", "error");
-                         w.kv("id", std::uint64_t{0});
-                         w.kv("reason", "bad command json: " + perr);
-                     }));
+        sendToClient(c.fd, errorLine("bad command json: " + perr));
         return;
     }
     const JsonValue *cmd = doc->find("cmd");
@@ -1033,6 +925,14 @@ CampaignServer::handleClientLine(Client &c, const std::string &line)
         sendToClient(c.fd, statusJson());
         return;
     }
+    if (cmdName == "metrics") {
+        const std::string text = renderMetrics();
+        sendToClient(c.fd, eventLine([&](JsonWriter &w) {
+                         w.kv("event", "metrics");
+                         w.kv("text", text);
+                     }));
+        return;
+    }
     if (cmdName == "shutdown") {
         sendToClient(c.fd, eventLine([&](JsonWriter &w) {
                          w.kv("event", "bye");
@@ -1041,91 +941,49 @@ CampaignServer::handleClientLine(Client &c, const std::string &line)
         return;
     }
     if (cmdName != "run") {
-        sendToClient(c.fd, eventLine([&](JsonWriter &w) {
-                         w.kv("event", "error");
-                         w.kv("id", std::uint64_t{0});
-                         w.kv("reason",
-                              "unknown cmd '" + cmdName +
-                                  "' (run|status|shutdown)");
-                     }));
+        sendToClient(c.fd, errorLine("unknown cmd '" + cmdName +
+                                     "' (run|status|metrics|shutdown)"));
         return;
     }
-    submitRun(*doc, Transport::Unix, c.fd);
+    submitRun(*doc, c.fd);
 }
 
 void
-CampaignServer::handleHttpRequest(HttpClient &h,
-                                  const std::string &method,
-                                  const std::string &path,
-                                  const std::string &body)
+CampaignServer::readClient(Client &c)
 {
-    const auto countEndpoint = [&](const char *ep) {
-        metrics_
-            .counter(kHttpRequests, helpOf(kHttpRequests),
-                     std::string("endpoint=\"") + ep + "\"")
-            .inc();
-    };
-
-    if (path == "/metrics" && method == "GET") {
-        countEndpoint("metrics");
-        sendRaw(h.fd, httpResponse(200, metricsContentType(),
-                                   renderMetrics()));
-        closeHttpClient(h.fd);
+    const int fd = c.fd;
+    char buf[65536];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) {
+        closeClient(fd);
         return;
     }
-    if (path == "/status" && method == "GET") {
-        countEndpoint("status");
-        sendRaw(h.fd,
-                httpResponse(200, "application/json", statusJson()));
-        closeHttpClient(h.fd);
-        return;
-    }
-    if (path == "/run" && method == "POST") {
-        countEndpoint("run");
-        std::string perr;
-        const auto doc = JsonValue::parse(body, &perr);
-        if (!doc || !doc->isObject()) {
-            sendRaw(h.fd,
-                    httpResponse(400, "application/json",
-                                 eventLine([&](JsonWriter &w) {
-                                     w.kv("event", "error");
-                                     w.kv("reason",
-                                          "bad request json: " + perr);
-                                 })));
-            closeHttpClient(h.fd);
+    // Only the appended bytes can hold a newline not yet seen, so a
+    // long line costs one scan, not one per read.
+    std::size_t scan = c.inBuf.size();
+    c.inBuf.append(buf, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t pos = c.inBuf.find('\n', scan);
+        const std::size_t len =
+            (pos == std::string::npos ? c.inBuf.size() : pos) - start;
+        if (len > kMaxLineBytes) {
+            sendToClient(fd, errorLine("command line too long (over " +
+                                       std::to_string(kMaxLineBytes) +
+                                       " bytes)"));
+            closeClient(fd);
             return;
         }
-        h.jobPending = true;
-        submitRun(*doc, Transport::Http, h.fd);
-        return;
+        if (pos == std::string::npos)
+            break;
+        const std::string line = c.inBuf.substr(start, len);
+        start = scan = pos + 1;
+        if (!line.empty())
+            handleClientLine(c, line);
+        if (shutdown_ || clients_.find(fd) == clients_.end())
+            return;
     }
-    countEndpoint("other");
-    if (path == "/metrics" || path == "/status" || path == "/run") {
-        sendRaw(h.fd, httpResponse(405, "text/plain",
-                                   "method not allowed\n"));
-    } else {
-        sendRaw(h.fd,
-                httpResponse(404, "text/plain",
-                             "unknown path (GET /metrics, GET /status, "
-                             "POST /run)\n"));
-    }
-    closeHttpClient(h.fd);
-}
-
-void
-CampaignServer::handleHttpClient(HttpClient &h)
-{
-    HttpRequest req;
-    std::string err;
-    const int rc = parseHttpRequest(h.inBuf, req, err);
-    if (rc == 0)
-        return; // need more bytes
-    if (rc < 0) {
-        sendRaw(h.fd, httpResponse(400, "text/plain", err + "\n"));
-        closeHttpClient(h.fd);
-        return;
-    }
-    handleHttpRequest(h, req.method, req.path, req.body);
+    c.inBuf.erase(0, start);
 }
 
 void
@@ -1150,8 +1008,6 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
     const auto jobIt = inflight_.find(id);
     const Job *job = jobIt != inflight_.end() ? &jobIt->second : nullptr;
     const int clientFd = job != nullptr ? job->clientFd : -1;
-    const bool isHttp =
-        job != nullptr && job->transport == Transport::Http;
     const std::size_t widx =
         static_cast<std::size_t>(&w - workers_.data());
 
@@ -1164,10 +1020,7 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
     };
 
     if (kind == "interval") {
-        // Interval events stream to socket clients only; an HTTP run
-        // gets a single response when the job ends.
-        if (!isHttp)
-            sendToClient(clientFd, line);
+        sendToClient(clientFd, line);
         return;
     }
     if (kind == "note") {
@@ -1177,10 +1030,7 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
             k != nullptr && k->isString() ? k->asString() : "";
         const JsonValue *r = doc->find("reason");
         if (noteKind == "warm_fallback") {
-            metrics_
-                .counter(kCkptRestoreFallbacks,
-                         helpOf(kCkptRestoreFallbacks))
-                .inc();
+            counter(kCkptRestoreFallbacks).inc();
             log_.event("ckpt_restore_fallback", [&](JsonWriter &jw) {
                 jw.kv("id", id);
                 if (job != nullptr)
@@ -1207,8 +1057,7 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
             // is final regardless of the retry budget.
             finalFail(std::move(owned), reason);
         } else {
-            metrics_.counter(kJobsFailed, helpOf(kJobsFailed)).inc();
-            ++failed_;
+            counter(kJobsFailed).inc();
             log_.event("job_failed", [&](JsonWriter &jw) {
                 jw.kv("id", id);
                 jw.kv("worker", static_cast<std::uint64_t>(widx));
@@ -1232,20 +1081,12 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
             cacheBytes_ += dataStr.size();
             // First result per key also becomes durable; append
             // failures are counted, never fatal (memory still serves).
-            if (store_.enabled() && job != nullptr) {
-                if (store_.append(key, dataStr))
-                    metrics_
-                        .counter(kStoreAppends, helpOf(kStoreAppends))
-                        .inc();
-                else
-                    metrics_
-                        .counter(kStoreAppendFailures,
-                                 helpOf(kStoreAppendFailures))
-                        .inc();
-            }
+            if (store_.enabled() && job != nullptr)
+                counter(store_.append(key, dataStr) ? kStoreAppends
+                                                    : kStoreAppendFailures)
+                    .inc();
         }
-        ++completed_;
-        metrics_.counter(kJobsCompleted, helpOf(kJobsCompleted)).inc();
+        counter(kJobsCompleted).inc();
 
         // Fold the worker's phase timings and warm provenance into the
         // registry and the lifecycle log.
@@ -1268,15 +1109,10 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
         }
         if (data != nullptr && data->isObject()) {
             const bool restored = memberBool(*data, "warm_restored");
-            metrics_
-                .counter(restored ? kCkptRestores : kCkptColdWarms,
-                         helpOf(restored ? kCkptRestores
-                                         : kCkptColdWarms))
-                .inc();
+            counter(restored ? kCkptRestores : kCkptColdWarms).inc();
             if (memberBool(*data, "warm_saved"))
-                metrics_.counter(kCkptSaves, helpOf(kCkptSaves)).inc();
-            metrics_.counter(kSimCycles, helpOf(kSimCycles))
-                .inc(memberU64(*data, "cycles"));
+                counter(kCkptSaves).inc();
+            counter(kSimCycles).inc(memberU64(*data, "cycles"));
         }
         log_.event("job_completed", [&](JsonWriter &jw) {
             jw.kv("id", id);
@@ -1316,10 +1152,7 @@ CampaignServer::handleWorkerLine(Worker &w, const std::string &line)
             if (!timingStr.empty())
                 os << ",\"timing\":" << timingStr;
             os << ",\"data\":" << dataStr << "}";
-            if (isHttp)
-                finishHttpJob(clientFd, 200, os.str());
-            else
-                sendToClient(clientFd, os.str());
+            sendToClient(clientFd, os.str());
         }
         freeWorker();
         inflight_.erase(id);
@@ -1376,9 +1209,7 @@ CampaignServer::onWorkerDeath(Worker &w)
         std::fprintf(stderr, "stacknoc_serve: respawn failed: %s\n",
                      err.c_str());
     } else {
-        ++respawns_;
-        metrics_.counter(kWorkerRespawns, helpOf(kWorkerRespawns))
-            .inc();
+        counter(kWorkerRespawns).inc();
         dispatchJobs();
     }
 }
@@ -1412,14 +1243,10 @@ CampaignServer::run()
         fds.push_back({listenFd_, POLLIN, 0});
         if (sigFd_ >= 0)
             fds.push_back({sigFd_, POLLIN, 0});
-        if (httpListenFd_ >= 0)
-            fds.push_back({httpListenFd_, POLLIN, 0});
         for (const auto &w : workers_)
             if (w.fromFd >= 0)
                 fds.push_back({w.fromFd, POLLIN, 0});
         for (const auto &[fd, c] : clients_)
-            fds.push_back({fd, POLLIN, 0});
-        for (const auto &[fd, h] : httpClients_)
             fds.push_back({fd, POLLIN, 0});
 
         // Finite timeout only when a retry backoff gate or a job
@@ -1453,13 +1280,6 @@ CampaignServer::run()
                     clients_[cfd] = Client{cfd, {}};
                 continue;
             }
-            if (httpListenFd_ >= 0 && p.fd == httpListenFd_) {
-                const int cfd =
-                    ::accept(httpListenFd_, nullptr, nullptr);
-                if (cfd >= 0)
-                    httpClients_[cfd] = HttpClient{cfd, {}, false};
-                continue;
-            }
             // Worker pipe?
             bool isWorker = false;
             for (auto &w : workers_) {
@@ -1485,43 +1305,9 @@ CampaignServer::run()
             }
             if (isWorker)
                 continue;
-            // HTTP client?
-            if (const auto hit = httpClients_.find(p.fd);
-                hit != httpClients_.end()) {
-                char buf[65536];
-                const ssize_t n = ::read(p.fd, buf, sizeof buf);
-                if (n <= 0) {
-                    closeHttpClient(p.fd);
-                    continue;
-                }
-                hit->second.inBuf.append(buf,
-                                         static_cast<std::size_t>(n));
-                if (!hit->second.jobPending)
-                    handleHttpClient(hit->second);
-                continue;
-            }
             // Client socket.
-            const auto it = clients_.find(p.fd);
-            if (it == clients_.end())
-                continue;
-            char buf[65536];
-            const ssize_t n = ::read(p.fd, buf, sizeof buf);
-            if (n <= 0) {
-                closeClient(p.fd);
-                continue;
-            }
-            it->second.inBuf.append(buf, static_cast<std::size_t>(n));
-            std::size_t pos;
-            while ((pos = it->second.inBuf.find('\n')) !=
-                   std::string::npos) {
-                const std::string line = it->second.inBuf.substr(0, pos);
-                it->second.inBuf.erase(0, pos + 1);
-                if (!line.empty())
-                    handleClientLine(it->second, line);
-                if (shutdown_ ||
-                    clients_.find(p.fd) == clients_.end())
-                    break;
-            }
+            if (const auto it = clients_.find(p.fd); it != clients_.end())
+                readClient(it->second);
             if (shutdown_)
                 break;
         }
@@ -1529,8 +1315,8 @@ CampaignServer::run()
     store_.seal(); // publish the journal before the process can exit
     log_.event("server_stop", [&](JsonWriter &jw) {
         jw.kv("uptime_sec", static_cast<double>(monoUs()) / 1e6);
-        jw.kv("completed", completed_);
-        jw.kv("failed", failed_);
+        jw.kv("completed", count(kJobsCompleted));
+        jw.kv("failed", count(kJobsFailed));
         jw.kv("drained", draining_);
     });
     killWorkers();

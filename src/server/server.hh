@@ -25,22 +25,20 @@
  * forced cold in case the warm checkpoint itself is the poison; the
  * client still sees exactly one result or one final error carrying the
  * attempt history. --max-queue bounds the queue, shedding load with a
- * structured retry_after_ms error (HTTP 503), and SIGTERM drains
- * gracefully: finish accepted jobs, seal the store, reject new
- * submissions. --chaos injects worker-side failures to prove all of
- * this (see server/chaos.hh).
+ * structured retry_after_ms error, and SIGTERM drains gracefully:
+ * finish accepted jobs, seal the store, reject new submissions.
+ * --chaos injects worker-side failures to prove all of this (see
+ * server/chaos.hh).
  *
  * Fleet observability (docs/SERVER.md "Observability"): a
  * MetricsRegistry counts jobs, queueing, cache, checkpoint, store,
- * retry and worker health; an EventLog (--log-json) records every
- * job's lifecycle as NDJSON; and an optional HTTP front end (--http
- * PORT) serves GET /metrics (Prometheus text exposition), GET /status
- * (JSON) and POST /run (JobRequest JSON) to off-host clients beside
- * the socket. All of it is observer-only with respect to simulation:
- * the workers' result payloads and stats digests are byte-identical
- * with every observability feature on or off.
+ * retry and worker health and is served by the "metrics" command as
+ * Prometheus text exposition; an EventLog (--log-json) records every
+ * job's lifecycle as NDJSON. All of it is observer-only with respect
+ * to simulation: the workers' result payloads and stats digests are
+ * byte-identical with every observability feature on or off.
  *
- * Single-threaded: one poll() loop owns the listeners, every client
+ * Single-threaded: one poll() loop owns the listener, every client
  * connection, every worker pipe and the signal self-pipe. Workers are
  * separate processes, so the loop only shuttles lines; a worker crash
  * retries its job and the worker is respawned.
@@ -65,8 +63,8 @@
 
 namespace stacknoc::server {
 
-/** Human-facing server version, reported in status and /metrics. */
-constexpr const char *kServerVersion = "1.2";
+/** Human-facing server version, reported in status and metrics. */
+constexpr const char *kServerVersion = "1.3";
 
 class CampaignServer
 {
@@ -81,8 +79,6 @@ class CampaignServer
         std::uint64_t ckptCapBytes = 0;
         /** Executable to spawn workers from (this binary). */
         std::string workerExe;
-        /** TCP port for the HTTP front end (-1 off, 0 ephemeral). */
-        int httpPort = -1;
         /** Job-lifecycle NDJSON log path ("" disables). */
         std::string logJsonPath;
         /** Log rotation cap in bytes (0 = EventLog default). */
@@ -107,28 +103,17 @@ class CampaignServer
     CampaignServer(const CampaignServer &) = delete;
     CampaignServer &operator=(const CampaignServer &) = delete;
 
-    /** Bind the socket(s) and spawn the worker pool. */
+    /** Bind the socket and spawn the worker pool. */
     bool start(std::string &err);
 
     /** Serve until a shutdown command. @return process exit code. */
     int run();
 
-    /** Actual HTTP port after start() (-1 when disabled). */
-    int httpPort() const { return httpPort_; }
-
   private:
-    enum class Transport { Unix, Http };
-
     struct Client
     {
         int fd = -1;
         std::string inBuf;
-    };
-    struct HttpClient
-    {
-        int fd = -1;
-        std::string inBuf;
-        bool jobPending = false; //!< response deferred to job end
     };
     struct Worker
     {
@@ -145,7 +130,6 @@ class CampaignServer
     struct Job
     {
         std::uint64_t id = 0;
-        Transport transport = Transport::Unix;
         int clientFd = -1;
         std::uint64_t key = 0;
         JobRequest req;
@@ -163,18 +147,12 @@ class CampaignServer
     void dispatchJobs();
     void handleClientLine(Client &c, const std::string &line);
     void handleWorkerLine(Worker &w, const std::string &line);
-    void handleHttpClient(HttpClient &h);
-    void handleHttpRequest(HttpClient &h, const std::string &method,
-                           const std::string &path,
-                           const std::string &body);
-    /** Validate+enqueue one run request. Shared by socket and HTTP. */
-    void submitRun(const telemetry::JsonValue &doc, Transport transport,
-                   int clientFd);
-    void finishHttpJob(int fd, int status, const std::string &body);
+    /** Validate+enqueue one run request. */
+    void submitRun(const telemetry::JsonValue &doc, int clientFd);
+    /** Read what @p c sent and handle every complete line in it. */
+    void readClient(Client &c);
     void sendToClient(int fd, const std::string &line);
-    void sendRaw(int fd, const std::string &bytes);
     void closeClient(int fd);
-    void closeHttpClient(int fd);
     void killWorkers();
     void onWorkerDeath(Worker &w);
 
@@ -191,6 +169,12 @@ class CampaignServer
     /** Stop accepting jobs; run() exits once the queue drains. */
     void beginDrain();
 
+    /** The @p labels series of counter family @p name. */
+    stats::Counter &counter(const char *name,
+                            const std::string &labels = "");
+    /** Total of counter family @p name's unlabelled series. */
+    std::uint64_t count(const char *name) { return counter(name).value(); }
+
     /** Refresh point-in-time gauges before a scrape or status. */
     void refreshGauges();
     std::string statusJson();
@@ -202,12 +186,9 @@ class CampaignServer
 
     Options opt_;
     int listenFd_ = -1;
-    int httpListenFd_ = -1;
-    int httpPort_ = -1;
     int sigFd_ = -1; //!< read end of the SIGTERM self-pipe
     std::vector<Worker> workers_;
     std::map<int, Client> clients_;
-    std::map<int, HttpClient> httpClients_;
     std::deque<Job> queue_;
     /** In-flight jobs by id (owner lookup for worker events). */
     std::map<std::uint64_t, Job> inflight_;
@@ -215,13 +196,6 @@ class CampaignServer
     std::map<std::uint64_t, std::string> cache_;
     std::uint64_t cacheBytes_ = 0;
     std::uint64_t nextJobId_ = 1;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t retried_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t deadlineKills_ = 0;
-    std::uint64_t cacheHits_ = 0;
-    std::uint64_t respawns_ = 0;
     bool shutdown_ = false;
     bool draining_ = false;
     std::chrono::steady_clock::time_point startTp_{};

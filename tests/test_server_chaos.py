@@ -24,7 +24,6 @@ SERVE CLIENT``.
 
 import json
 import os
-import re
 import shutil
 import signal
 import subprocess
@@ -44,9 +43,9 @@ LONG = [*BASE, "--cycles", "100000"]
 
 
 class Server:
-    """stacknoc_serve with the HTTP scrape on and extra chaos flags."""
+    """stacknoc_serve with the lifecycle log and extra chaos flags."""
 
-    def __init__(self, extra=(), workers=1, http=True):
+    def __init__(self, extra=(), workers=1):
         self.dir = tempfile.mkdtemp(prefix="stacknoc_chaos_")
         self.socket = os.path.join(self.dir, "serve.sock")
         self.log_path = os.path.join(self.dir, "events.ndjson")
@@ -54,28 +53,17 @@ class Server:
                 "--workers", str(workers),
                 "--ckpt-dir", os.path.join(self.dir, "ckpt"),
                 "--log-json", self.log_path, *extra]
-        if http:
-            argv += ["--http", "0"]
         self.proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                                      stderr=subprocess.PIPE, text=True)
-        self.port = None
-        stderr_lines = []
-        deadline = time.time() + 10
-        while time.time() < deadline:
+        for _ in range(200):
+            if os.path.exists(self.socket):
+                break
             if self.proc.poll() is not None:
                 raise AssertionError(
-                    f"server died: {''.join(stderr_lines)}"
-                    f"{self.proc.stderr.read()}")
-            line = self.proc.stderr.readline()
-            stderr_lines.append(line)
-            m = re.search(r"http on port (\d+)", line)
-            if m:
-                self.port = int(m.group(1))
-            if os.path.exists(self.socket) and (self.port or not http):
-                break
+                    f"server died: {self.proc.stderr.read()}")
+            time.sleep(0.05)
         else:
-            raise AssertionError(
-                f"server never came up: {''.join(stderr_lines)}")
+            raise AssertionError("server socket never appeared")
 
     def client(self, *args, expect_rc=0, timeout=240):
         proc = subprocess.run([CLIENT, "--socket", self.socket, *args],
@@ -97,13 +85,11 @@ class Server:
         return events_of(self.client("status"), "status")[0]
 
     def scrape(self):
-        import urllib.request
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{self.port}/metrics",
-                timeout=60) as resp:
-            text = resp.read().decode()
+        proc = subprocess.run([CLIENT, "--socket", self.socket, "metrics"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
         series = {}
-        for line in text.splitlines():
+        for line in proc.stdout.splitlines():
             if line.startswith("#") or not line.strip():
                 continue
             key, value = line.rsplit(None, 1)
@@ -153,7 +139,7 @@ def bg_events(proc, timeout=240):
 
 def clean_digests(jobs):
     """Digests of each job list from a chaos-free server."""
-    srv = Server(http=False)
+    srv = Server()
     try:
         digests = []
         for job in jobs:
@@ -279,7 +265,7 @@ def test_store_survives_kill9_and_clean_restart():
     job1 = [*SMALL, "--seed", "1"]
     job2 = [*SMALL, "--seed", "2"]
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         data1 = events_of(srv.client("run", *job1), "result")[0]["data"]
         srv.kill9()  # no seal, no graceful anything
         shutil.rmtree(srv.dir, ignore_errors=True)
@@ -319,7 +305,7 @@ def test_store_truncated_tail_is_skipped_not_fatal():
     job1 = [*SMALL, "--seed", "1"]
     job2 = [*SMALL, "--seed", "2"]
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         srv.client("run", *job1)
         srv.client("run", *job2)
         srv.kill9()
@@ -402,7 +388,7 @@ def test_sigterm_drains_gracefully():
     and the server exits 0 without being told twice."""
     store = tempfile.mkdtemp(prefix="stacknoc_drain_")
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         running = srv.client_bg("run", *LONG, "--seed", "1")
         srv.wait_status(lambda st: st["busy"] == 1)
         srv.proc.send_signal(signal.SIGTERM)

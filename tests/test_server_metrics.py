@@ -1,14 +1,13 @@
-"""Fleet-observability test: boots stacknoc_serve with the HTTP front
-end, lifecycle log and checkpoint cap enabled, drives a small campaign,
-and pins the observability contracts end to end:
+"""Fleet-observability test: boots stacknoc_serve with the lifecycle
+log and checkpoint cap enabled, drives a small campaign, and pins the
+observability contracts end to end:
 
-  * ``GET /metrics`` returns valid Prometheus text exposition with the
-    full metric catalogue (>= 12 distinct series), counters that agree
-    with the campaign just run, and a sane queue-wait histogram;
+  * ``stacknoc_client metrics`` prints valid Prometheus text exposition
+    with the full metric catalogue (>= 12 distinct series), counters
+    that agree with the campaign just run, and a sane queue-wait
+    histogram;
   * counters are monotonic across scrapes and cache accounting matches
     the ``status`` command's view;
-  * ``GET /status`` and ``POST /run`` work over TCP, and POST results
-    match the Unix-socket results byte for byte;
   * the --log-json lifecycle log is schema-versioned NDJSON covering
     every job, and tools/serve_trace.py converts it to a Chrome trace;
   * observability is observer-only: result payloads and stats digests
@@ -32,8 +31,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 
 SERVE = os.environ.get("STACKNOC_SERVE", "")
 CLIENT = os.environ.get("STACKNOC_CLIENT", "")
@@ -53,39 +50,28 @@ VOLATILE = {"wall_seconds", "ticks_per_sec", "active_fraction"}
 class Server:
     """stacknoc_serve with observability on (unless flags say off)."""
 
-    def __init__(self, http=True, log=True, ckpt_cap=0, workers=1):
+    def __init__(self, log=True, ckpt_cap=0, workers=1):
         self.dir = tempfile.mkdtemp(prefix="stacknoc_obs_")
         self.socket = os.path.join(self.dir, "serve.sock")
         self.log_path = os.path.join(self.dir, "events.ndjson")
         argv = [SERVE, "--socket", self.socket,
                 "--workers", str(workers),
                 "--ckpt-dir", os.path.join(self.dir, "ckpt")]
-        if http:
-            argv += ["--http", "0"]
         if log:
             argv += ["--log-json", self.log_path]
         if ckpt_cap:
             argv += ["--ckpt-cap-bytes", str(ckpt_cap)]
         self.proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                                      stderr=subprocess.PIPE, text=True)
-        self.port = None
-        stderr_lines = []
-        deadline = time.time() + 10
-        while time.time() < deadline:
+        for _ in range(200):
+            if os.path.exists(self.socket):
+                break
             if self.proc.poll() is not None:
                 raise AssertionError(
-                    f"server died: {''.join(stderr_lines)}"
-                    f"{self.proc.stderr.read()}")
-            line = self.proc.stderr.readline()
-            stderr_lines.append(line)
-            m = re.search(r"http on port (\d+)", line)
-            if m:
-                self.port = int(m.group(1))
-            if os.path.exists(self.socket) and (self.port or not http):
-                break
+                    f"server died: {self.proc.stderr.read()}")
+            time.sleep(0.05)
         else:
-            raise AssertionError(
-                f"server never came up: {''.join(stderr_lines)}")
+            raise AssertionError("server socket never appeared")
 
     def client(self, *args, expect_rc=0):
         proc = subprocess.run([CLIENT, "--socket", self.socket, *args],
@@ -97,24 +83,11 @@ class Server:
         return [json.loads(line) for line in
                 proc.stdout.splitlines() if line.strip()]
 
-    def http_get(self, path):
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{self.port}{path}",
-                timeout=60) as resp:
-            return resp.status, resp.headers, resp.read().decode()
-
-    def http_post(self, path, body):
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{self.port}{path}",
-            data=json.dumps(body).encode(), method="POST")
-        with urllib.request.urlopen(req, timeout=240) as resp:
-            return resp.status, json.loads(resp.read().decode())
-
     def scrape(self):
-        status, headers, text = self.http_get("/metrics")
-        assert status == 200
-        assert headers["Content-Type"].startswith(
-            "text/plain; version=0.0.4"), headers["Content-Type"]
+        proc = subprocess.run([CLIENT, "--socket", self.socket, "metrics"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        text = proc.stdout
         series = {}
         for line in text.splitlines():
             if line.startswith("#") or not line.strip():
@@ -181,7 +154,7 @@ def test_metrics_campaign():
         assert series["stacknoc_cache_bytes"] > 0
         assert series["stacknoc_ckpt_files"] == 1
         assert series["stacknoc_uptime_seconds"] > 0
-        assert series['stacknoc_build_info{version="1.2",protocol="1"}'] \
+        assert series['stacknoc_build_info{version="1.3",protocol="1"}'] \
             == 1
 
         # Queue-wait histogram sanity: one sample per dispatched job,
@@ -213,7 +186,7 @@ def test_metrics_campaign():
         assert status["completed"] == \
             series["stacknoc_jobs_completed_total"]
         # Extended status members.
-        assert status["version"] == "1.2"
+        assert status["version"] == "1.3"
         assert status["uptime_sec"] > 0
         assert status["jobs_failed"] == 0
         assert status["worker_respawns"] == 0
@@ -227,45 +200,6 @@ def test_metrics_campaign():
                         "--max-queue-wait-p95-us", "60000000",
                         "--min-cache-hit-rate", "0.3")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-    finally:
-        srv.shutdown()
-
-
-def test_http_run_and_errors():
-    srv = Server()
-    try:
-        status, result = srv.http_post(
-            "/run", {"scenario": "MRAM-4TSB-WB", "seed": 1,
-                     "warmup": 500, "cycles": 2000, "apps": ["tpcc"]})
-        assert status == 200
-        assert result["event"] == "result"
-        http_data = result["data"]
-
-        # Same job over the socket is a cache hit with the same bytes.
-        sock = result_data(srv.client("run", *JOB))
-        assert sock == http_data
-
-        status, _, body = srv.http_get("/status")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["completed"] == 1 and doc["cache_hits"] == 1
-
-        # Bad request -> 400, unknown path -> 404, bad method -> 405.
-        try:
-            srv.http_post("/run", {"scenario": "NOPE"})
-            raise AssertionError("bad scenario was accepted")
-        except urllib.error.HTTPError as e:
-            assert e.code == 400
-        try:
-            srv.http_get("/nope")
-            raise AssertionError("unknown path was served")
-        except urllib.error.HTTPError as e:
-            assert e.code == 404
-        try:
-            srv.http_post("/metrics", {})
-            raise AssertionError("POST /metrics was served")
-        except urllib.error.HTTPError as e:
-            assert e.code == 405
     finally:
         srv.shutdown()
 
@@ -321,13 +255,13 @@ def test_event_log_and_trace():
 
 def test_observability_is_observer_only():
     """Payloads and digests match with every feature on vs all off."""
-    plain = Server(http=False, log=False)
+    plain = Server(log=False)
     try:
         base = result_data(plain.client("run", *JOB))
     finally:
         plain.shutdown()
 
-    full = Server(http=True, log=True, ckpt_cap=1 << 30)
+    full = Server(log=True, ckpt_cap=1 << 30)
     try:
         data = result_data(full.client("run", *JOB))
         assert stable(data) == stable(base), \
@@ -366,7 +300,7 @@ def test_ckpt_eviction():
 
 
 def test_client_watch_and_error_exit():
-    srv = Server(http=False, log=False)
+    srv = Server(log=False)
     try:
         # status --watch prints one summary line per poll.
         proc = subprocess.Popen(
@@ -378,7 +312,7 @@ def test_client_watch_and_error_exit():
         proc.kill()
         proc.wait()
         for line in lines:
-            assert re.search(r"up \d+\.\ds v1\.2 \| workers 1", line), \
+            assert re.search(r"up \d+\.\ds v1\.3 \| workers 1", line), \
                 lines
 
         # Any error event exits non-zero (audited in

@@ -10,6 +10,10 @@ contracts end to end:
     warm configuration restores the warm checkpoint instead of warming
     up again.
 
+It also pins the socket's error paths: malformed JSON, an unknown
+command and an over-long command line each get one ``error`` event
+with id 0, and the server keeps answering afterwards.
+
 Written pytest-style (plain asserts, test_* functions) but with no
 pytest dependency: ``python3 tests/test_server_smoke.py SERVE CLIENT
 RUN`` runs every test function, which is how ctest invokes it.
@@ -68,11 +72,21 @@ class Server:
     def raw(self, request):
         """Send one command straight to the socket, bypassing the
         client's own checks; return the first reply event."""
+        return self.raw_lines((json.dumps(request) + "\n").encode(), 1)[0]
+
+    def raw_lines(self, payload, count):
+        """Send raw bytes on one connection; return ``count`` reply
+        events read back from the same connection."""
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
             s.settimeout(60)
             s.connect(self.socket)
-            s.sendall((json.dumps(request) + "\n").encode())
-            return json.loads(s.makefile().readline())
+            s.sendall(payload)
+            f = s.makefile()
+            try:
+                return [json.loads(f.readline()) for _ in range(count)]
+            except socket.timeout:
+                raise AssertionError(
+                    f"no reply to {payload[:40]!r} within 60 s")
 
     def shutdown(self):
         try:
@@ -155,6 +169,65 @@ def test_server_end_to_end():
         assert bad["event"] == "error" and "3x3" in bad["reason"], bad
     finally:
         srv.shutdown()
+
+
+def test_socket_error_paths():
+    """Malformed JSON and an unknown cmd each get one error event with
+    id 0, and the same connection then answers status."""
+    srv = Server()
+    try:
+        bad_json, unknown, status = srv.raw_lines(
+            b'{"cmd": "run",\n{"cmd": "nope"}\n{"cmd": "status"}\n', 3)
+        assert bad_json["event"] == "error" and bad_json["id"] == 0, \
+            bad_json
+        assert "bad command json" in bad_json["reason"], bad_json
+        assert unknown["event"] == "error" and unknown["id"] == 0, \
+            unknown
+        assert "unknown cmd 'nope'" in unknown["reason"], unknown
+        assert status["event"] == "status", status
+    finally:
+        srv.shutdown()
+
+
+def test_over_long_line_is_refused():
+    """A command line over 1 MiB gets one error event and the
+    connection is closed, instead of the server buffering without
+    bound; the server keeps answering other connections."""
+    srv = Server()
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.settimeout(30)
+            s.connect(srv.socket)
+            try:
+                s.sendall(b"x" * (2 << 20))  # 2 MiB, no newline
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # closed by the server mid-send
+            except socket.timeout:
+                raise AssertionError("server stopped reading")
+            received = b""
+            try:
+                while chunk := s.recv(4096):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # closed with our unread bytes still queued
+            except socket.timeout:
+                raise AssertionError(
+                    f"connection still open after 30 s: {received!r}")
+        lines = received.decode().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["event"] == "error" and err["id"] == 0, err
+        assert "command line too long" in err["reason"], err
+        assert srv.raw({"cmd": "status"})["event"] == "status"
+    finally:
+        srv.shutdown()
+
+
+def test_removed_http_option_exits_2():
+    proc = subprocess.run([SERVE, "--http", "0"], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "unknown option '--http'" in proc.stderr, proc.stderr
 
 
 def test_server_shutdown_is_clean():

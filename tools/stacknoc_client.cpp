@@ -4,12 +4,17 @@
  *
  *     stacknoc_client --socket PATH run [job flags...]
  *     stacknoc_client --socket PATH status [--watch SEC]
+ *     stacknoc_client --socket PATH metrics
  *     stacknoc_client --socket PATH shutdown
  *
  * "run" submits one job and prints every server event for it (one JSON
  * object per line) until the result or an error arrives. Exit code: 0
  * on result, 1 on an error event or connection failure, 2 on usage or
  * a bad job (checked locally, before connecting).
+ *
+ * "metrics" prints the server's Prometheus text exposition verbatim, so
+ * `metrics > scrape.prom` is a scrape file for tools/perf_sentinel.py
+ * or node_exporter's textfile collector.
  *
  * "status --watch SEC" polls the server every SEC seconds (fractional
  * ok) and prints a one-line human summary per poll until interrupted
@@ -41,6 +46,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s --socket PATH run [job flags]\n"
                  "       %s --socket PATH status [--watch SEC]\n"
+                 "       %s --socket PATH metrics\n"
                  "       %s --socket PATH shutdown\n"
                  "\n"
                  "job flags (bad values exit 2 before connecting):\n%s"
@@ -59,7 +65,7 @@ usage(const char *argv0)
                  "                         up to N times [0]\n"
                  "  --connect-backoff-ms N base retry backoff, doubled per\n"
                  "                         retry [100]\n",
-                 argv0, argv0, argv0,
+                 argv0, argv0, argv0, argv0,
                  stacknoc::system::RunSpec::usage(
                      stacknoc::system::kClientArgs)
                      .c_str());
@@ -186,7 +192,7 @@ main(int argc, char **argv)
 
     if (socketPath.empty() ||
         (subcommand != "run" && subcommand != "status" &&
-         subcommand != "shutdown")) {
+         subcommand != "metrics" && subcommand != "shutdown")) {
         usage(argv[0]);
         return 2;
     }
@@ -243,15 +249,21 @@ main(int argc, char **argv)
     while (conn.readLine(line, err)) {
         if (line.empty())
             continue;
-        std::printf("%s\n", line.c_str());
-        std::fflush(stdout);
-        std::string perr;
-        const auto doc = JsonValue::parse(line, &perr);
-        if (!doc || !doc->isObject())
-            continue;
-        const JsonValue *ev = doc->find("event");
+        const auto doc = JsonValue::parse(line);
+        const JsonValue *ev =
+            doc && doc->isObject() ? doc->find("event") : nullptr;
         const std::string kind =
             ev != nullptr && ev->isString() ? ev->asString() : "";
+        if (subcommand == "metrics" && kind == "metrics") {
+            const JsonValue *text = doc->find("text");
+            const std::string out = text != nullptr && text->isString()
+                                        ? text->asString()
+                                        : std::string();
+            std::fwrite(out.data(), 1, out.size(), stdout);
+            return 0;
+        }
+        std::printf("%s\n", line.c_str());
+        std::fflush(stdout);
         if (kind == "error")
             return 1;
         if (subcommand == "run" && kind == "result")

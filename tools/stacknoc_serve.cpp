@@ -5,7 +5,8 @@
  * Listens on a Unix-domain socket for NDJSON commands (see
  * docs/SERVER.md and src/server/protocol.hh), runs jobs on a pool of
  * worker processes with warm-checkpoint reuse, and caches results by
- * full-config digest.
+ * full-config digest. The same socket serves status and the
+ * Prometheus metrics text (`stacknoc_client --socket S metrics`).
  *
  * Also hosts the worker entry point: `stacknoc_serve --worker` turns
  * this process into a job worker reading stdin / writing stdout; the
@@ -32,20 +33,18 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--workers N] [--ckpt-dir D]\n"
-        "          [--ckpt-cap-bytes N] [--http PORT] [--log-json FILE]\n"
+        "          [--ckpt-cap-bytes N] [--log-json FILE]\n"
         "          [--log-rotate-bytes N] [--store-dir D] [--max-queue N]\n"
         "          [--job-retries N] [--job-backoff-ms N]\n"
         "          [--job-deadline-sec N] [--chaos SPEC] [--chaos-seed N]\n"
         "\n"
-        "  --socket PATH        Unix socket to listen on (required)\n"
+        "  --socket PATH        Unix socket to listen on (required); it\n"
+        "                       takes run, status, metrics and shutdown\n"
         "  --workers N          worker-process pool size (default 1)\n"
         "  --ckpt-dir D         warm-checkpoint directory shared by\n"
         "                       workers (default: none, no warm reuse)\n"
         "  --ckpt-cap-bytes N   LRU byte cap on the checkpoint dir\n"
         "                       (default 0 = unbounded)\n"
-        "  --http PORT          also serve GET /metrics, GET /status and\n"
-        "                       POST /run over TCP; PORT 0 picks an\n"
-        "                       ephemeral port (printed on stderr)\n"
         "  --log-json FILE      job-lifecycle NDJSON event log\n"
         "  --log-rotate-bytes N log rotation cap (default 16 MiB)\n"
         "  --store-dir D        durable result store: results persist\n"
@@ -92,7 +91,6 @@ main(int argc, char **argv)
     std::uint64_t logRotateBytes = 0;
     std::uint64_t chaosSeed = 1;
     int workers = 1;
-    int httpPort = -1;
     int maxQueue = 0;
     int jobRetries = 2;
     int jobBackoffMs = 200;
@@ -114,8 +112,6 @@ main(int argc, char **argv)
             ckptDir = args.value(arg);
         } else if (arg == "--ckpt-cap-bytes") {
             ckptCapBytes = args.number(arg, 0, kAny);
-        } else if (arg == "--http") {
-            httpPort = intArg(0, 65535);
         } else if (arg == "--log-json") {
             logJsonPath = args.value(arg);
         } else if (arg == "--log-rotate-bytes") {
@@ -175,7 +171,6 @@ main(int argc, char **argv)
     opt.ckptDir = ckptDir;
     opt.ckptCapBytes = ckptCapBytes;
     opt.workerExe = selfExe(argv[0]);
-    opt.httpPort = httpPort;
     opt.logJsonPath = logJsonPath;
     opt.logRotateBytes = logRotateBytes;
     opt.storeDir = storeDir;
@@ -193,9 +188,5 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "stacknoc_serve: listening on %s (%d worker%s)\n",
                  socketPath.c_str(), workers, workers == 1 ? "" : "s");
-    // Tests parse this line to discover an ephemeral --http 0 port.
-    if (server.httpPort() >= 0)
-        std::fprintf(stderr, "stacknoc_serve: http on port %d\n",
-                     server.httpPort());
     return server.run();
 }
