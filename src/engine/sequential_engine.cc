@@ -80,25 +80,35 @@ SequentialEngine::run(Cycle cycles)
         const Cycle now = sim_.now();
         // With a profiler, chained timestamps: each clock read ends one
         // measurement and starts the next, so the phase durations tile
-        // the loop and their sum tracks wall time.
+        // the loop and their sum tracks wall time. The schedule is
+        // kind-major, so one read where the kind changes (and one after
+        // the loop) attributes every component, skipped ones included,
+        // to its own kind.
         const double cycle_start = prof ? prof->nowSeconds() : 0.0;
         double t_prev = cycle_start;
+        TickKind run_kind = n != 0 ? order_[0].kind : TickKind::Other;
+        const auto stamp_kind = [&] {
+            const double t = prof->nowSeconds();
+            prof->addKindSeconds(static_cast<std::uint8_t>(run_kind),
+                                 t - t_prev);
+            t_prev = t;
+        };
         std::uint64_t ticked = 0;
         for (std::size_t s = 0; s < n; ++s) {
+            const ShardItem &item = order_[s];
+            if (prof && item.kind != run_kind) {
+                stamp_kind();
+                run_kind = item.kind;
+            }
             if (!active_[s])
                 continue;
-            const ShardItem &item = order_[s];
             tickByKind(item, now);
             ++ticked;
             if (elide_ && quiescentByKind(item, now))
                 active_[s] = 0;
-            if (prof) {
-                const double t = prof->nowSeconds();
-                prof->addKindSeconds(static_cast<std::uint8_t>(item.kind),
-                                     t - t_prev);
-                t_prev = t;
-            }
         }
+        if (prof && n != 0)
+            stamp_kind();
         ticked_ += ticked;
         slots_ += n;
 

@@ -51,7 +51,7 @@ class SequentialEngine : public ExecutionEngine
 
     /** The kind-batched schedule, parallel items then serial items. */
     std::vector<ShardItem> order_;
-    /** Active flags, 1:1 with order_ (wake targets; elision only). */
+    /** Active flags, 1:1 with order_ (wake flags; elision only). */
     std::vector<std::uint8_t> active_;
     std::uint64_t scheduleVersion_ = 0;
     bool scheduleBuilt_ = false;

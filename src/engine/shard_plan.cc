@@ -67,10 +67,12 @@ buildShardPlan(const Simulator &sim, int nshards)
             plan.serial.push_back(item);
             continue;
         }
+        // Contiguous rank ranges: neighbouring keys (on the CMP, whole
+        // mesh rows) share a shard, so fewer channels cross one.
         const auto rank = static_cast<std::size_t>(
             std::lower_bound(keys.begin(), keys.end(), item.affinity) -
             keys.begin());
-        plan.shards[rank % effective].push_back(item);
+        plan.shards[rank * effective / keys.size()].push_back(item);
     }
 
     // Schedule order is preserved within each list by construction

@@ -70,10 +70,13 @@ struct ShardPlan
 
 /**
  * Partition @p sim's registry into at most @p nshards shards: the
- * distinct affinity keys are sorted and dealt round-robin (key rank
- * modulo shard count), which balances mesh columns across workers. The
- * effective shard count is min(nshards, number of distinct keys) so no
- * shard is empty.
+ * distinct affinity keys are sorted and dealt in contiguous rank ranges
+ * (key rank r of K goes to shard r * shards / K), so shard sizes differ
+ * by at most one key. The CMP's keys are mesh positions x + width * y,
+ * so each shard gets whole mesh rows and only the Y-direction links
+ * between row bands cross a shard boundary; every other channel push
+ * stays on its shard and skips the commit phase. The effective shard
+ * count is min(nshards, number of distinct keys) so no shard is empty.
  */
 ShardPlan buildShardPlan(const Simulator &sim, int nshards);
 

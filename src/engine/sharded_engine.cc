@@ -41,13 +41,17 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     shard_state_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
         shard_state_.push_back(std::make_unique<ShardState>());
-        trace_logs_.push_back(&shard_state_.back()->trace_log);
+        auto &st = *shard_state_.back();
+        trace_logs_.push_back(&st.trace_log);
         // Everything starts awake; the first tick proves quiescence.
-        shard_state_.back()->active.assign(plan_.shards[s].size(), 1);
-        if (elide_) {
-            auto &st = *shard_state_.back();
-            for (std::size_t i = 0; i < plan_.shards[s].size(); ++i)
-                plan_.shards[s][i].component->bindWakeFlag(&st.active[i]);
+        st.active.assign(plan_.shards[s].size(), 1);
+        for (std::size_t i = 0; i < plan_.shards[s].size(); ++i) {
+            // The shard tag lets pushes to this component from its own
+            // shard skip staging (see ChannelBase).
+            Ticking *c = plan_.shards[s][i].component;
+            c->setShard(static_cast<int>(s));
+            if (elide_)
+                c->bindWakeFlag(&st.active[i]);
         }
     }
     serial_active_.assign(plan_.serial.size(), 1);
@@ -74,15 +78,16 @@ ShardedParallelEngine::~ShardedParallelEngine()
     for (auto &w : workers_)
         w.join();
 
-    if (elide_) {
-        for (std::size_t s = 0; s < plan_.shards.size(); ++s) {
-            auto &st = *shard_state_[s];
-            for (std::size_t i = 0; i < plan_.shards[s].size(); ++i)
-                plan_.shards[s][i].component->unbindWakeFlag(&st.active[i]);
+    for (std::size_t s = 0; s < plan_.shards.size(); ++s) {
+        auto &st = *shard_state_[s];
+        for (std::size_t i = 0; i < plan_.shards[s].size(); ++i) {
+            Ticking *c = plan_.shards[s][i].component;
+            c->setShard(Ticking::kNoShard);
+            c->unbindWakeFlag(&st.active[i]);
         }
-        for (std::size_t i = 0; i < plan_.serial.size(); ++i)
-            plan_.serial[i].component->unbindWakeFlag(&serial_active_[i]);
     }
+    for (std::size_t i = 0; i < plan_.serial.size(); ++i)
+        plan_.serial[i].component->unbindWakeFlag(&serial_active_[i]);
 }
 
 std::uint64_t
@@ -143,7 +148,7 @@ void
 ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
 {
     ShardState &st = *shard_state_[shard];
-    ChannelBase::setStagingList(&st.staged_channels);
+    ChannelBase::setStaging(&st.staged_channels, static_cast<int>(shard));
     telemetry::setTraceLog(&st.trace_log);
     const std::vector<ShardItem> &items = plan_.shards[shard];
     std::uint64_t ticked = 0;
@@ -158,7 +163,7 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
             st.active[i] = 0;
     }
     st.ticked += ticked;
-    ChannelBase::setStagingList(nullptr);
+    ChannelBase::setStaging(nullptr);
     telemetry::setTraceLog(nullptr);
 }
 
@@ -180,9 +185,11 @@ ShardedParallelEngine::runSerial(Cycle now)
 void
 ShardedParallelEngine::commitStagedState()
 {
-    // Commit phase. Channel splices are order-free: each channel is
-    // enrolled in exactly one shard's list (channels are single-sender).
-    // Only the trace logs need the ordinal merge.
+    // Commit phase. Only channels whose receiver ticks on another
+    // shard (or in the serial list) were staged. The splices are
+    // order-free: each channel is enrolled in exactly one shard's list
+    // (channels are single-sender). Only the trace logs need the
+    // ordinal merge.
     for (auto &st : shard_state_) {
         for (ChannelBase *ch : st->staged_channels)
             ch->commitStaged();

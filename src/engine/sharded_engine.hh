@@ -25,23 +25,30 @@ namespace stacknoc::engine {
  *
  *  1. Parallel compute phase: every shard ticks its active components
  *     in ascending schedule-ordinal order (kind-batched, devirtualized
- *     dispatch) with thread-local staging installed, so channel pushes
- *     and trace records are deferred into per-shard buffers instead of
- *     touching shared state. Stats need no deferral: every component
- *     owns its stat writers, and stats::Group sums them on read.
- *     With elision on, a component reporting quiescent() after its
- *     tick leaves the active set until a wake re-arms it.
+ *     dispatch) with thread-local staging installed. A channel push
+ *     to a receiver on the same shard is immediate, as in the
+ *     sequential engine; a push that crosses a shard boundary, and
+ *     every trace record, is deferred into per-shard buffers instead
+ *     of touching another thread's state. Stats need no deferral:
+ *     every component owns its stat writers, and stats::Group sums
+ *     them on read. With elision on, a component reporting
+ *     quiescent() after its tick leaves the active set until a wake
+ *     re-arms it.
  *  2. Barrier (sense = epoch counter, spin with yield fallback).
- *  3. Commit phase (main thread): staged channel values are spliced
- *     into the live queues (waking each channel's receiver); trace
- *     logs are merged by schedule ordinal — the exact sequential
- *     recording order — and replayed.
+ *  3. Commit phase (main thread): the staged values of the
+ *     shard-boundary channels are spliced into the live queues
+ *     (waking each channel's receiver); trace logs are merged by
+ *     schedule ordinal — the exact sequential recording order — and
+ *     replayed.
  *  4. Serial phase (main thread): components registered with
  *     kSerialAffinity tick with staging off.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
  *
- * The main thread executes shard 0 itself, so N shards cost N-1 worker
- * threads. See docs/ENGINE.md for why each step preserves equivalence.
+ * The engine tags every component of its plan with its shard index
+ * (Ticking::setShard), which is what channels compare against, and
+ * clears the tags on destruction. The main thread executes shard 0
+ * itself, so N shards cost N-1 worker threads. See docs/ENGINE.md for
+ * why each step preserves equivalence.
  */
 class ShardedParallelEngine : public ExecutionEngine
 {
@@ -83,10 +90,10 @@ class ShardedParallelEngine : public ExecutionEngine
         /**
          * Active flags, 1:1 with the shard's plan items. Written by
          * the owning worker (deactivation after a quiescent tick) and,
-         * through bound wake pointers, by same-shard direct calls
-         * during the compute phase or by the main thread during
-         * commit/serial/cycle-end — never concurrently, thanks to the
-         * phase barrier.
+         * through bound wake pointers, by same-shard direct calls and
+         * channel pushes during the compute phase or by the main
+         * thread during commit/serial/cycle-end — never concurrently,
+         * thanks to the phase barrier.
          */
         std::vector<std::uint8_t> active;
         /** Component ticks this shard executed (occupancy telemetry). */
@@ -98,7 +105,7 @@ class ShardedParallelEngine : public ExecutionEngine
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Commit phase: splice channels, merge trace logs. */
+    /** Commit phase: splice boundary channels, merge trace logs. */
     void commitStagedState();
 
     /** Serial-phase body: tick (active) serial components. */

@@ -39,12 +39,6 @@ Network::Network(Simulator &sim, const MeshShape &shape,
             const NodeId nb = topo_.neighbor(id, dir);
             routers_[std::size_t(id)]->connectOut(dir, out);
             routers_[std::size_t(nb)]->connectIn(opposite(dir), out);
-            // Idle-elision wakes: a flit wakes the downstream router.
-            // Returning credits deliberately do NOT wake the upstream
-            // router — it drains them lazily at its next data-driven
-            // wake (see Router::quiescent), which keeps pure
-            // credit-return traffic from defeating elision.
-            out->data.setWakeTarget(routers_[std::size_t(nb)].get());
         }
     }
 
@@ -58,8 +52,6 @@ Network::Network(Simulator &sim, const MeshShape &shape,
         routers_[std::size_t(id)]->connectOut(Dir::Local,
                                               from_router.get());
         nis_[std::size_t(id)]->connect(to_router.get(), from_router.get());
-        to_router->data.setWakeTarget(routers_[std::size_t(id)].get());
-        from_router->data.setWakeTarget(nis_[std::size_t(id)].get());
         niLinks_.push_back(std::move(to_router));
         niLinks_.push_back(std::move(from_router));
     }

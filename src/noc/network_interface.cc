@@ -28,10 +28,14 @@ NetworkInterface::connect(Link *to_router, Link *from_router)
 {
     toRouter_ = to_router;
     fromRouter_ = from_router;
+    // Ejected flits wake this NI; injection credits only set the
+    // pending byte (see quiescent()).
     if (toRouter_ != nullptr)
-        toRouter_->credit.setSignalFlag(&creditPending_);
+        toRouter_->credit.bindReceiver(*this, &creditPending_,
+                                       ChannelBase::OnPush::SignalOnly);
     if (fromRouter_ != nullptr)
-        fromRouter_->data.setSignalFlag(&dataPending_);
+        fromRouter_->data.bindReceiver(*this, &dataPending_,
+                                       ChannelBase::OnPush::Wake);
     for (auto &vc : injVcs_)
         vc.credits = params_.vcDepth;
 }

@@ -292,7 +292,7 @@ class NetworkInterface final : public Ticking, public PacketSender
     int rrInjVc_ = 0;
 
     /** Push-notification bytes for the local links (bound to the
-     *  channels by connect() via Channel::setSignalFlag): set on every
+     *  channels by connect() via ChannelBase::bindReceiver): set on every
      *  push, cleared by the drains once the channel is empty, so the
      *  tick touches the link queues only when something arrived. */
     std::uint8_t dataPending_ = 0;

@@ -64,19 +64,27 @@ void
 Router::connectIn(Dir d, Link *link)
 {
     in_[static_cast<std::size_t>(static_cast<int>(d))].link = link;
-    // Pending bytes let the per-tick drains skip polling channels
-    // nothing was pushed on; bound here so every wiring (full systems
-    // and single-router tests alike) gets them.
-    link->data.setSignalFlag(
-        &dataPending_[static_cast<std::size_t>(static_cast<int>(d))]);
+    // Bound here so every wiring (full systems and single-router tests
+    // alike) gets it: a flit wakes this router, and the pending bytes
+    // let the per-tick drains skip polling channels nothing was pushed
+    // on.
+    link->data.bindReceiver(
+        *this, &dataPending_[static_cast<std::size_t>(static_cast<int>(d))],
+        ChannelBase::OnPush::Wake);
 }
 
 void
 Router::connectOut(Dir d, Link *link)
 {
     out_[static_cast<std::size_t>(static_cast<int>(d))].link = link;
-    link->credit.setSignalFlag(
-        &creditPending_[static_cast<std::size_t>(static_cast<int>(d))]);
+    // Returning credits deliberately do not wake this router: it
+    // drains them lazily at its next data-driven wake (see
+    // Router::quiescent), which keeps pure credit-return traffic from
+    // defeating elision.
+    link->credit.bindReceiver(
+        *this,
+        &creditPending_[static_cast<std::size_t>(static_cast<int>(d))],
+        ChannelBase::OnPush::SignalOnly);
 }
 
 void

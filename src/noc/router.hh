@@ -276,7 +276,7 @@ class Router final : public Ticking
     int localCongestion_ = 0; //!< buffered flits excluding the Local port
 
     /**
-     * Per-port push-notification bytes (Channel::setSignalFlag): set
+     * Per-port push-notification bytes (ChannelBase::bindReceiver): set
      * by every push on the port's channel, cleared by the drains once
      * the channel is empty, so receiveFlits/receiveCredits touch only
      * ports something was actually pushed on.

@@ -23,54 +23,66 @@ class StateIO;
 } // namespace snapshot
 
 /**
- * Type-erased base of every Channel, carrying the staged-push (double
- * buffer) machinery used by the sharded parallel execution engine.
+ * Type-erased base of every Channel: the receiver binding and the
+ * staged-push (double buffer) machinery of the sharded parallel
+ * execution engine.
  *
- * During a parallel compute phase each worker thread installs a staging
- * list via setStagingList(). While a staging list is installed, push()
- * appends to a per-channel staging buffer instead of the live queue and
+ * Each channel is bound once, at wiring time, to the one component
+ * that receives on it (bindReceiver). During a parallel compute phase
+ * each worker thread installs its shard's staging list and shard index
+ * via setStaging(). A push whose receiver is tagged with the pushing
+ * thread's shard (Ticking::shard) is immediate, exactly as under the
+ * sequential engine: it appends to the live queue and wakes the
+ * receiver, both owned by the pushing thread. Any other push — to a
+ * receiver on another shard or in the serial list, or on a channel
+ * with no bound receiver — appends to a per-channel staging buffer and
  * enrols the channel in the thread's list; after the phase barrier the
  * engine calls commitStaged() on every enrolled channel (single
- * threaded), splicing staged values into the live queue in push order.
+ * threaded), splicing staged values into the live queue in push order
+ * and waking the receiver.
  *
  * Because every channel has latency >= 1, a value pushed during cycle t
  * can never be received during cycle t, so deferring the queue append to
  * the end of the cycle is unobservable — results are bit-identical to
  * immediate pushes. The staging buffer is only ever touched by the one
  * component that sends on the channel (channels are single-sender), and
- * the live queue only by the one receiver, so the two phases are
- * data-race free without any atomics on the hot path.
+ * the live queue only by the one receiver's thread, so the two phases
+ * are data-race free without any atomics on the hot path.
  *
  * With no staging list installed (the default, and always the case under
- * the sequential engine) push() is exactly the historical immediate
- * append.
+ * the sequential engine) every push is immediate.
  */
 class ChannelBase
 {
   public:
+    /** What a push does to the bound receiver besides the signal byte. */
+    enum class OnPush : std::uint8_t {
+        Wake,       //!< re-arm the receiver for idle elision
+        SignalOnly, //!< set the signal byte, leave the receiver asleep
+    };
+
     virtual ~ChannelBase() = default;
 
     /** Splice staged values into the live queue (engine use only). */
     virtual void commitStaged() = 0;
 
     /**
-     * Declare @p t the receiving component of this channel: every push
-     * wakes it for idle elision. Immediate pushes wake at push time;
-     * staged pushes wake during commitStaged(), which runs single
-     * threaded after the phase barrier, so a worker thread never touches
-     * another shard's active flags.
+     * Bind @p receiver, the one component that receives on this
+     * channel. Every push sets the receiver-owned "something was
+     * pushed" byte *@p signal (when non-null), which the receiver uses
+     * to skip polling empty channels and re-arms while values remain
+     * in flight; with OnPush::Wake it also wakes the receiver. Immediate
+     * pushes do both at push time, staged pushes during the
+     * single-threaded commitStaged(), so a worker thread never touches
+     * another shard's flags.
      */
-    void setWakeTarget(Ticking *t) { wake_target_ = t; }
-
-    /**
-     * Register a receiver-owned "something was pushed" byte: every push
-     * also sets *flag to 1 (immediate pushes at push time, staged
-     * pushes during the single-threaded commitStaged()). The receiver
-     * uses it to skip polling empty channels and is responsible for
-     * re-arming the flag while values remain in flight. Same threading
-     * contract as the wake target.
-     */
-    void setSignalFlag(std::uint8_t *flag) { signal_ = flag; }
+    void
+    bindReceiver(Ticking &receiver, std::uint8_t *signal, OnPush on_push)
+    {
+        receiver_ = &receiver;
+        signal_ = signal;
+        wakes_ = on_push == OnPush::Wake;
+    }
 
     /**
      * The receiver's signal byte (null when none is registered). Once
@@ -81,31 +93,52 @@ class ChannelBase
 
     /**
      * Install @p list as this thread's staged-channel enrolment list
-     * (null restores immediate pushes). Engine use only.
+     * for a compute phase ticking @p shard (null restores immediate
+     * pushes). Engine use only.
      */
     static void
-    setStagingList(std::vector<ChannelBase *> *list)
+    setStaging(std::vector<ChannelBase *> *list,
+               int shard = Ticking::kNoShard)
     {
-        staging_ = list;
+        staging_ = Staging{list, shard};
     }
 
   protected:
-    static std::vector<ChannelBase *> *stagingList() { return staging_; }
+    /**
+     * @return this thread's enrolment list when a push must be staged
+     * (staging is installed and the receiver does not tick on this
+     * thread's shard), else null.
+     */
+    std::vector<ChannelBase *> *
+    stagingFor() const
+    {
+        const Staging &st = staging_;
+        if (st.list == nullptr ||
+            (receiver_ != nullptr && receiver_->shard() == st.shard))
+            return nullptr;
+        return st.list;
+    }
 
     void
-    wakeTarget()
+    notifyReceiver()
     {
-        if (wake_target_ != nullptr)
-            wake_target_->wake();
+        if (wakes_)
+            receiver_->wake();
         if (signal_ != nullptr)
             *signal_ = 1;
     }
 
   private:
-    static inline thread_local std::vector<ChannelBase *> *staging_ =
-        nullptr;
-    Ticking *wake_target_ = nullptr;
+    struct Staging
+    {
+        std::vector<ChannelBase *> *list;
+        int shard;
+    };
+    static inline thread_local Staging staging_{nullptr,
+                                                Ticking::kNoShard};
+    Ticking *receiver_ = nullptr;
     std::uint8_t *signal_ = nullptr;
+    bool wakes_ = false;
 };
 
 /**
@@ -132,14 +165,14 @@ class Channel : public ChannelBase
     void
     push(Cycle now, T value)
     {
-        if (auto *enrolled = stagingList()) {
+        if (auto *enrolled = stagingFor()) {
             if (staged_.empty())
                 enrolled->push_back(this);
             staged_.emplace_back(now + latency_, std::move(value));
             return;
         }
         queue_.emplace_back(now + latency_, std::move(value));
-        wakeTarget();
+        notifyReceiver();
     }
 
     void
@@ -148,7 +181,7 @@ class Channel : public ChannelBase
         for (auto &e : staged_)
             queue_.push_back(std::move(e));
         staged_.clear();
-        wakeTarget();
+        notifyReceiver();
     }
 
     /**
@@ -192,7 +225,7 @@ class Channel : public ChannelBase
 
   private:
     /** Checkpointing reads queue_ (with delivery times) and appends
-     *  restored entries without calling wakeTarget(): the engine active
+     *  restored entries without calling notifyReceiver(): the engine active
      *  set is restored separately, and a restore-time wake would differ
      *  from the saved run's flag state. */
     friend class snapshot::StateIO;

@@ -103,12 +103,25 @@ class Ticking
             wake_flag_ = nullptr;
     }
 
+    /** Shard tag of a component no sharded compute phase ticks. */
+    static constexpr int kNoShard = -1;
+
+    /**
+     * Tag this component with the shard that ticks it (engine use
+     * only: the sharded engine tags every component it builds a plan
+     * for and restores kNoShard on teardown). A channel push compares
+     * its receiver's tag with the pushing thread's shard.
+     */
+    void setShard(int shard) { shard_ = shard; }
+    int shard() const { return shard_; }
+
     /** @return hierarchical component name, e.g. "net.router27". */
     const std::string &name() const { return name_; }
 
   private:
     std::string name_;
     std::uint8_t *wake_flag_ = nullptr;
+    int shard_ = kNoShard;
 };
 
 } // namespace stacknoc

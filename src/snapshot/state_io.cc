@@ -231,7 +231,7 @@ StateIO::link(Ar &ar, Refs &refs, C &link)
                                 "(checkpoint must be taken between "
                                 "cycles)");
     }
-    // Loading deliberately calls no wakeTarget(): the engine active set
+    // Loading deliberately notifies no receiver: the engine active set
     // travels in the checkpoint, and the pending-signal bytes are
     // restored per owner.
     ar.seq(link.data.queue_, [&](auto &q) {

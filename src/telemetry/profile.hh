@@ -45,8 +45,8 @@ namespace stacknoc::telemetry {
 enum class EnginePhase : std::uint8_t {
     Compute = 0, //!< component ticks (main thread's own shard)
     Barrier,     //!< main thread waiting on worker shards
-    Commit,      //!< staged channel splice + trace-log merge
-    Serial,      //!< serial-affinity components (e.g. the RCA fabric)
+    Commit,      //!< boundary-channel splice + trace-log merge
+    Serial,      //!< serial-affinity components
     CycleEnd,    //!< cycle-end callbacks (probes, samplers) + clock
 };
 

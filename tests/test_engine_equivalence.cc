@@ -1,20 +1,23 @@
 /**
  * @file
  * The execution engines' determinism contract: running the same system
- * with --threads {2,4,8} must be bit-identical to --threads 1 — every
+ * with --threads {2,3,4,8} must be bit-identical to --threads 1 — every
  * counter, every double-precision average sum, every telemetry trace
  * record, in the same order — and the idle-elision engine must be
  * bit-identical to the full --no-elide walk across the whole
  * {elide, no-elide} x {1,2,4,8} threads x seeds x {clean, faults}
  * cross product. Plus unit tests of the shard partition itself (every
  * component assigned exactly once, equal affinity keys co-sharded,
- * cross-layer TSB pairs never split).
+ * contiguous balanced key ranges, cross-layer TSB pairs never split,
+ * and the cross-shard router-link count of the paper-size mesh).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -160,7 +163,8 @@ TEST(EngineEquivalence, TenSeedThreadSweepBitIdentical)
         ASSERT_FALSE(ref.stats.empty());
         ASSERT_NE(ref.trace, "records=0\n")
             << "trace digest is vacuous; tracer not wired?";
-        for (const int threads : {2, 4, 8}) {
+        // 3 threads deal the 16 keys as uneven ranges (6, 5, 5).
+        for (const int threads : {2, 3, 4, 8}) {
             const RunDigest got = runOnce(seed, threads);
             EXPECT_EQ(ref.stats, got.stats)
                 << "stats diverged: seed " << seed << ", " << threads
@@ -307,4 +311,89 @@ TEST(ShardPlan, CrossLayerTsbPairsAreCoSharded)
             << "NIs of column " << n << " split across shards";
         EXPECT_EQ(shard_of[&net.router(n)], shard_of[&net.ni(n)]);
     }
+}
+
+TEST(ShardPlan, ShardsAreContiguousBalancedKeyRanges)
+{
+    noc::resetPacketIds();
+    system::CmpSystem sys(baseConfig(1, 1));
+    Simulator &sim = sys.simulator();
+
+    for (const int nshards : {2, 3, 4, 8}) {
+        const engine::ShardPlan plan =
+            engine::buildShardPlan(sim, nshards);
+        ASSERT_EQ(plan.numShards(), static_cast<std::size_t>(nshards));
+
+        // Each shard's distinct keys, in ascending order.
+        std::vector<std::set<int>> keys(plan.numShards());
+        for (std::size_t s = 0; s < plan.numShards(); ++s)
+            for (const auto &item : plan.shards[s])
+                keys[s].insert(item.affinity);
+
+        std::vector<int> ranked; // every key, shard by shard
+        std::size_t smallest = SIZE_MAX, largest = 0;
+        for (const auto &k : keys) {
+            ASSERT_FALSE(k.empty()) << nshards << " shards";
+            ranked.insert(ranked.end(), k.begin(), k.end());
+            smallest = std::min(smallest, k.size());
+            largest = std::max(largest, k.size());
+        }
+        // Shard s holds ranks [lo_s, hi_s] and shard s + 1 starts
+        // right after: the concatenation is the sorted key list.
+        EXPECT_TRUE(std::is_sorted(ranked.begin(), ranked.end()) &&
+                    std::adjacent_find(ranked.begin(), ranked.end()) ==
+                        ranked.end())
+            << "key ranges not contiguous at " << nshards << " shards";
+        EXPECT_LE(largest - smallest, 1u)
+            << "unbalanced ranges at " << nshards << " shards";
+    }
+}
+
+TEST(ShardPlan, PaperMeshCrossShardRouterLinks)
+{
+    noc::resetPacketIds();
+    system::SystemConfig cfg;
+    cfg.scenario = system::scenarios::sttram4TsbWb();
+    ASSERT_EQ(cfg.meshWidth, 8);
+    ASSERT_EQ(cfg.meshHeight, 8);
+    system::CmpSystem sys(cfg);
+    noc::Network &net = sys.network();
+    const engine::ShardPlan plan =
+        engine::buildShardPlan(sys.simulator(), 4);
+
+    std::map<const Ticking *, std::size_t> shard_of;
+    std::map<const Ticking *, int> key_of;
+    std::set<int> keys;
+    for (std::size_t s = 0; s < plan.numShards(); ++s) {
+        for (const auto &item : plan.shards[s]) {
+            shard_of[item.component] = s;
+            key_of[item.component] = item.affinity;
+            keys.insert(item.affinity);
+        }
+    }
+    const auto rank = [&](const Ticking *c) {
+        return std::distance(keys.begin(), keys.find(key_of.at(c)));
+    };
+
+    int links = 0, cross = 0, cross_round_robin = 0;
+    for (NodeId id = 0; id < sys.shape().totalNodes(); ++id) {
+        for (int d = 1; d < noc::kNumDirs; ++d) {
+            const auto dir = static_cast<noc::Dir>(d);
+            if (net.topology().linkOut(id, dir) == nullptr)
+                continue;
+            const Ticking *a = &net.router(id);
+            const Ticking *b =
+                &net.router(net.topology().neighbor(id, dir));
+            ++links;
+            cross += shard_of.at(a) != shard_of.at(b);
+            // What dealing key ranks modulo the shard count gives.
+            cross_round_robin += rank(a) % 4 != rank(b) % 4;
+        }
+    }
+    EXPECT_EQ(links, 576);
+    // Whole mesh rows per shard: only the Y links between the four
+    // two-row bands cross (3 boundaries x 8 columns x 2 directions x
+    // 2 layers), where round-robin dealing split every X link.
+    EXPECT_EQ(cross, 96);
+    EXPECT_EQ(cross_round_robin, 224);
 }

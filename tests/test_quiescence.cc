@@ -6,7 +6,8 @@
  * tests prove the property per component kind (tick a quiescent
  * component anyway and verify nothing changed), and unit-test the wake
  * plumbing: channel pushes wake their receiver (immediate and staged),
- * and every mutating component entry point wakes conservatively.
+ * only pushes that cross a shard are staged, and every mutating
+ * component entry point wakes conservatively.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 
 #include "coherence/l1_cache.hh"
 #include "coherence/l2_bank.hh"
+#include "engine/sequential_engine.hh"
 #include "engine/shard_plan.hh"
+#include "engine/sharded_engine.hh"
 #include "mem/memory_controller.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
@@ -63,12 +66,14 @@ TEST(Wake, ImmediatePushWakesReceiverAtPushTime)
 {
     StubComponent recv;
     std::uint8_t flag = 0;
+    std::uint8_t signal = 0;
     recv.bindWakeFlag(&flag);
 
     Channel<int> ch(1);
-    ch.setWakeTarget(&recv);
+    ch.bindReceiver(recv, &signal, ChannelBase::OnPush::Wake);
     ch.push(0, 42);
     EXPECT_EQ(flag, 1);
+    EXPECT_EQ(signal, 1);
 
     recv.unbindWakeFlag(&flag);
     flag = 0;
@@ -76,26 +81,140 @@ TEST(Wake, ImmediatePushWakesReceiverAtPushTime)
     EXPECT_EQ(flag, 0) << "unbound flag must not be written";
 }
 
-TEST(Wake, StagedPushWakesAtCommitNotAtPush)
+TEST(Wake, SignalOnlyPushLeavesReceiverAsleep)
+{
+    StubComponent recv;
+    std::uint8_t flag = 0;
+    std::uint8_t signal = 0;
+    recv.bindWakeFlag(&flag);
+
+    Channel<int> ch(1);
+    ch.bindReceiver(recv, &signal, ChannelBase::OnPush::SignalOnly);
+    ch.push(0, 42);
+    EXPECT_EQ(flag, 0);
+    EXPECT_EQ(signal, 1);
+    recv.unbindWakeFlag(&flag);
+}
+
+TEST(Wake, SameShardPushIsImmediateAndWakesAtPush)
 {
     StubComponent recv;
     std::uint8_t flag = 0;
     recv.bindWakeFlag(&flag);
+    recv.setShard(0);
 
     Channel<int> ch(1);
-    ch.setWakeTarget(&recv);
+    ch.bindReceiver(recv, nullptr, ChannelBase::OnPush::Wake);
 
     std::vector<ChannelBase *> enrolled;
-    ChannelBase::setStagingList(&enrolled);
+    ChannelBase::setStaging(&enrolled, 0);
     ch.push(0, 42);
-    ChannelBase::setStagingList(nullptr);
+    ChannelBase::setStaging(nullptr);
+    EXPECT_TRUE(enrolled.empty()) << "same-shard push must not stage";
+    EXPECT_EQ(flag, 1) << "same-shard push must wake at push time";
+    EXPECT_EQ(ch.inFlight(), 1u);
+    EXPECT_TRUE(ch.receive(1).has_value());
+    recv.unbindWakeFlag(&flag);
+}
+
+/**
+ * Push once on @p ch with shard 0's staging installed and check the
+ * push was staged: no wake and no queued value until commitStaged().
+ */
+void
+expectStagedUntilCommit(Channel<int> &ch, const std::uint8_t &flag)
+{
+    std::vector<ChannelBase *> enrolled;
+    ChannelBase::setStaging(&enrolled, 0);
+    ch.push(0, 42);
+    ChannelBase::setStaging(nullptr);
     EXPECT_EQ(flag, 0) << "staged push must defer the wake to commit";
+    EXPECT_EQ(ch.inFlight(), 0u);
     ASSERT_EQ(enrolled.size(), 1u);
 
     enrolled.front()->commitStaged();
-    EXPECT_EQ(flag, 1) << "commitStaged must wake the receiver";
+    EXPECT_EQ(ch.inFlight(), 1u);
     EXPECT_TRUE(ch.receive(1).has_value());
+}
+
+TEST(Wake, CrossShardPushIsStagedAndWakesAtCommit)
+{
+    StubComponent recv;
+    std::uint8_t flag = 0;
+    recv.bindWakeFlag(&flag);
+    recv.setShard(1);
+
+    Channel<int> ch(1);
+    ch.bindReceiver(recv, nullptr, ChannelBase::OnPush::Wake);
+    expectStagedUntilCommit(ch, flag);
+    EXPECT_EQ(flag, 1) << "commitStaged must wake the receiver";
+
+    // A serial-list (untagged) receiver is another thread's too.
+    recv.setShard(Ticking::kNoShard);
+    flag = 0;
+    expectStagedUntilCommit(ch, flag);
+    EXPECT_EQ(flag, 1);
     recv.unbindWakeFlag(&flag);
+}
+
+TEST(Wake, PushWithoutBoundReceiverIsStaged)
+{
+    Channel<int> ch(1);
+    const std::uint8_t no_wake = 0;
+    expectStagedUntilCommit(ch, no_wake);
+}
+
+/** Pushes one value per tick and records whether the push was
+ *  immediate (the live queue grew at once). */
+struct PushingStub : Ticking
+{
+    explicit PushingStub(Channel<int> &out) : Ticking("pusher"), ch(out)
+    {}
+    void
+    tick(Cycle now) override
+    {
+        const std::size_t before = ch.inFlight();
+        ch.push(now, 1);
+        immediate.push_back(ch.inFlight() > before);
+    }
+    Channel<int> &ch;
+    std::vector<bool> immediate;
+};
+
+TEST(Wake, ShardedEngineStagesOnlyCrossShardPushes)
+{
+    // Receivers never drain, so the pushers alone read their queues.
+    Simulator sim;
+    StubComponent near_rx, far_rx;
+    Channel<int> near_ch(1), far_ch(1);
+    near_ch.bindReceiver(near_rx, nullptr, ChannelBase::OnPush::Wake);
+    far_ch.bindReceiver(far_rx, nullptr, ChannelBase::OnPush::Wake);
+    PushingStub near_tx(near_ch), far_tx(far_ch);
+    sim.add(&near_tx, 0);
+    sim.add(&near_rx, 0);
+    sim.add(&far_tx, 0);
+    sim.add(&far_rx, 1);
+
+    {
+        engine::ShardedParallelEngine eng(sim, 2);
+        ASSERT_EQ(eng.plan().numShards(), 2u);
+        eng.run(3);
+        EXPECT_EQ(near_rx.shard(), 0);
+        EXPECT_EQ(far_rx.shard(), 1);
+    }
+    EXPECT_EQ(near_tx.immediate, std::vector<bool>(3, true));
+    EXPECT_EQ(far_tx.immediate, std::vector<bool>(3, false));
+    EXPECT_EQ(far_ch.inFlight(), 3u) << "staged pushes commit each cycle";
+
+    // Teardown clears the tags; a sequential run on the same system
+    // then stages nothing.
+    for (const Ticking *c : sim.components())
+        EXPECT_EQ(c->shard(), Ticking::kNoShard) << c->name();
+    near_tx.immediate.clear();
+    far_tx.immediate.clear();
+    engine::SequentialEngine(sim).run(3);
+    EXPECT_EQ(near_tx.immediate, std::vector<bool>(3, true));
+    EXPECT_EQ(far_tx.immediate, std::vector<bool>(3, true));
 }
 
 TEST(Wake, UnbindOnlyClearsMatchingFlag)
