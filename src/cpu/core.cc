@@ -11,6 +11,7 @@ Core::Core(std::string cname, CoreId id, coherence::L1Cache &l1,
       memOpsStat_(group.counter("mem_ops")),
       stallCyclesStat_(group.counter("commit_stall_cycles"))
 {
+    rob_.reserve(static_cast<std::size_t>(config_.robEntries));
 }
 
 void

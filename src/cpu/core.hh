@@ -14,9 +14,9 @@
 #ifndef STACKNOC_CPU_CORE_HH
 #define STACKNOC_CPU_CORE_HH
 
-#include <deque>
 #include <memory>
 
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/ticking.hh"
 #include "coherence/l1_cache.hh"
@@ -116,7 +116,9 @@ class Core final : public Ticking
     coherence::L1Cache &l1_;
     InstructionStream &stream_;
     CoreConfig config_;
-    std::deque<RobEntry> rob_;
+    /** The instruction window, oldest first; reserved to robEntries,
+     *  which fetch() never exceeds, so the ring never grows. */
+    Ring<RobEntry> rob_;
     std::size_t issueCursor_ = 0; //!< oldest possibly-unissued ROB index
     /** Completion flag of the most recently issued memory operation. */
     std::shared_ptr<bool> lastMemDone_;

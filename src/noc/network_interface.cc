@@ -21,6 +21,8 @@ NetworkInterface::NetworkInterface(std::string niname, NodeId id,
       netLatencyHist_(net_stats.histogram("packet_network_latency_hist")),
       totalLatencyHist_(net_stats.histogram("packet_total_latency_hist"))
 {
+    for (auto &vc : ejectVcs_)
+        vc.buffer.reserve(static_cast<std::size_t>(params.vcDepth));
 }
 
 void
@@ -258,9 +260,13 @@ NetworkInterface::inject(Cycle now)
     if (!toRouter_)
         return;
 
-    // Assign queued packets to free VCs of their virtual network.
-    for (auto it = injectQueue_.begin(); it != injectQueue_.end();) {
-        const int vn = vnetOf((*it)->cls);
+    // Assign queued packets to free VCs of their virtual network. One
+    // pass rotates the queue: each packet leaves the front and either
+    // takes a VC or goes to the back, so the ones left keep their order.
+    for (std::size_t n = injectQueue_.size(); n > 0; --n) {
+        PacketPtr pkt = std::move(injectQueue_.front());
+        injectQueue_.pop_front();
+        const int vn = vnetOf(pkt->cls);
         const int base = params_.vnetBase(vn);
         int free_vc = -1;
         for (int v = base;
@@ -272,13 +278,12 @@ NetworkInterface::inject(Cycle now)
             }
         }
         if (free_vc < 0) {
-            ++it;
+            injectQueue_.push_back(std::move(pkt));
             continue;
         }
         auto &vc = injVcs_[static_cast<std::size_t>(free_vc)];
-        vc.pkt = std::move(*it);
+        vc.pkt = std::move(pkt);
         vc.nextSeq = 0;
-        it = injectQueue_.erase(it);
     }
 
     // Send one flit per cycle (the NI-router link is a regular link).

@@ -7,9 +7,9 @@
 #ifndef STACKNOC_NOC_NETWORK_INTERFACE_HH
 #define STACKNOC_NOC_NETWORK_INTERFACE_HH
 
-#include <deque>
 #include <vector>
 
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/ticking.hh"
 #include "noc/packet.hh"
@@ -255,7 +255,7 @@ class NetworkInterface final : public Ticking, public PacketSender
 
     struct EjectVc
     {
-        std::deque<Flit> buffer;
+        Ring<Flit> buffer; //!< reserved to vcDepth; credits bound it
         bool committed = false; //!< current packet accepted by client
         /** The accepted packet; its consumed flits leave no trace in
          *  @c buffer, so observers need the identity kept explicitly. */
@@ -286,7 +286,7 @@ class NetworkInterface final : public Ticking, public PacketSender
     ProbeSink *probeSink_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
 
-    std::deque<PacketPtr> injectQueue_;
+    Ring<PacketPtr> injectQueue_; //!< unbounded; grows when full
     std::vector<InjVc> injVcs_;
     std::vector<EjectVc> ejectVcs_;
     int rrInjVc_ = 0;

@@ -48,15 +48,19 @@ Router::Router(std::string rname, NodeId id, const NocParams &params,
         InPort &ip = in_[static_cast<std::size_t>(pi)];
         ip.vcs.resize(static_cast<std::size_t>(vcs));
         for (int vi = 0; vi < vcs; ++vi) {
-            ip.vcs[static_cast<std::size_t>(vi)].port =
-                static_cast<std::uint8_t>(pi);
-            ip.vcs[static_cast<std::size_t>(vi)].idx =
-                static_cast<std::uint8_t>(vi);
+            auto &vc = ip.vcs[static_cast<std::size_t>(vi)];
+            vc.buffer.reserve(static_cast<std::size_t>(params_.vcDepth));
+            vc.port = static_cast<std::uint8_t>(pi);
+            vc.idx = static_cast<std::uint8_t>(vi);
         }
     }
-    for (auto &op : out_) {
+    for (auto &op : out_)
         op.credits.assign(static_cast<std::size_t>(vcs), params_.vcDepth);
-        op.vcBusy.assign(static_cast<std::size_t>(vcs), false);
+    for (int vn = 0; vn < kNumVnets; ++vn) {
+        const int n = params_.vcsPerVnet[static_cast<std::size_t>(vn)];
+        vnetVcs_[static_cast<std::size_t>(vn)] =
+            (n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1)
+            << params_.vnetBase(vn);
     }
 }
 
@@ -255,15 +259,9 @@ Router::vcAllocate(Cycle now)
             if (group.empty())
                 continue;
 
-            static thread_local std::vector<int> free_vcs;
-            free_vcs.clear();
-            const int vn_base = params_.vnetBase(vn);
-            for (int v = vn_base; v < vn_base + params_.vcsPerVnet[
-                     static_cast<std::size_t>(vn)]; ++v) {
-                if (!op.vcBusy[static_cast<std::size_t>(v)])
-                    free_vcs.push_back(v);
-            }
-            if (free_vcs.empty())
+            std::uint64_t free_vcs =
+                ~op.vcBusy & vnetVcs_[static_cast<std::size_t>(vn)];
+            if (free_vcs == 0)
                 continue;
 
             if (group.size() > 1) {
@@ -279,15 +277,16 @@ Router::vcAllocate(Cycle now)
                     });
             }
 
-            std::size_t granted = 0;
+            // Grant free VCs lowest index first.
             for (Cand *c : group) {
-                if (granted >= free_vcs.size())
+                if (free_vcs == 0)
                     break;
-                const int out_vc = free_vcs[granted++];
+                const int out_vc = std::countr_zero(free_vcs);
+                free_vcs &= free_vcs - 1;
                 changeStatus(*c->vc, VcStatus::Active);
                 c->vc->outVc = out_vc;
                 c->vc->vaDoneAt = now;
-                op.vcBusy[static_cast<std::size_t>(out_vc)] = true;
+                op.vcBusy |= std::uint64_t{1} << out_vc;
                 op.rrVa = c->flat + 1;
                 c->vc = nullptr; // consumed
             }
@@ -432,7 +431,7 @@ Router::switchAllocateAndTraverse(Cycle now)
                 packetsForwarded_.inc();
             }
             if (is_tail) {
-                op.vcBusy[static_cast<std::size_t>(vc.outVc)] = false;
+                op.vcBusy &= ~(std::uint64_t{1} << vc.outVc);
                 finishPacket(*r->ip, vc);
             }
         }
@@ -523,12 +522,18 @@ Router::corruptBufferedFlitForTest(Dir d, int vc, std::size_t index,
                     .buffer;
     panic_if(index >= buf.size(), "router %d: no flit %zu to corrupt",
              id_, index);
-    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(index);
+    // Rebuild the ring with the flit dropped or doubled; a duplicate
+    // may take the buffer past vcDepth, so the ring can grow here.
+    std::vector<Flit> flits(buf.begin(), buf.end());
+    const auto at = flits.begin() + static_cast<std::ptrdiff_t>(index);
     const int delta = duplicate ? 1 : -1;
     if (duplicate)
-        buf.insert(at, *at);
+        flits.insert(at, *at);
     else
-        buf.erase(at);
+        flits.erase(at);
+    buf.clear();
+    for (Flit &f : flits)
+        buf.push_back(std::move(f));
     bufferedTotal_ += delta;
     if (d != Dir::Local)
         localCongestion_ += delta;

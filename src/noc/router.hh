@@ -13,10 +13,10 @@
 
 #include <array>
 #include <bit>
-#include <deque>
 #include <span>
 #include <vector>
 
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/ticking.hh"
 #include "noc/packet.hh"
@@ -193,9 +193,12 @@ class Router final : public Ticking
 
     enum class VcStatus { Idle, Routing, WaitVa, Active };
 
+    /** One input VC. Its buffer is reserved to vcDepth at
+     *  construction; credits keep the upstream sender from ever
+     *  pushing more, so the ring never grows. */
     struct VirtualChannel
     {
-        std::deque<Flit> buffer;
+        Ring<Flit> buffer;
         VcStatus status = VcStatus::Idle;
         Dir outDir = Dir::Local;
         int outVc = -1;
@@ -221,7 +224,7 @@ class Router final : public Ticking
     {
         Link *link = nullptr;
         std::vector<int> credits;   //!< per out-VC credits
-        std::vector<bool> vcBusy;   //!< out-VC allocated to some input VC
+        std::uint64_t vcBusy = 0;   //!< bit v: out-VC v is allocated
         int rrVa = 0;               //!< round-robin pointer for VA
         int rrSa = 0;               //!< round-robin pointer for SA output
     };
@@ -264,6 +267,9 @@ class Router final : public Ticking
 
     std::array<InPort, kNumDirs> in_;
     std::array<OutPort, kNumDirs> out_;
+
+    /** Per virtual network, the mask of its VC indices. */
+    std::array<std::uint64_t, kNumVnets> vnetVcs_{};
 
     /** Input VCs per pipeline state (indexed by VcStatus; the Idle
      *  slot is maintained but never read), for O(1) idle-stage

@@ -7,13 +7,13 @@
 #ifndef STACKNOC_SIM_CHANNEL_HH
 #define STACKNOC_SIM_CHANNEL_HH
 
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/ring.hh"
 #include "sim/ticking.hh"
 
 namespace stacknoc {
@@ -47,7 +47,10 @@ class StateIO;
  * immediate pushes. The staging buffer is only ever touched by the one
  * component that sends on the channel (channels are single-sender), and
  * the live queue only by the one receiver's thread, so the two phases
- * are data-race free without any atomics on the hot path.
+ * are data-race free without any atomics on the hot path. The live
+ * queue is a Ring (sim/ring.hh), one block that grows only when full;
+ * the staging buffer is a vector that keeps its capacity across
+ * commits, so neither allocates per push once a link has been busy.
  *
  * With no staging list installed (the default, and always the case under
  * the sequential engine) every push is immediate.
@@ -230,7 +233,9 @@ class Channel : public ChannelBase
      *  from the saved run's flag state. */
     friend class snapshot::StateIO;
     Cycle latency_;
-    std::deque<std::pair<Cycle, T>> queue_;
+    /** The live queue, oldest first, each value with its delivery
+     *  cycle. */
+    Ring<std::pair<Cycle, T>> queue_;
     /** Values pushed during a parallel compute phase, pre-commit. */
     std::vector<std::pair<Cycle, T>> staged_;
 };

@@ -181,8 +181,7 @@ class Loader
     template <class T> void u64(T &v) { get<std::uint64_t>(v); }
     template <class T> void i16(T &v) { get<std::int16_t>(v); }
     template <class T> void i32(T &v) { get<std::int32_t>(v); }
-    /** Takes proxies too (std::vector<bool> elements). */
-    template <class T> void b(T &&v) { v = take<std::uint8_t>() != 0; }
+    void b(bool &v) { v = take<std::uint8_t>() != 0; }
 
     void
     count(std::size_t n, const char *what)

@@ -262,8 +262,13 @@ StateIO::router(Ar &ar, Refs &refs, C &r)
     for (auto &op : r.out_) {
         ar.fixed(op.credits, "router output VCs",
                  [&](auto &c) { ar.i32(c); });
-        for (auto &&busy : op.vcBusy)
+        for (std::size_t v = 0; v < op.credits.size(); ++v) {
+            const std::uint64_t bit = std::uint64_t{1} << v;
+            bool busy = (op.vcBusy & bit) != 0;
             ar.b(busy);
+            if constexpr (Ar::kLoading)
+                op.vcBusy = busy ? op.vcBusy | bit : op.vcBusy & ~bit;
+        }
         ar.i32(op.rrVa);
         ar.i32(op.rrSa);
     }

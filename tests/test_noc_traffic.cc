@@ -49,7 +49,52 @@ struct RandomTrafficParam
 {
     double injection_rate; //!< packets per node per cycle
     PacketClass cls;
+    int vcDepth = noc::NocParams{}.vcDepth; //!< flits per VC buffer
 };
+
+/**
+ * Expect every output VC of every attached router port and NI
+ * injection port to hold vcDepth credits again, counting the credits
+ * still returning on its link: an idle router or NI drains those
+ * lazily, at its next wake.
+ */
+void
+expectCreditsRestored(const noc::Network &net)
+{
+    const int vcs = net.params().totalVcs();
+    const int depth = net.params().vcDepth;
+    const auto returning = [&](const noc::Link &link) {
+        std::vector<int> n(static_cast<std::size_t>(vcs), 0);
+        link.credit.forEachInFlight([&](const noc::Credit &c) {
+            ++n[static_cast<std::size_t>(c.vc)];
+        });
+        return n;
+    };
+    for (NodeId n = 0; n < net.shape().totalNodes(); ++n) {
+        for (int d = 0; d < noc::kNumDirs; ++d) {
+            const auto dir = static_cast<noc::Dir>(d);
+            const noc::Link *link = dir == noc::Dir::Local
+                                        ? &net.routerToNiLink(n)
+                                        : net.topology().linkOut(n, dir);
+            if (link == nullptr)
+                continue;
+            const auto back = returning(*link);
+            const auto credits = net.router(n).outCredits(dir);
+            for (int v = 0; v < vcs; ++v) {
+                const auto i = static_cast<std::size_t>(v);
+                EXPECT_EQ(credits[i] + back[i], depth)
+                    << "router " << n << " port " << d << " vc " << v;
+            }
+        }
+        const auto back = returning(net.niToRouterLink(n));
+        for (int v = 0; v < vcs; ++v) {
+            EXPECT_EQ(net.ni(n).injCredits(v) +
+                          back[static_cast<std::size_t>(v)],
+                      depth)
+                << "NI " << n << " vc " << v;
+        }
+    }
+}
 
 class RandomTraffic : public ::testing::TestWithParam<RandomTrafficParam>
 {
@@ -61,7 +106,9 @@ TEST_P(RandomTraffic, ConservationAndMinimumLatency)
     Simulator sim;
     const MeshShape shape(8, 8, 2);
     noc::ArbitrationPolicy policy;
-    noc::Network net(sim, shape, noc::NocParams{},
+    noc::NocParams params;
+    params.vcDepth = param.vcDepth;
+    noc::Network net(sim, shape, params,
                      std::make_unique<noc::ZxyRouting>(shape), policy);
     std::vector<CountingSink> sinks(
         static_cast<std::size_t>(shape.totalNodes()));
@@ -94,15 +141,24 @@ TEST_P(RandomTraffic, ConservationAndMinimumLatency)
     EXPECT_EQ(net.totalBufferedFlits(), 0);
     EXPECT_EQ(net.stats().counter("packets_injected").value(), sent);
     EXPECT_EQ(net.stats().counter("packets_ejected").value(), sent);
+    expectCreditsRestored(net);
 }
 
+// The default 5-flit buffers, then depths 1, 3 and 8: a 9-flit DataResp
+// is longer than each, and depth 1 and 3 exercise rings whose
+// power-of-two block is larger than the credit bound.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RandomTraffic,
     ::testing::Values(RandomTrafficParam{0.02, PacketClass::ReadReq},
                       RandomTrafficParam{0.05, PacketClass::ReadReq},
                       RandomTrafficParam{0.02, PacketClass::DataResp},
                       RandomTrafficParam{0.01, PacketClass::CohCtrl},
-                      RandomTrafficParam{0.03, PacketClass::Ack}));
+                      RandomTrafficParam{0.03, PacketClass::Ack},
+                      RandomTrafficParam{0.01, PacketClass::DataResp, 1},
+                      RandomTrafficParam{0.02, PacketClass::ReadReq, 1},
+                      RandomTrafficParam{0.02, PacketClass::DataResp, 3},
+                      RandomTrafficParam{0.02, PacketClass::DataResp, 8},
+                      RandomTrafficParam{0.05, PacketClass::ReadReq, 8}));
 
 TEST(MixedTraffic, AllVnetsDrain)
 {

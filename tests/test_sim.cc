@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for the simulation kernel: channels, simulator, statistics.
+ * Unit tests for the simulation kernel: rings, channels, simulator,
+ * statistics.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "sim/channel.hh"
+#include "sim/ring.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -323,6 +327,164 @@ TEST(Channel, StressInterleavedPushReceive)
     }
     EXPECT_GT(received, 300);
     EXPECT_EQ(ch.inFlight(), static_cast<std::size_t>(sent - received));
+}
+
+TEST(Ring, FifoOrderAcrossManyWraparounds)
+{
+    Ring<int> r;
+    r.reserve(4);
+    int next_in = 0, next_out = 0;
+    for (int round = 0; round < 1000; ++round) {
+        const int burst = 1 + round % 4;
+        for (int i = 0; i < burst && r.size() < 4; ++i)
+            r.push_back(next_in++);
+        while (r.size() > static_cast<std::size_t>(round % 3)) {
+            ASSERT_EQ(r.front(), next_out++);
+            r.pop_front();
+        }
+    }
+    while (!r.empty()) {
+        ASSERT_EQ(r.front(), next_out++);
+        r.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_EQ(r.capacity(), 4u);
+}
+
+TEST(Ring, GrowthWithHeadMidBlockKeepsOrder)
+{
+    Ring<int> r;
+    r.reserve(4);
+    for (int i = 0; i < 4; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    r.push_back(4);
+    r.push_back(5); // full, head at slot 2: the next push grows
+    ASSERT_EQ(r.capacity(), 4u);
+    r.push_back(6);
+    EXPECT_EQ(r.capacity(), 8u);
+    ASSERT_EQ(r.size(), 5u);
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], static_cast<int>(i) + 2);
+    EXPECT_EQ(r.back(), 6);
+}
+
+TEST(Ring, RotatingAFullRingKeepsTheValue)
+{
+    Ring<std::shared_ptr<int>> r;
+    r.reserve(2);
+    r.push_back(std::make_shared<int>(1));
+    r.push_back(std::make_shared<int>(2));
+    // Regrows while the argument still lives in the old block.
+    r.push_back(std::move(r.front()));
+    r.pop_front();
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(*r[0], 2);
+    ASSERT_NE(r[1], nullptr);
+    EXPECT_EQ(*r[1], 1);
+}
+
+TEST(Ring, PopFrontReleasesTheHeldValue)
+{
+    Ring<std::shared_ptr<int>> r;
+    auto held = std::make_shared<int>(7);
+    r.emplace_back(held);
+    r.push_back(std::make_shared<int>(8));
+    EXPECT_EQ(held.use_count(), 2);
+    r.pop_front();
+    EXPECT_EQ(held.use_count(), 1);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, IterationIsOldestFirstAfterAWrap)
+{
+    Ring<int> r;
+    r.reserve(4);
+    for (int i = 0; i < 3; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    for (int i = 3; i < 6; ++i)
+        r.push_back(i); // slots 3, 0, 1: the ring wraps
+    EXPECT_EQ(r.capacity(), 4u);
+    const std::vector<int> seen(r.begin(), r.end());
+    EXPECT_EQ(seen, (std::vector<int>{2, 3, 4, 5}));
+}
+
+TEST(Ring, ReservedRingNeverRegrowsWithinItsBound)
+{
+    for (const std::size_t n : {1u, 3u, 5u, 8u}) {
+        Ring<int> r;
+        r.reserve(n);
+        const std::size_t cap = r.capacity();
+        EXPECT_GE(cap, n);
+        for (std::size_t i = 0; i < n; ++i)
+            r.push_back(static_cast<int>(i));
+        for (int cycle = 0; cycle < 500; ++cycle) {
+            const std::size_t pops = 1 + static_cast<std::size_t>(cycle) % n;
+            for (std::size_t i = 0; i < pops; ++i)
+                r.pop_front();
+            while (r.size() < n)
+                r.push_back(cycle);
+            ASSERT_EQ(r.capacity(), cap) << "n=" << n;
+        }
+    }
+}
+
+TEST(Ring, MovedFromRingIsEmptyAndUsable)
+{
+    Ring<int> a;
+    a.push_back(1);
+    a.push_back(2);
+    Ring<int> b(std::move(a));
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.capacity(), 0u);
+    a.push_back(3);
+    EXPECT_EQ(a.front(), 3);
+    b = std::move(a);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(b.front(), 3);
+    EXPECT_TRUE(a.empty());
+}
+
+#ifdef _GLIBCXX_ASSERTIONS
+TEST(Ring, CheckedPreconditionsPanic)
+{
+    EXPECT_DEATH(Ring<int>().pop_front(), "Ring::pop_front");
+    EXPECT_DEATH(Ring<int>().front(), "Ring::front");
+    EXPECT_DEATH(Ring<int>().back(), "Ring::back");
+    Ring<int> r;
+    r.push_back(1);
+    EXPECT_DEATH((void)r[1], "Ring::operator\\[\\]");
+}
+#endif
+
+TEST(Channel, OrderSurvivesQueueWrap)
+{
+    Channel<int> ch(2);
+    int next_in = 0, next_out = 0;
+    for (Cycle t = 0; t < 400; ++t) {
+        // Two pushes then one receive per cycle for a while (the queue
+        // grows), then drain with one push per cycle: the live queue
+        // wraps its block many times.
+        const int pushes = t < 100 ? 2 : (t < 300 ? 1 : 0);
+        for (int i = 0; i < pushes; ++i)
+            ch.push(t, next_in++);
+        std::vector<int> flight;
+        ch.forEachInFlight([&](int v) { flight.push_back(v); });
+        ASSERT_EQ(flight.size(), ch.inFlight());
+        for (std::size_t i = 0; i < flight.size(); ++i)
+            ASSERT_EQ(flight[i], next_out + static_cast<int>(i));
+        if (auto v = ch.receive(t)) {
+            ASSERT_EQ(*v, next_out++);
+        }
+    }
+    while (auto v = ch.receive(1000))
+        ASSERT_EQ(*v, next_out++);
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_EQ(ch.inFlight(), 0u);
 }
 
 } // namespace
