@@ -75,7 +75,7 @@ struct ShardPlan
  * by at most one key. The CMP's keys are mesh positions x + width * y,
  * so each shard gets whole mesh rows and only the Y-direction links
  * between row bands cross a shard boundary; every other channel push
- * stays on its shard and skips the commit phase. The effective shard
+ * stays on its shard and skips the mailboxes. The effective shard
  * count is min(nshards, number of distinct keys) so no shard is empty.
  */
 ShardPlan buildShardPlan(const Simulator &sim, int nshards);

@@ -42,6 +42,9 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     for (std::size_t s = 0; s < nshards; ++s) {
         shard_state_.push_back(std::make_unique<ShardState>());
         auto &st = *shard_state_.back();
+        // One mailbox per receiving shard, plus the serial slot.
+        for (auto &outbox : st.outbox)
+            outbox.resize(nshards + 1);
         trace_logs_.push_back(&st.trace_log);
         // Everything starts awake; the first tick proves quiescence.
         st.active.assign(plan_.shards[s].size(), 1);
@@ -145,10 +148,26 @@ ShardedParallelEngine::workerLoop(std::size_t shard)
 }
 
 void
+ShardedParallelEngine::drainMailboxes(unsigned parity, std::size_t slot)
+{
+    // Order-free: each channel is enrolled in one sender's outbox only
+    // (channels are single-sender).
+    for (auto &sender : shard_state_) {
+        std::vector<ChannelBase *> &mailbox = sender->outbox[parity][slot];
+        for (ChannelBase *ch : mailbox)
+            ch->drainStaged(parity);
+        mailbox.clear();
+    }
+}
+
+void
 ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
 {
     ShardState &st = *shard_state_[shard];
-    ChannelBase::setStaging(&st.staged_channels, static_cast<int>(shard));
+    const auto parity = static_cast<unsigned>(now & 1);
+    drainMailboxes(parity ^ 1, shard);
+    ChannelBase::setStaging(&st.outbox[parity], static_cast<int>(shard),
+                            parity);
     telemetry::setTraceLog(&st.trace_log);
     const std::vector<ShardItem> &items = plan_.shards[shard];
     std::uint64_t ticked = 0;
@@ -180,24 +199,6 @@ ShardedParallelEngine::runSerial(Cycle now)
         if (elide_ && quiescentByKind(item, now))
             serial_active_[i] = 0;
     }
-}
-
-void
-ShardedParallelEngine::commitStagedState()
-{
-    // Commit phase. Only channels whose receiver ticks on another
-    // shard (or in the serial list) were staged. The splices are
-    // order-free: each channel is enrolled in exactly one shard's list
-    // (channels are single-sender). Only the trace logs need the
-    // ordinal merge.
-    for (auto &st : shard_state_) {
-        for (ChannelBase *ch : st->staged_channels)
-            ch->commitStaged();
-        st->staged_channels.clear();
-    }
-    if (!trace_logs_.empty())
-        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
-                                          trace_logs_.size());
 }
 
 void
@@ -233,10 +234,17 @@ ShardedParallelEngine::runCycle()
     spinWait(spin_iters_, [&] {
         return done_.load(std::memory_order_acquire) == nworkers;
     });
-    if (prof)
+    if (prof) {
         stamp(EnginePhase::Barrier);
+        prof->countCriticalShard();
+    }
 
-    commitStagedState();
+    // Commit phase: what is left is the trace merge, and the serial
+    // list's mailboxes (its receivers tick this cycle, on this thread).
+    if (telemetry::tracer() != nullptr)
+        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
+                                          trace_logs_.size());
+    drainMailboxes(static_cast<unsigned>(now & 1), plan_.numShards());
     if (prof)
         stamp(EnginePhase::Commit);
 
@@ -259,6 +267,13 @@ ShardedParallelEngine::run(Cycle cycles)
              "components were registered after the shard plan was built");
     for (Cycle i = 0; i < cycles; ++i)
         runCycle();
+    // Leave nothing staged between runs: the last cycle's cross-shard
+    // values land in their queues now instead of at the next cycle's
+    // start, which no receiver can tell apart.
+    for (std::size_t slot = 0; slot < plan_.numShards(); ++slot) {
+        for (unsigned parity : {0u, 1u})
+            drainMailboxes(parity, slot);
+    }
 }
 
 } // namespace stacknoc::engine

@@ -21,28 +21,40 @@ namespace stacknoc::engine {
 
 /**
  * Ticks spatial shards of the component registry on persistent worker
- * threads, bit-identical to SequentialEngine. Each cycle:
+ * threads, bit-identical to SequentialEngine. Each cycle t:
  *
- *  1. Parallel compute phase: every shard ticks its active components
- *     in ascending schedule-ordinal order (kind-batched, devirtualized
- *     dispatch) with thread-local staging installed. A channel push
- *     to a receiver on the same shard is immediate, as in the
- *     sequential engine; a push that crosses a shard boundary, and
- *     every trace record, is deferred into per-shard buffers instead
- *     of touching another thread's state. Stats need no deferral:
- *     every component owns its stat writers, and stats::Group sums
- *     them on read. With elision on, a component reporting
- *     quiescent() after its tick leaves the active set until a wake
- *     re-arms it.
- *  2. Barrier (sense = epoch counter, spin with yield fallback).
- *  3. Commit phase (main thread): the staged values of the
- *     shard-boundary channels are spliced into the live queues
- *     (waking each channel's receiver); trace logs are merged by
- *     schedule ordinal — the exact sequential recording order — and
- *     replayed.
+ *  1. Parallel compute phase. Every shard first drains the mailboxes
+ *     addressed to it from cycle t-1 (the other parity): the values
+ *     other shards pushed to its receivers are spliced into their live
+ *     queues, and the receivers are woken by the thread that owns
+ *     them. It then ticks its active components in ascending
+ *     schedule-ordinal order (kind-batched, devirtualized dispatch)
+ *     with its outbox for parity t installed. A channel push to a
+ *     receiver on the same shard is immediate, as in the sequential
+ *     engine; a push that crosses a shard boundary is staged in the
+ *     channel and enrolled in the mailbox of the receiver's shard, and
+ *     every trace record goes to the shard's trace log. Stats need no
+ *     deferral: every component owns its stat writers, and
+ *     stats::Group sums them on read. With elision on, a component
+ *     reporting quiescent() after its tick leaves the active set until
+ *     a wake re-arms it.
+ *  2. Barrier (sense = epoch counter, spin with yield fallback). It
+ *     orders every parity-t push before the next cycle's drains.
+ *  3. Commit phase (main thread): only with a tracer installed, the
+ *     trace logs are merged by schedule ordinal — the exact sequential
+ *     recording order — and replayed. Then the main thread drains the
+ *     parity-t mailboxes of the serial list.
  *  4. Serial phase (main thread): components registered with
  *     kSerialAffinity tick with staging off.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
+ *     Cross-shard values of cycle t are still staged here; observers
+ *     see them through Channel::forEachInFlight.
+ *
+ * A sender writes only parity t's buffers during cycle t, and every
+ * channel has latency >= 1, so no buffer is written and drained in the
+ * same phase and no atomics are needed. run() drains every mailbox
+ * after its last cycle, so nothing is staged between runs (checkpoints,
+ * active-flag walks, engine teardown).
  *
  * The engine tags every component of its plan with its shard index
  * (Ticking::setShard), which is what channels compare against, and
@@ -85,15 +97,21 @@ class ShardedParallelEngine : public ExecutionEngine
      *  per shard to keep workers from false-sharing. */
     struct ShardState
     {
-        std::vector<ChannelBase *> staged_channels;
+        /**
+         * This shard's outboxes by cycle parity (see ChannelBase::Outbox).
+         * Filled by this shard during cycles of that parity; slot r is
+         * drained and cleared by shard r (the serial slot by the main
+         * thread) during the next cycle.
+         */
+        ChannelBase::Outbox outbox[2];
         telemetry::TraceLog trace_log;
         /**
          * Active flags, 1:1 with the shard's plan items. Written by
-         * the owning worker (deactivation after a quiescent tick) and,
-         * through bound wake pointers, by same-shard direct calls and
-         * channel pushes during the compute phase or by the main
-         * thread during commit/serial/cycle-end — never concurrently,
-         * thanks to the phase barrier.
+         * the owning worker (deactivation after a quiescent tick,
+         * mailbox drains, and same-shard direct calls and channel
+         * pushes) during the compute phase, or by the main thread
+         * during serial/cycle-end and between runs — never
+         * concurrently, thanks to the phase barrier.
          */
         std::vector<std::uint8_t> active;
         /** Component ticks this shard executed (occupancy telemetry). */
@@ -105,8 +123,9 @@ class ShardedParallelEngine : public ExecutionEngine
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Commit phase: splice boundary channels, merge trace logs. */
-    void commitStagedState();
+    /** Drain the @p parity mailboxes of every sender addressed to
+     *  outbox slot @p slot (a shard, or the serial slot). */
+    void drainMailboxes(unsigned parity, std::size_t slot);
 
     /** Serial-phase body: tick (active) serial components. */
     void runSerial(Cycle now);

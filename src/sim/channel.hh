@@ -24,36 +24,49 @@ class StateIO;
 
 /**
  * Type-erased base of every Channel: the receiver binding and the
- * staged-push (double buffer) machinery of the sharded parallel
- * execution engine.
+ * mailbox machinery of the sharded parallel execution engine.
  *
  * Each channel is bound once, at wiring time, to the one component
  * that receives on it (bindReceiver). During a parallel compute phase
- * each worker thread installs its shard's staging list and shard index
- * via setStaging(). A push whose receiver is tagged with the pushing
+ * each worker thread installs its shard's outbox for the cycle's parity
+ * (setStaging). A push whose receiver is tagged with the pushing
  * thread's shard (Ticking::shard) is immediate, exactly as under the
  * sequential engine: it appends to the live queue and wakes the
- * receiver, both owned by the pushing thread. Any other push — to a
- * receiver on another shard or in the serial list, or on a channel
- * with no bound receiver — appends to a per-channel staging buffer and
- * enrols the channel in the thread's list; after the phase barrier the
- * engine calls commitStaged() on every enrolled channel (single
- * threaded), splicing staged values into the live queue in push order
- * and waking the receiver.
+ * receiver, both owned by the pushing thread. Any other push appends
+ * to the channel's staging buffer for that parity, and the first such
+ * push of a cycle enrols the channel in the outbox slot of the
+ * receiver's shard: a mailbox. Receivers in the serial list, and
+ * channels with no bound receiver, share the outbox's last slot.
  *
- * Because every channel has latency >= 1, a value pushed during cycle t
- * can never be received during cycle t, so deferring the queue append to
- * the end of the cycle is unobservable — results are bit-identical to
- * immediate pushes. The staging buffer is only ever touched by the one
- * component that sends on the channel (channels are single-sender), and
- * the live queue only by the one receiver's thread, so the two phases
- * are data-race free without any atomics on the hot path. The live
- * queue is a Ring (sim/ring.hh), one block that grows only when full;
- * the staging buffer is a vector that keeps its capacity across
- * commits, so neither allocates per push once a link has been busy.
+ * Whoever owns the receiver drains the mailbox (drainStaged) one cycle
+ * later: a shard at the start of its next compute phase, the main
+ * thread before the serial phase. Draining splices the staged values
+ * into the live queue in push order and wakes the receiver, so no
+ * thread ever writes another shard's queue or flags. It is race free
+ * without atomics:
  *
- * With no staging list installed (the default, and always the case under
- * the sequential engine) every push is immediate.
+ *  - every channel has latency >= 1, so a value pushed during cycle t
+ *    is never receivable during t, and appending it to the live queue
+ *    at the start of t+1 is unobservable to the receiver;
+ *  - during cycle t+1 a sender stages into the other parity's buffers
+ *    only, so the drain of parity t and the next pushes never touch the
+ *    same buffer;
+ *  - the engine's end-of-cycle barrier orders the parity-t pushes
+ *    before the receiver's drain.
+ *
+ * Channels are single-sender, so a staging buffer has one writer; the
+ * live queue has one owner, the receiver's thread. The live queue is a
+ * Ring (sim/ring.hh), one block that grows only when full; the staging
+ * buffers are vectors that keep their capacity across drains, so
+ * neither allocates per push once a link has been busy.
+ *
+ * Observer rule: between cycles, the last cycle's cross-shard values
+ * are still staged. forEachInFlight() and hasStaged() see them;
+ * inFlight(), ready() and receive() do not, since the receiver's own
+ * hot path calls them while its sender may be staging.
+ *
+ * With no outbox installed (the default, and always the case under the
+ * sequential engine) every push is immediate.
  */
 class ChannelBase
 {
@@ -64,10 +77,20 @@ class ChannelBase
         SignalOnly, //!< set the signal byte, leave the receiver asleep
     };
 
+    /**
+     * One sender's mailboxes for one cycle parity: slot r lists the
+     * channels with values staged for a receiver on shard r, and the
+     * last slot those for serial-list receivers and unbound channels.
+     */
+    using Outbox = std::vector<std::vector<ChannelBase *>>;
+
     virtual ~ChannelBase() = default;
 
-    /** Splice staged values into the live queue (engine use only). */
-    virtual void commitStaged() = 0;
+    /**
+     * Splice the values staged under @p parity into the live queue and
+     * notify the receiver (engine use only, on the receiver's thread).
+     */
+    virtual void drainStaged(unsigned parity) = 0;
 
     /**
      * Bind @p receiver, the one component that receives on this
@@ -75,9 +98,9 @@ class ChannelBase
      * pushed" byte *@p signal (when non-null), which the receiver uses
      * to skip polling empty channels and re-arms while values remain
      * in flight; with OnPush::Wake it also wakes the receiver. Immediate
-     * pushes do both at push time, staged pushes during the
-     * single-threaded commitStaged(), so a worker thread never touches
-     * another shard's flags.
+     * pushes do both at push time, staged pushes when the receiver's
+     * owner drains them, so a worker thread never touches another
+     * shard's flags.
      */
     void
     bindReceiver(Ticking &receiver, std::uint8_t *signal, OnPush on_push)
@@ -89,38 +112,46 @@ class ChannelBase
 
     /**
      * The receiver's signal byte (null when none is registered). Once
-     * the receiver has ticked, a zero byte means the channel is empty,
-     * so observers may skip it unread.
+     * the receiver has ticked, a zero byte means the live queue is
+     * empty; between cycles values may still be staged (hasStaged()).
      */
     const std::uint8_t *signalFlag() const { return signal_; }
 
     /**
-     * Install @p list as this thread's staged-channel enrolment list
-     * for a compute phase ticking @p shard (null restores immediate
-     * pushes). Engine use only.
+     * Install @p outbox (one slot per shard plus the serial slot) as
+     * this thread's mailboxes for a compute phase ticking @p shard
+     * during a cycle of @p parity; null restores immediate pushes.
+     * Engine use only.
      */
     static void
-    setStaging(std::vector<ChannelBase *> *list,
-               int shard = Ticking::kNoShard)
+    setStaging(Outbox *outbox, int shard = Ticking::kNoShard,
+               unsigned parity = 0)
     {
-        staging_ = Staging{list, shard};
+        staging_ = Staging{outbox, shard, parity};
     }
 
   protected:
     /**
-     * @return this thread's enrolment list when a push must be staged
-     * (staging is installed and the receiver does not tick on this
-     * thread's shard), else null.
+     * @return the mailbox a push must enrol in (staging is installed
+     * and the receiver does not tick on this thread's shard), else null.
      */
     std::vector<ChannelBase *> *
-    stagingFor() const
+    mailboxFor() const
     {
         const Staging &st = staging_;
-        if (st.list == nullptr ||
-            (receiver_ != nullptr && receiver_->shard() == st.shard))
+        if (st.outbox == nullptr)
             return nullptr;
-        return st.list;
+        const int shard =
+            receiver_ != nullptr ? receiver_->shard() : Ticking::kNoShard;
+        if (shard == Ticking::kNoShard)
+            return &st.outbox->back();
+        if (shard == st.shard)
+            return nullptr;
+        return &(*st.outbox)[static_cast<std::size_t>(shard)];
     }
+
+    /** The cycle parity of this thread's installed outbox. */
+    static unsigned stagingParity() { return staging_.parity; }
 
     void
     notifyReceiver()
@@ -134,11 +165,12 @@ class ChannelBase
   private:
     struct Staging
     {
-        std::vector<ChannelBase *> *list;
+        Outbox *outbox;
         int shard;
+        unsigned parity;
     };
-    static inline thread_local Staging staging_{nullptr,
-                                                Ticking::kNoShard};
+    static inline thread_local Staging staging_{nullptr, Ticking::kNoShard,
+                                                0};
     Ticking *receiver_ = nullptr;
     std::uint8_t *signal_ = nullptr;
     bool wakes_ = false;
@@ -168,23 +200,34 @@ class Channel : public ChannelBase
     void
     push(Cycle now, T value)
     {
-        if (auto *enrolled = stagingFor()) {
-            if (staged_.empty())
-                enrolled->push_back(this);
-            staged_.emplace_back(now + latency_, std::move(value));
+        if (auto *mailbox = mailboxFor()) {
+            auto &staged = staged_[stagingParity()];
+            if (staged.empty())
+                mailbox->push_back(this);
+            staged.emplace_back(now + latency_, std::move(value));
             return;
         }
+        // Values still staged would be drained in behind this one.
+        checkNothingStaged();
         queue_.emplace_back(now + latency_, std::move(value));
         notifyReceiver();
     }
 
     void
-    commitStaged() override
+    drainStaged(unsigned parity) override
     {
-        for (auto &e : staged_)
+        auto &staged = staged_[parity];
+        for (auto &e : staged)
             queue_.push_back(std::move(e));
-        staged_.clear();
+        staged.clear();
         notifyReceiver();
+    }
+
+    /** @return whether values wait in a mailbox, not yet drained. */
+    bool
+    hasStaged() const
+    {
+        return !staged_[0].empty() || !staged_[1].empty();
     }
 
     /**
@@ -208,13 +251,19 @@ class Channel : public ChannelBase
         return !queue_.empty() && queue_.front().first <= now;
     }
 
-    /** @return number of values in flight (arrived or not). */
+    /**
+     * @return number of values in the live queue (arrived or not).
+     * Staged values are not counted: the receiver calls this on its
+     * hot path while the sender may be staging.
+     */
     std::size_t inFlight() const { return queue_.size(); }
 
     /**
-     * Visit every in-flight value, oldest first. Observer use only
-     * (validation census); must not be used to smuggle state between
-     * components ahead of the delivery latency.
+     * Visit every in-flight value: the live queue oldest first, then
+     * the staged ones. Between cycles at most one parity holds values,
+     * so the visit is in push order. Observer use only (validation
+     * census, between cycles); must not be used to smuggle state
+     * between components ahead of the delivery latency.
      */
     template <typename Fn>
     void
@@ -222,6 +271,9 @@ class Channel : public ChannelBase
     {
         for (const auto &e : queue_)
             fn(e.second);
+        for (const auto &staged : staged_)
+            for (const auto &e : staged)
+                fn(e.second);
     }
 
     Cycle latency() const { return latency_; }
@@ -236,8 +288,18 @@ class Channel : public ChannelBase
     /** The live queue, oldest first, each value with its delivery
      *  cycle. */
     Ring<std::pair<Cycle, T>> queue_;
-    /** Values pushed during a parallel compute phase, pre-commit. */
-    std::vector<std::pair<Cycle, T>> staged_;
+    /** Values pushed across shards during a parallel compute phase,
+     *  by cycle parity, until the receiver's owner drains them. */
+    std::vector<std::pair<Cycle, T>> staged_[2];
+
+    void
+    checkNothingStaged() const
+    {
+#ifdef _GLIBCXX_ASSERTIONS
+        panic_if(hasStaged(), "Channel: immediate push overtakes staged "
+                              "values");
+#endif
+    }
 };
 
 } // namespace stacknoc

@@ -226,10 +226,10 @@ void
 StateIO::link(Ar &ar, Refs &refs, C &link)
 {
     if constexpr (!Ar::kLoading) {
-        if (!link.data.staged_.empty() || !link.credit.staged_.empty())
-            throw SnapshotError("channel has uncommitted staged values "
+        if (link.data.hasStaged() || link.credit.hasStaged())
+            throw SnapshotError("channel has undrained staged values "
                                 "(checkpoint must be taken between "
-                                "cycles)");
+                                "runs)");
     }
     // Loading deliberately notifies no receiver: the engine active set
     // travels in the checkpoint, and the pending-signal bytes are

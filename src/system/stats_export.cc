@@ -287,6 +287,7 @@ writeJsonStats(std::ostream &os, const CmpSystem &sys, const RunInfo &info)
             w.kv("shard", static_cast<std::uint64_t>(s));
             w.kv("compute_seconds",
                  prof->shardSeconds(s, telemetry::EnginePhase::Compute));
+            w.kv("critical_shard_share", prof->criticalShardShare(s));
             w.endObject();
         }
         w.endArray();

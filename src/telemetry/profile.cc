@@ -82,8 +82,23 @@ CycleProfiler::addShardPhase(std::size_t shard, EnginePhase ph,
 {
     ShardSlot &slot = *shards_[shard];
     slot.seconds[static_cast<std::size_t>(ph)] += t1 - t0;
+    if (ph == EnginePhase::Compute)
+        slot.computeEnd = t1;
     if (spanCapacity_ > 0)
         slot.log.push(spanCapacity_, ph, t0, t1);
+}
+
+void
+CycleProfiler::countCriticalShard()
+{
+    if (shards_.empty())
+        return;
+    ShardSlot *last = shards_.front().get();
+    for (const auto &slot : shards_) {
+        if (slot->computeEnd > last->computeEnd)
+            last = slot.get();
+    }
+    ++last->criticalCycles;
 }
 
 double
@@ -105,6 +120,18 @@ double
 CycleProfiler::shardSeconds(std::size_t shard, EnginePhase ph) const
 {
     return shards_.at(shard)->seconds[static_cast<std::size_t>(ph)];
+}
+
+double
+CycleProfiler::criticalShardShare(std::size_t shard) const
+{
+    std::uint64_t counted = 0;
+    for (const auto &slot : shards_)
+        counted += slot->criticalCycles;
+    if (counted == 0)
+        return 0.0;
+    return static_cast<double>(shards_.at(shard)->criticalCycles) /
+           static_cast<double>(counted);
 }
 
 std::uint64_t
@@ -155,13 +182,15 @@ CycleProfiler::writeTable(std::ostream &os, double wall_seconds) const
            << share(phaseSeconds(ph)) << "%\n";
     }
     if (shards_.size() > 1) {
-        os << "  shard        compute   share\n";
+        os << "  shard        compute   share  critical\n";
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             const double sec = shardSeconds(s, EnginePhase::Compute);
             os << "  shard" << std::left << std::setw(6) << s
                << std::right << std::setw(9) << std::setprecision(3)
                << sec << std::setw(7) << std::setprecision(1)
-               << share(sec) << "%\n";
+               << share(sec) << "%" << std::setw(9)
+               << std::setprecision(1) << 100.0 * criticalShardShare(s)
+               << "%\n";
         }
     }
     if (!kindNames_.empty()) {

@@ -3,8 +3,8 @@
  * Cycle-accounting profiler: attributes the execution engine's wall
  * time to per-cycle phases (parallel compute, barrier wait, commit,
  * serial slot, cycle-end callbacks), to individual shards of
- * the parallel engine, and to component kinds under the sequential
- * engine.
+ * the parallel engine (with the share of cycles each shard finished
+ * last), and to component kinds under the sequential engine.
  *
  * The profiler is a pure wall-clock observer: it never touches
  * simulation state, so determinism digests are bit-identical with it
@@ -45,7 +45,7 @@ namespace stacknoc::telemetry {
 enum class EnginePhase : std::uint8_t {
     Compute = 0, //!< component ticks (main thread's own shard)
     Barrier,     //!< main thread waiting on worker shards
-    Commit,      //!< boundary-channel splice + trace-log merge
+    Commit,      //!< trace-log merge + serial-list mailbox drain
     Serial,      //!< serial-affinity components
     CycleEnd,    //!< cycle-end callbacks (probes, samplers) + clock
 };
@@ -107,6 +107,13 @@ class CycleProfiler
     void addShardPhase(std::size_t shard, EnginePhase ph, double t0,
                        double t1);
 
+    /**
+     * Count the current cycle against the shard whose compute phase
+     * ended last (the critical shard), from the compute end stamps of
+     * addShardPhase(). Main-thread only, after the phase barrier.
+     */
+    void countCriticalShard();
+
     /** Sequential per-kind compute attribution (no span). */
     void
     addKindSeconds(std::size_t kind, double dt)
@@ -141,6 +148,12 @@ class CycleProfiler
 
     std::size_t numShards() const { return shards_.size(); }
     double shardSeconds(std::size_t shard, EnginePhase ph) const;
+
+    /**
+     * Fraction of the counted cycles in which @p shard finished compute
+     * last, so the barrier waited on it (0 when none were counted).
+     */
+    double criticalShardShare(std::size_t shard) const;
 
     const std::vector<std::string> &kindNames() const { return kindNames_; }
     double kindSeconds(std::size_t kind) const
@@ -198,6 +211,8 @@ class CycleProfiler
     {
         std::array<double, kNumEnginePhases> seconds{};
         SpanLog log;
+        double computeEnd = 0.0; //!< end stamp of the last compute phase
+        std::uint64_t criticalCycles = 0; //!< cycles it finished last
     };
 
     Clock::time_point epoch_;

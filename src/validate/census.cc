@@ -80,16 +80,20 @@ FabricCensus::FabricCensus(const noc::Network &net)
 namespace {
 
 /**
- * Whether a channel whose receiver signal byte is @p signal may hold
- * values: a zero byte means it is empty (see ChannelBase::signalFlag),
- * so the census skips it without touching its queue. Should a receiver
- * ever leave values behind a zero byte, they drop out of the census,
- * and the packet and credit identities report them missing.
+ * Whether channel @p ch, whose receiver signal byte is @p signal, may
+ * hold values. A zero byte means its live queue is empty (see
+ * ChannelBase::signalFlag), but between cycles the sharded engine still
+ * keeps the last cycle's cross-shard pushes staged, and those are in
+ * flight too. Otherwise the census skips the channel without touching
+ * its queue. Should a receiver ever leave values behind a zero byte,
+ * they drop out of the census, and the packet and credit identities
+ * report them missing.
  */
+template <typename T>
 bool
-mayHold(const std::uint8_t *signal)
+mayHold(const Channel<T> &ch, const std::uint8_t *signal)
 {
-    return signal == nullptr || *signal != 0;
+    return signal == nullptr || *signal != 0 || ch.hasStaged();
 }
 
 } // namespace
@@ -121,14 +125,14 @@ FabricCensus::take()
             const CensusLink &cl = links_[l];
             int *data = &linkData_[l * vcs];
             int *credits = &linkCredits_[l * vcs];
-            if (mayHold(cl.dataSignal)) {
+            if (mayHold(cl.link->data, cl.dataSignal)) {
                 cl.link->data.forEachInFlight(
                     [&](const noc::LinkFlit &lf) {
                         ++data[lf.vc];
                         note(cl.to, lf.flit);
                     });
             }
-            if (mayHold(cl.creditSignal)) {
+            if (mayHold(cl.link->credit, cl.creditSignal)) {
                 cl.link->credit.forEachInFlight(
                     [&](const noc::Credit &c) { ++credits[c.vc]; });
             }

@@ -192,9 +192,35 @@ TEST(ProfiledSystem, ShardedFillsShardSlots)
     sys.run(500);
     const auto *prof = sys.profiler();
     ASSERT_NE(prof, nullptr);
-    ASSERT_GE(prof->numShards(), 2u);
-    for (std::size_t s = 0; s < prof->numShards(); ++s)
+    ASSERT_EQ(prof->numShards(), 4u);
+    // Every profiled cycle names exactly one shard that finished its
+    // compute phase last.
+    double critical = 0.0;
+    for (std::size_t s = 0; s < prof->numShards(); ++s) {
         EXPECT_GT(prof->shardSeconds(s, EnginePhase::Compute), 0.0);
+        EXPECT_GE(prof->criticalShardShare(s), 0.0);
+        critical += prof->criticalShardShare(s);
+    }
+    EXPECT_NEAR(critical, 1.0, 1e-9);
+}
+
+TEST(CycleProfiler, CriticalShardIsTheLastComputeEnd)
+{
+    CycleProfiler prof;
+    prof.setShardCount(3);
+    EXPECT_EQ(prof.criticalShardShare(0), 0.0) << "no cycles counted";
+    // Cycle 1: shard 2 ends last; cycles 2 and 3: shard 0 does.
+    const double ends[3][3] = {{1.0, 2.0, 3.0},
+                               {6.0, 5.0, 4.0},
+                               {9.0, 8.0, 7.0}};
+    for (const auto &cycle : ends) {
+        for (std::size_t s = 0; s < 3; ++s)
+            prof.addShardPhase(s, EnginePhase::Compute, 0.0, cycle[s]);
+        prof.countCriticalShard();
+    }
+    EXPECT_DOUBLE_EQ(prof.criticalShardShare(0), 2.0 / 3.0);
+    EXPECT_DOUBLE_EQ(prof.criticalShardShare(1), 0.0);
+    EXPECT_DOUBLE_EQ(prof.criticalShardShare(2), 1.0 / 3.0);
 }
 
 /** Bit-exact digest of every stat in @p g. */

@@ -5,8 +5,9 @@
  * stats, no channel pushes — until an external wake re-arms it. These
  * tests prove the property per component kind (tick a quiescent
  * component anyway and verify nothing changed), and unit-test the wake
- * plumbing: channel pushes wake their receiver (immediate and staged),
- * only pushes that cross a shard are staged, and every mutating
+ * plumbing: channel pushes wake their receiver (immediate, or when the
+ * receiver's mailbox is drained), only pushes that cross a shard are
+ * staged, and every mutating
  * component entry point wakes conservatively.
  */
 
@@ -26,6 +27,7 @@
 #include "noc/routing.hh"
 #include "sim/channel.hh"
 #include "sim/simulator.hh"
+#include "snapshot/checkpoint.hh"
 #include "system/cmp_system.hh"
 
 namespace stacknoc {
@@ -96,6 +98,13 @@ TEST(Wake, SignalOnlyPushLeavesReceiverAsleep)
     recv.unbindWakeFlag(&flag);
 }
 
+/** A two-shard outbox: slots 0 and 1, then the serial slot. */
+ChannelBase::Outbox
+twoShardOutbox()
+{
+    return ChannelBase::Outbox(3);
+}
+
 TEST(Wake, SameShardPushIsImmediateAndWakesAtPush)
 {
     StubComponent recv;
@@ -106,11 +115,13 @@ TEST(Wake, SameShardPushIsImmediateAndWakesAtPush)
     Channel<int> ch(1);
     ch.bindReceiver(recv, nullptr, ChannelBase::OnPush::Wake);
 
-    std::vector<ChannelBase *> enrolled;
-    ChannelBase::setStaging(&enrolled, 0);
+    ChannelBase::Outbox outbox = twoShardOutbox();
+    ChannelBase::setStaging(&outbox, 0, 0);
     ch.push(0, 42);
     ChannelBase::setStaging(nullptr);
-    EXPECT_TRUE(enrolled.empty()) << "same-shard push must not stage";
+    for (const auto &mailbox : outbox)
+        EXPECT_TRUE(mailbox.empty()) << "same-shard push must not stage";
+    EXPECT_FALSE(ch.hasStaged());
     EXPECT_EQ(flag, 1) << "same-shard push must wake at push time";
     EXPECT_EQ(ch.inFlight(), 1u);
     EXPECT_TRUE(ch.receive(1).has_value());
@@ -118,26 +129,34 @@ TEST(Wake, SameShardPushIsImmediateAndWakesAtPush)
 }
 
 /**
- * Push once on @p ch with shard 0's staging installed and check the
- * push was staged: no wake and no queued value until commitStaged().
+ * Push once on @p ch from shard 0 during an even cycle and check the
+ * push was staged in outbox slot @p slot: no wake and no queued value
+ * until the mailbox is drained.
  */
 void
-expectStagedUntilCommit(Channel<int> &ch, const std::uint8_t &flag)
+expectStagedUntilDrain(Channel<int> &ch, const std::uint8_t &flag,
+                       std::size_t slot)
 {
-    std::vector<ChannelBase *> enrolled;
-    ChannelBase::setStaging(&enrolled, 0);
+    ChannelBase::Outbox outbox = twoShardOutbox();
+    ChannelBase::setStaging(&outbox, 0, 0);
     ch.push(0, 42);
     ChannelBase::setStaging(nullptr);
-    EXPECT_EQ(flag, 0) << "staged push must defer the wake to commit";
+    EXPECT_EQ(flag, 0) << "staged push must defer the wake to the drain";
     EXPECT_EQ(ch.inFlight(), 0u);
-    ASSERT_EQ(enrolled.size(), 1u);
+    EXPECT_TRUE(ch.hasStaged());
+    int seen = 0;
+    ch.forEachInFlight([&](int v) { seen += v; });
+    EXPECT_EQ(seen, 42) << "observers must see staged values";
+    for (std::size_t i = 0; i < outbox.size(); ++i)
+        ASSERT_EQ(outbox[i].size(), i == slot ? 1u : 0u) << "slot " << i;
 
-    enrolled.front()->commitStaged();
+    outbox[slot].front()->drainStaged(0);
+    EXPECT_FALSE(ch.hasStaged());
     EXPECT_EQ(ch.inFlight(), 1u);
     EXPECT_TRUE(ch.receive(1).has_value());
 }
 
-TEST(Wake, CrossShardPushIsStagedAndWakesAtCommit)
+TEST(Wake, CrossShardPushIsStagedAndWakesAtDrain)
 {
     StubComponent recv;
     std::uint8_t flag = 0;
@@ -146,50 +165,85 @@ TEST(Wake, CrossShardPushIsStagedAndWakesAtCommit)
 
     Channel<int> ch(1);
     ch.bindReceiver(recv, nullptr, ChannelBase::OnPush::Wake);
-    expectStagedUntilCommit(ch, flag);
-    EXPECT_EQ(flag, 1) << "commitStaged must wake the receiver";
+    expectStagedUntilDrain(ch, flag, 1);
+    EXPECT_EQ(flag, 1) << "drainStaged must wake the receiver";
 
     // A serial-list (untagged) receiver is another thread's too.
     recv.setShard(Ticking::kNoShard);
     flag = 0;
-    expectStagedUntilCommit(ch, flag);
+    expectStagedUntilDrain(ch, flag, 2);
     EXPECT_EQ(flag, 1);
     recv.unbindWakeFlag(&flag);
 }
 
-TEST(Wake, PushWithoutBoundReceiverIsStaged)
+TEST(Wake, PushWithoutBoundReceiverLandsInSerialSlot)
 {
     Channel<int> ch(1);
     const std::uint8_t no_wake = 0;
-    expectStagedUntilCommit(ch, no_wake);
+    expectStagedUntilDrain(ch, no_wake, 2);
 }
 
-/** Pushes one value per tick and records whether the push was
- *  immediate (the live queue grew at once). */
+TEST(Wake, DrainTakesOneParityOnly)
+{
+    StubComponent recv;
+    recv.setShard(1);
+    Channel<int> ch(1);
+    ch.bindReceiver(recv, nullptr, ChannelBase::OnPush::Wake);
+
+    // Cycle 0 stages under parity 0, cycle 1 under parity 1.
+    ChannelBase::Outbox outbox[2] = {twoShardOutbox(), twoShardOutbox()};
+    for (Cycle now : {0u, 1u}) {
+        ChannelBase::setStaging(&outbox[now], 0,
+                                static_cast<unsigned>(now));
+        ch.push(now, static_cast<int>(now) + 10);
+    }
+    ChannelBase::setStaging(nullptr);
+    ASSERT_EQ(outbox[0][1].size(), 1u);
+    ASSERT_EQ(outbox[1][1].size(), 1u);
+
+    ch.drainStaged(0);
+    EXPECT_EQ(ch.inFlight(), 1u);
+    EXPECT_TRUE(ch.hasStaged()) << "parity 1 must stay staged";
+    std::vector<int> flight;
+    ch.forEachInFlight([&](int v) { flight.push_back(v); });
+    EXPECT_EQ(flight, (std::vector<int>{10, 11}));
+
+    ch.drainStaged(1);
+    EXPECT_FALSE(ch.hasStaged());
+    EXPECT_EQ(ch.receive(1), std::optional<int>(10));
+    EXPECT_EQ(ch.receive(2), std::optional<int>(11));
+}
+
+/** Pushes one value per tick. */
 struct PushingStub : Ticking
 {
     explicit PushingStub(Channel<int> &out) : Ticking("pusher"), ch(out)
     {}
-    void
-    tick(Cycle now) override
-    {
-        const std::size_t before = ch.inFlight();
-        ch.push(now, 1);
-        immediate.push_back(ch.inFlight() > before);
-    }
+    void tick(Cycle now) override { ch.push(now, 1); }
     Channel<int> &ch;
-    std::vector<bool> immediate;
+};
+
+/** Never receives; records its live queue's length at every tick. */
+struct WatchingStub : Ticking
+{
+    explicit WatchingStub(Channel<int> &in) : Ticking("watcher"), ch(in)
+    {
+        ch.bindReceiver(*this, nullptr, ChannelBase::OnPush::Wake);
+    }
+    void tick(Cycle) override { seen.push_back(ch.inFlight()); }
+    Channel<int> &ch;
+    std::vector<std::size_t> seen;
 };
 
 TEST(Wake, ShardedEngineStagesOnlyCrossShardPushes)
 {
-    // Receivers never drain, so the pushers alone read their queues.
+    // Each receiver ticks after its sender. A same-shard push is in its
+    // live queue at once; a cross-shard push arrives with the
+    // receiving shard's mailbox drain at the start of the next cycle.
     Simulator sim;
-    StubComponent near_rx, far_rx;
     Channel<int> near_ch(1), far_ch(1);
-    near_ch.bindReceiver(near_rx, nullptr, ChannelBase::OnPush::Wake);
-    far_ch.bindReceiver(far_rx, nullptr, ChannelBase::OnPush::Wake);
     PushingStub near_tx(near_ch), far_tx(far_ch);
+    WatchingStub near_rx(near_ch), far_rx(far_ch);
     sim.add(&near_tx, 0);
     sim.add(&near_rx, 0);
     sim.add(&far_tx, 0);
@@ -202,19 +256,22 @@ TEST(Wake, ShardedEngineStagesOnlyCrossShardPushes)
         EXPECT_EQ(near_rx.shard(), 0);
         EXPECT_EQ(far_rx.shard(), 1);
     }
-    EXPECT_EQ(near_tx.immediate, std::vector<bool>(3, true));
-    EXPECT_EQ(far_tx.immediate, std::vector<bool>(3, false));
-    EXPECT_EQ(far_ch.inFlight(), 3u) << "staged pushes commit each cycle";
+    using Seen = std::vector<std::size_t>;
+    EXPECT_EQ(near_rx.seen, (Seen{1, 2, 3}));
+    EXPECT_EQ(far_rx.seen, (Seen{0, 1, 2}));
+    EXPECT_EQ(far_ch.inFlight(), 3u)
+        << "run() must return with every mailbox drained";
+    EXPECT_FALSE(far_ch.hasStaged());
 
     // Teardown clears the tags; a sequential run on the same system
     // then stages nothing.
     for (const Ticking *c : sim.components())
         EXPECT_EQ(c->shard(), Ticking::kNoShard) << c->name();
-    near_tx.immediate.clear();
-    far_tx.immediate.clear();
+    near_rx.seen.clear();
+    far_rx.seen.clear();
     engine::SequentialEngine(sim).run(3);
-    EXPECT_EQ(near_tx.immediate, std::vector<bool>(3, true));
-    EXPECT_EQ(far_tx.immediate, std::vector<bool>(3, true));
+    EXPECT_EQ(near_rx.seen, (Seen{4, 5, 6}));
+    EXPECT_EQ(far_rx.seen, (Seen{4, 5, 6}));
 }
 
 TEST(Wake, UnbindOnlyClearsMatchingFlag)
@@ -558,6 +615,24 @@ TEST(Quiescence, ScheduleIsKindBatchedInOrdinalOrder)
     // cores last among the batched kinds.
     ASSERT_FALSE(walk.empty());
     EXPECT_EQ(walk.front()->kind, TickKind::Router);
+}
+
+TEST(Quiescence, ShardedRunReturnsWithNothingStaged)
+{
+    // The checkpoint refuses a channel with staged values, so a save
+    // right after run() proves every mailbox was drained, whichever
+    // parity the last cycle had.
+    auto cfg = smallSystem();
+    cfg.threads = 4;
+    noc::resetPacketIds();
+    system::CmpSystem sys(cfg);
+    for (Cycle cycles : {301u, 1u}) {
+        sys.run(cycles);
+        std::ostringstream out(std::ios::binary);
+        EXPECT_NO_THROW(snapshot::saveCheckpoint(sys, out, 0))
+            << "after " << sys.simulator().now() << " cycles";
+        EXPECT_FALSE(out.str().empty());
+    }
 }
 
 } // namespace
