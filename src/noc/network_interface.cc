@@ -105,6 +105,7 @@ NetworkInterface::receive(Cycle now)
                          params_.vcDepth,
                      "NI %d: ejection buffer overflow", id_);
             vc.buffer.push_back(std::move(lf->flit));
+            ++ejectHeld_;
         }
         if (fromRouter_->data.inFlight() != 0)
             dataPending_ = 1;
@@ -188,6 +189,7 @@ NetworkInterface::drainEjectBuffers(Cycle now)
             const bool is_tail = front.tail();
             PacketPtr pkt = front.pkt;
             vc.buffer.pop_front();
+            --ejectHeld_;
             if (is_tail && vc.dropping) {
                 vc.dropping = false;
                 vc.crcClean = false;

@@ -195,18 +195,38 @@ class NetworkInterface final : public Ticking, public PacketSender
      * Invoke @p fn(vc, flit, committed) for every flit parked in an
      * ejection buffer; @p committed is true when the flit belongs to the
      * front packet of a VC whose head the client already accepted.
-     * Observer use only (validation census).
+     * While the buffers hold no flit, by the count kept with them, none
+     * is read. Observer use only (validation census).
      */
     template <typename Fn>
     void
     forEachEjectFlit(Fn &&fn) const
     {
+        if (ejectHeld_ == 0)
+            return;
         for (std::size_t v = 0; v < ejectVcs_.size(); ++v) {
             const auto &vc = ejectVcs_[v];
             for (const auto &flit : vc.buffer) {
                 fn(static_cast<int>(v), flit,
                    vc.committed && flit.pkt == vc.committedPkt);
             }
+        }
+    }
+
+    /**
+     * Invoke @p fn(vc, credits, pkt) for every injection VC, in VC
+     * order: its credits, and the packet it is serialising once the
+     * head flit has left (null otherwise). Queued packets are not
+     * visited. Observer use only (validation census).
+     */
+    template <typename Fn>
+    void
+    forEachInjVc(Fn &&fn) const
+    {
+        for (std::size_t v = 0; v < injVcs_.size(); ++v) {
+            const InjVc &vc = injVcs_[v];
+            fn(static_cast<int>(v), vc.credits,
+               vc.pkt && vc.nextSeq > 0 ? vc.pkt.get() : nullptr);
         }
     }
 
@@ -230,6 +250,17 @@ class NetworkInterface final : public Ticking, public PacketSender
     int injCredits(int vc) const
     {
         return injVcs_.at(static_cast<std::size_t>(vc)).credits;
+    }
+
+    /**
+     * Fault injection for validation tests ONLY: add @p delta to the
+     * injection credits of VC @p vc, emulating a leaked or
+     * double-counted credit. The credit checker must catch it.
+     */
+    void
+    corruptInjCreditForTest(int vc, int delta)
+    {
+        injVcs_.at(static_cast<std::size_t>(vc)).credits += delta;
     }
 
     /**
@@ -289,6 +320,9 @@ class NetworkInterface final : public Ticking, public PacketSender
     Ring<PacketPtr> injectQueue_; //!< unbounded; grows when full
     std::vector<InjVc> injVcs_;
     std::vector<EjectVc> ejectVcs_;
+    /** Flits in all ejection buffers, kept with every push and pop so
+     *  observers skip the buffers while they are empty. */
+    int ejectHeld_ = 0;
     int rrInjVc_ = 0;
 
     /** Push-notification bytes for the local links (bound to the

@@ -37,6 +37,7 @@ Router::Router(std::string rname, NodeId id, const NocParams &params,
                stats::Group &net_stats)
     : Ticking(std::move(rname)), id_(id), params_(params),
       routing_(routing), policy_(policy),
+      numVcs_(static_cast<std::size_t>(params.totalVcs())),
       flitsIn_(net_stats.counter("flits_buffered")),
       flitsOut_(net_stats.counter("flits_switched")),
       packetsForwarded_(net_stats.counter("packets_forwarded"))
@@ -54,8 +55,7 @@ Router::Router(std::string rname, NodeId id, const NocParams &params,
             vc.idx = static_cast<std::uint8_t>(vi);
         }
     }
-    for (auto &op : out_)
-        op.credits.assign(static_cast<std::size_t>(vcs), params_.vcDepth);
+    credits_.assign(kNumDirs * numVcs_, params_.vcDepth);
     for (int vn = 0; vn < kNumVnets; ++vn) {
         const int n = params_.vcsPerVnet[static_cast<std::size_t>(vn)];
         vnetVcs_[static_cast<std::size_t>(vn)] =
@@ -115,9 +115,9 @@ Router::receiveCredits(Cycle now)
         creditPending_[static_cast<std::size_t>(pi)] = 0;
         OutPort &op = out_[static_cast<std::size_t>(pi)];
         while (auto c = op.link->credit.receive(now)) {
-            auto &credit = op.credits[static_cast<std::size_t>(c->vc)];
-            ++credit;
-            panic_if(credit > params_.vcDepth,
+            int &held = credit(static_cast<std::size_t>(pi), c->vc);
+            ++held;
+            panic_if(held > params_.vcDepth,
                      "router %d: credit overflow on vc %d", id_, c->vc);
         }
         if (op.link->credit.inFlight() != 0)
@@ -171,11 +171,10 @@ Router::routeCompute(Cycle)
 {
     if (stateCount_[static_cast<std::size_t>(VcStatus::Routing)] == 0)
         return;
-    for (auto &ip : in_) {
-        for (std::uint64_t m = ip.stateMask[
-                 static_cast<std::size_t>(VcStatus::Routing)];
-             m != 0; m &= m - 1) {
-            auto &vc = ip.vcs[static_cast<std::size_t>(
+    for (std::size_t pi = 0; pi < in_.size(); ++pi) {
+        for (std::uint64_t m = stateMask(VcStatus::Routing, pi); m != 0;
+             m &= m - 1) {
+            auto &vc = in_[pi].vcs[static_cast<std::size_t>(
                 std::countr_zero(m))];
             if (vc.buffer.empty())
                 continue;
@@ -209,10 +208,10 @@ Router::vcAllocate(Cycle now)
     static thread_local std::vector<Cand> cands;
     cands.clear();
     int base = 0;
-    for (auto &ip : in_) {
-        for (std::uint64_t m = ip.stateMask[
-                 static_cast<std::size_t>(VcStatus::WaitVa)];
-             m != 0; m &= m - 1) {
+    for (std::size_t pi = 0; pi < in_.size(); ++pi) {
+        InPort &ip = in_[pi];
+        for (std::uint64_t m = stateMask(VcStatus::WaitVa, pi); m != 0;
+             m &= m - 1) {
             const int vi = std::countr_zero(m);
             auto &vc = ip.vcs[static_cast<std::size_t>(vi)];
             if (vc.buffer.empty())
@@ -315,7 +314,9 @@ Router::switchAllocateAndTraverse(Cycle now)
     nominees.clear();
     for (int pi = 0; pi < kNumDirs; ++pi) {
         InPort &ip = in_[static_cast<std::size_t>(pi)];
-        if (ip.stateMask[static_cast<std::size_t>(VcStatus::Active)] == 0)
+        const std::uint64_t active =
+            stateMask(VcStatus::Active, static_cast<std::size_t>(pi));
+        if (active == 0)
             continue;
         const int vcs = static_cast<int>(ip.vcs.size());
         const int speedup = ip.link ? ip.link->bandwidth : 1;
@@ -327,8 +328,6 @@ Router::switchAllocateAndTraverse(Cycle now)
         // pointer in ascending order, then the bits below it.
         const std::uint64_t below =
             (std::uint64_t{1} << ip.rrSaVc) - 1;
-        const std::uint64_t active = ip.stateMask[
-            static_cast<std::size_t>(VcStatus::Active)];
         std::uint64_t rot[2] = {active & ~below, active & below};
         for (std::uint64_t &half : rot)
         for (; half != 0; half &= half - 1) {
@@ -339,9 +338,7 @@ Router::switchAllocateAndTraverse(Cycle now)
             const Flit &front = vc.buffer.front();
             if (front.arrivedAt >= now || vc.vaDoneAt >= now)
                 continue;
-            OutPort &op = out_[static_cast<std::size_t>(
-                static_cast<int>(vc.outDir))];
-            if (op.credits[static_cast<std::size_t>(vc.outVc)] <= 0)
+            if (credit(static_cast<std::size_t>(vc.outDir), vc.outVc) <= 0)
                 continue;
             Packet &pkt = *front.pkt;
             if (front.head() && !policy_.eligible(id_, pkt, now))
@@ -418,7 +415,7 @@ Router::switchAllocateAndTraverse(Cycle now)
             // The channel queue keeps the packet alive past the move.
             Packet *pkt = flit.pkt.get();
             op.link->data.push(now, LinkFlit{std::move(flit), vc.outVc});
-            --op.credits[static_cast<std::size_t>(vc.outVc)];
+            --credit(static_cast<std::size_t>(d), vc.outVc);
             flitsOut_.inc();
             ++flitsSwitchedTotal_;
 
@@ -441,14 +438,13 @@ Router::switchAllocateAndTraverse(Cycle now)
 void
 Router::changeStatus(VirtualChannel &vc, VcStatus to)
 {
-    InPort &ip = in_[vc.port];
     const std::uint64_t bit = std::uint64_t{1} << vc.idx;
     const auto from = static_cast<std::size_t>(vc.status);
     const auto dest = static_cast<std::size_t>(to);
-    ip.stateMask[from] &= ~bit;
+    stateMask(vc.status, vc.port) &= ~bit;
     --stateCount_[from];
     vc.status = to;
-    ip.stateMask[dest] |= bit;
+    stateMask(to, vc.port) |= bit;
     ++stateCount_[dest];
 }
 

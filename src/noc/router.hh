@@ -101,7 +101,22 @@ class Router final : public Ticking
 
     /**
      * Invoke @p fn(dir, vc, flit) for every buffered flit (head or not),
-     * port by port and VC by VC. Observer use only (validation census).
+     * port by port and VC by VC. Observer use only.
+     */
+    template <typename Fn>
+    void
+    forEachBufferedFlit(Fn &&fn) const
+    {
+        forEachOccupiedVc([&](Dir d, int vc, const Ring<Flit> &buffer) {
+            for (const Flit &flit : buffer)
+                fn(d, vc, flit);
+        });
+    }
+
+    /**
+     * Invoke @p fn(dir, vc, buffer) for every input VC that may hold
+     * flits, port by port and VC by VC; the VCs not visited are empty.
+     * Observer use only (validation census).
      *
      * Only VCs out of Idle hold flits: a head arriving moves its VC out
      * of Idle, and a VC returns there only once empty. So when the busy
@@ -110,39 +125,51 @@ class Router final : public Ticking
      */
     template <typename Fn>
     void
-    forEachBufferedFlit(Fn &&fn) const
+    forEachOccupiedVc(Fn &&fn) const
     {
+        // The busy VCs of each port, and a bit per port that has any:
+        // the walks below visit only those ports.
+        std::array<std::uint64_t, kNumDirs> busy;
+        unsigned ports = 0;
+        for (std::size_t d = 0; d < busy.size(); ++d) {
+            busy[d] = busyVcs(d);
+            ports |= static_cast<unsigned>(busy[d] != 0) << d;
+        }
         int held = 0;
-        for (const InPort &ip : in_) {
-            for (std::uint64_t m = busyVcs(ip); m != 0; m &= m - 1) {
-                held += static_cast<int>(
-                    ip.vcs[static_cast<std::size_t>(std::countr_zero(m))]
-                        .buffer.size());
+        for (unsigned p = ports; p != 0; p &= p - 1) {
+            const auto d = static_cast<std::size_t>(std::countr_zero(p));
+            for (std::uint64_t m = busy[d]; m != 0; m &= m - 1) {
+                const auto v = static_cast<std::size_t>(std::countr_zero(m));
+                held += static_cast<int>(in_[d].vcs[v].buffer.size());
             }
         }
-        const bool busy_only = held == bufferedTotal_;
-        for (int d = 0; d < kNumDirs; ++d) {
+        if (held != bufferedTotal_) {
+            ports = (1u << kNumDirs) - 1;
+            for (std::size_t d = 0; d < busy.size(); ++d)
+                busy[d] = allVcs(in_[d]);
+        }
+        for (unsigned p = ports; p != 0; p &= p - 1) {
+            const int d = std::countr_zero(p);
             const InPort &ip = in_[static_cast<std::size_t>(d)];
-            for (std::uint64_t m = busy_only ? busyVcs(ip) : allVcs(ip);
-                 m != 0; m &= m - 1) {
+            for (std::uint64_t m = busy[static_cast<std::size_t>(d)]; m != 0;
+                 m &= m - 1) {
                 const int v = std::countr_zero(m);
-                for (const auto &flit :
-                     ip.vcs[static_cast<std::size_t>(v)].buffer)
-                    fn(static_cast<Dir>(d), v, flit);
+                fn(static_cast<Dir>(d), v,
+                   ip.vcs[static_cast<std::size_t>(v)].buffer);
             }
         }
     }
 
     /**
      * Credits available on every output VC of port @p d (meaningful
-     * only where a link is attached). Sized at construction,
-     * so the view stays valid for the router's lifetime (observer use:
-     * the credit checker reads it every sweep).
+     * only where a link is attached). Sized at construction, so the
+     * view stays valid for the router's lifetime.
      */
     std::span<const int>
     outCredits(Dir d) const
     {
-        return out_[static_cast<std::size_t>(d)].credits;
+        return std::span<const int>(credits_).subspan(
+            static_cast<std::size_t>(d) * numVcs_, numVcs_);
     }
 
     /**
@@ -153,8 +180,9 @@ class Router final : public Ticking
     void
     corruptOutCreditForTest(Dir d, int vc, int delta)
     {
-        out_[static_cast<std::size_t>(d)].credits.at(
-            static_cast<std::size_t>(vc)) += delta;
+        panic_if(vc < 0 || static_cast<std::size_t>(vc) >= numVcs_,
+                 "router %d: no output VC %d", id_, vc);
+        credit(static_cast<std::size_t>(d), vc) += delta;
     }
 
     /**
@@ -212,30 +240,44 @@ class Router final : public Ticking
         Link *link = nullptr;
         std::vector<VirtualChannel> vcs;
         int rrSaVc = 0; //!< round-robin pointer for the SA input stage
-        /** One bit per VC in each pipeline state, indexed by VcStatus,
-         *  so the allocation stages iterate only occupied VCs instead
-         *  of scanning the whole array. Kept in lockstep with
-         *  VirtualChannel::status by changeStatus(); the Idle slot is
-         *  maintained but never read. */
-        std::array<std::uint64_t, 4> stateMask{};
     };
 
     struct OutPort
     {
         Link *link = nullptr;
-        std::vector<int> credits;   //!< per out-VC credits
         std::uint64_t vcBusy = 0;   //!< bit v: out-VC v is allocated
         int rrVa = 0;               //!< round-robin pointer for VA
         int rrSa = 0;               //!< round-robin pointer for SA output
     };
 
-    /** Input VCs of @p ip out of Idle: the ones that can hold flits. */
-    static std::uint64_t
-    busyVcs(const InPort &ip)
+    /** The input VCs of port @p port in pipeline state @p st. */
+    std::uint64_t &
+    stateMask(VcStatus st, std::size_t port)
     {
-        return ip.stateMask[static_cast<std::size_t>(VcStatus::Routing)] |
-               ip.stateMask[static_cast<std::size_t>(VcStatus::WaitVa)] |
-               ip.stateMask[static_cast<std::size_t>(VcStatus::Active)];
+        return stateMask_[static_cast<std::size_t>(st)][port];
+    }
+
+    std::uint64_t
+    stateMask(VcStatus st, std::size_t port) const
+    {
+        return stateMask_[static_cast<std::size_t>(st)][port];
+    }
+
+    /** Input VCs of port @p port out of Idle: the ones that can hold
+     *  flits. */
+    std::uint64_t
+    busyVcs(std::size_t port) const
+    {
+        return stateMask(VcStatus::Routing, port) |
+               stateMask(VcStatus::WaitVa, port) |
+               stateMask(VcStatus::Active, port);
+    }
+
+    /** Credits of output VC @p vc of port @p port. */
+    int &
+    credit(std::size_t port, int vc)
+    {
+        return credits_[port * numVcs_ + static_cast<std::size_t>(vc)];
     }
 
     /** Every input VC of @p ip. */
@@ -271,10 +313,28 @@ class Router final : public Ticking
     /** Per virtual network, the mask of its VC indices. */
     std::array<std::uint64_t, kNumVnets> vnetVcs_{};
 
+    /** VCs per port (every port has the same VC set). */
+    std::size_t numVcs_;
+
+    /**
+     * Per pipeline state (indexed by VcStatus), one bit per input VC
+     * of each port, so the allocation stages iterate only occupied VCs
+     * instead of scanning the whole array. Kept in lockstep with
+     * VirtualChannel::status by changeStatus(); the Idle row is
+     * maintained but never read. State-major, so the busy rows of
+     * every port share three cache lines (the census reads them every
+     * sweep).
+     */
+    std::array<std::array<std::uint64_t, kNumDirs>, 4> stateMask_{};
+
     /** Input VCs per pipeline state (indexed by VcStatus; the Idle
      *  slot is maintained but never read), for O(1) idle-stage
      *  skips. */
     std::array<int, 4> stateCount_{};
+
+    /** Credits of every output VC, port-major (port * numVcs_ + vc):
+     *  one block, so a router's credits are a few adjacent lines. */
+    std::vector<int> credits_;
 
     /** Incremental mirrors of the buffer-occupancy sums, so the RCA
      * sideband snapshot and the quiescence predicate are O(1). */

@@ -118,6 +118,20 @@ class ChannelBase
     const std::uint8_t *signalFlag() const { return signal_; }
 
     /**
+     * Whether a push from a sender tagged @p sender_shard (pushing from
+     * its tick) to a receiver tagged @p receiver_shard is staged rather
+     * than immediate: only a sender ticking on a shard has an outbox,
+     * and it stages only across shards. A channel between two such
+     * components never holds staged values, so observers need not look.
+     */
+    static constexpr bool
+    stagesAcross(int sender_shard, int receiver_shard)
+    {
+        return sender_shard != Ticking::kNoShard &&
+               receiver_shard != sender_shard;
+    }
+
+    /**
      * Install @p outbox (one slot per shard plus the serial slot) as
      * this thread's mailboxes for a compute phase ticking @p shard
      * during a cycle of @p parity; null restores immediate pushes.
@@ -143,10 +157,10 @@ class ChannelBase
             return nullptr;
         const int shard =
             receiver_ != nullptr ? receiver_->shard() : Ticking::kNoShard;
+        if (!stagesAcross(st.shard, shard))
+            return nullptr;
         if (shard == Ticking::kNoShard)
             return &st.outbox->back();
-        if (shard == st.shard)
-            return nullptr;
         return &(*st.outbox)[static_cast<std::size_t>(shard)];
     }
 

@@ -6,6 +6,7 @@
 #ifndef STACKNOC_SIM_TICKING_HH
 #define STACKNOC_SIM_TICKING_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -112,13 +113,31 @@ class Ticking
      * for and restores kNoShard on teardown). A channel push compares
      * its receiver's tag with the pushing thread's shard.
      */
-    void setShard(int shard) { shard_ = shard; }
+    void
+    setShard(int shard)
+    {
+        shard_ = shard;
+        shardEpoch_.fetch_add(1, std::memory_order_relaxed);
+    }
     int shard() const { return shard_; }
+
+    /**
+     * Bumped by every setShard() in the process, so an observer that
+     * caches shard tags (the validation census) reads them again only
+     * when one may have moved. A thread always sees its own bumps.
+     */
+    static std::uint64_t
+    shardEpoch()
+    {
+        return shardEpoch_.load(std::memory_order_relaxed);
+    }
 
     /** @return hierarchical component name, e.g. "net.router27". */
     const std::string &name() const { return name_; }
 
   private:
+    static inline std::atomic<std::uint64_t> shardEpoch_{0};
+
     std::string name_;
     std::uint8_t *wake_flag_ = nullptr;
     int shard_ = kNoShard;

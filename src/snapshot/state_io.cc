@@ -1,6 +1,7 @@
 #include "snapshot/state_io.hh"
 
 #include <bit>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -259,10 +260,13 @@ StateIO::router(Ar &ar, Refs &refs, C &r)
         });
         ar.i32(ip.rrSaVc);
     }
-    for (auto &op : r.out_) {
-        ar.fixed(op.credits, "router output VCs",
+    for (std::size_t p = 0; p < r.out_.size(); ++p) {
+        auto &op = r.out_[p];
+        const auto credits =
+            std::span(r.credits_).subspan(p * r.numVcs_, r.numVcs_);
+        ar.fixed(credits, "router output VCs",
                  [&](auto &c) { ar.i32(c); });
-        for (std::size_t v = 0; v < op.credits.size(); ++v) {
+        for (std::size_t v = 0; v < credits.size(); ++v) {
             const std::uint64_t bit = std::uint64_t{1} << v;
             bool busy = (op.vcBusy & bit) != 0;
             ar.b(busy);
@@ -289,15 +293,16 @@ StateIO::rebuildDerived(noc::Router &r)
     // occupancy mirrors. The Idle slots of stateMask/stateCount carry
     // history-dependent values in a live run, but they are never read
     // (see router.hh), so the canonical rebuild is behaviourally exact.
+    r.stateMask_ = {};
     r.stateCount_ = {};
     r.bufferedTotal_ = 0;
     r.localCongestion_ = 0;
     for (int p = 0; p < noc::kNumDirs; ++p) {
         auto &ip = r.in_[static_cast<std::size_t>(p)];
-        ip.stateMask = {};
         for (const auto &vc : ip.vcs) {
             const auto st = static_cast<std::size_t>(vc.status);
-            ip.stateMask[st] |= std::uint64_t{1} << vc.idx;
+            r.stateMask_[st][static_cast<std::size_t>(p)] |=
+                std::uint64_t{1} << vc.idx;
             ++r.stateCount_[st];
             const int held = static_cast<int>(vc.buffer.size());
             r.bufferedTotal_ += held;
@@ -326,6 +331,11 @@ StateIO::ni(Ar &ar, Refs &refs, C &ni)
         ar.i32(vc.retxAttempts);
         ar.u64(vc.retxHoldUntil);
     });
+    if constexpr (Ar::kLoading) {
+        ni.ejectHeld_ = 0;
+        for (const auto &vc : ni.ejectVcs_)
+            ni.ejectHeld_ += static_cast<int>(vc.buffer.size());
+    }
     ar.i32(ni.rrInjVc_);
     ar.u8(ni.dataPending_);
     ar.u8(ni.creditPending_);

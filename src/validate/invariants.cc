@@ -201,54 +201,66 @@ PacketConservationChecker::check(Cycle now, std::vector<Violation> &out)
 
 CreditConservationChecker::CreditConservationChecker(
     const FabricCensus &census, const noc::Network &net)
-    : census_(census), net_(net)
+    : census_(census), depth_(net.params().vcDepth)
 {
-    for (const CensusLink &cl : census.links()) {
-        routerCredits_.push_back(
-            cl.kind == CensusLink::Kind::NiToRouter
-                ? nullptr
-                : net.router(cl.from).outCredits(cl.outDir).data());
-    }
 }
 
 void
 CreditConservationChecker::check(Cycle now, std::vector<Violation> &out)
 {
+    using Count = FabricCensus::Count;
     using Kind = CensusLink::Kind;
-    const int vcs = net_.params().totalVcs();
-    const int depth = net_.params().vcDepth;
+    constexpr std::size_t kLanes = FabricCensus::kLanes;
+    const auto depth = static_cast<Count>(depth_);
+    const Count *credits = census_.senderCredits().data();
+    const Count *data = census_.dataInFlight().data();
+    const Count *buffer = census_.receiverOccupancy().data();
+    const Count *back = census_.creditsInFlight().data();
 
+    // One branch-free pass over every (link, VC) entry, kLanes at a
+    // time so that it vectorises: a lane's flag has its sign bit set
+    // when its credits or buffer are negative or its total is not the
+    // depth. The four counts are small enough to sum in 16 bits (see
+    // FabricCensus::Count), and the padding passes. A clean sweep ends
+    // here.
+    Count flags = 0;
+    for (std::size_t base = 0; base < census_.paddedSize(); base += kLanes) {
+        for (std::size_t j = base; j < base + kLanes; ++j) {
+            const auto sum = static_cast<Count>(credits[j] + data[j] +
+                                                buffer[j] + back[j]);
+            flags |= static_cast<Count>(credits[j] | buffer[j] |
+                                        (sum != depth ? -1 : 0));
+        }
+    }
+    if (flags >= 0)
+        return;
+
+    // Otherwise report each failing VC, link by link.
     const auto &links = census_.links();
-    for (std::size_t l = 0; l < links.size(); ++l) {
+    const std::size_t vcs = census_.vcs();
+    for (std::size_t l = 0, i = 0; l < links.size(); ++l) {
         const CensusLink &cl = links[l];
-        const auto data = census_.dataInFlight(l);
-        const auto buffer = census_.receiverOccupancy(l);
-        const auto cred = census_.creditsInFlight(l);
-        const noc::NetworkInterface *ni =
-            cl.kind == Kind::NiToRouter ? &net_.ni(cl.from) : nullptr;
-        for (int vc = 0; vc < vcs; ++vc) {
-            const auto v = static_cast<std::size_t>(vc);
-            const int credits =
-                ni ? ni->injCredits(vc) : routerCredits_[l][v];
-            if (credits >= 0 && buffer[v] >= 0 &&
-                credits + data[v] + buffer[v] + cred[v] == depth)
-                continue;
-            const char *what = cl.kind == Kind::RouterToRouter ? "link"
-                               : cl.kind == Kind::NiToRouter
-                                   ? "ni-to-router"
-                                   : "router-to-ni";
-            out.push_back(Violation{
-                name(), now,
-                credits < 0 || buffer[v] < 0
-                    ? detail::format("%s %d->%d vc %d: negative credits "
-                                     "(%d) or buffer (%d)",
-                                     what, cl.from, cl.to, vc, credits,
-                                     buffer[v])
-                    : detail::format("%s %d->%d vc %d: credits %d + "
-                                     "data-in-flight %d + buffer %d + "
-                                     "credits-in-flight %d != depth %d",
-                                     what, cl.from, cl.to, vc, credits,
-                                     data[v], buffer[v], cred[v], depth)});
+        const char *what = cl.kind == Kind::RouterToRouter ? "link"
+                           : cl.kind == Kind::NiToRouter ? "ni-to-router"
+                                                         : "router-to-ni";
+        for (std::size_t vc = 0; vc < vcs; ++vc, ++i) {
+            if (credits[i] < 0 || buffer[i] < 0) {
+                out.push_back(Violation{
+                    name(), now,
+                    detail::format("%s %d->%d vc %zu: negative credits "
+                                   "(%d) or buffer (%d)",
+                                   what, cl.from, cl.to, vc, credits[i],
+                                   buffer[i])});
+            } else if (credits[i] + data[i] + buffer[i] + back[i] !=
+                       depth) {
+                out.push_back(Violation{
+                    name(), now,
+                    detail::format("%s %d->%d vc %zu: credits %d + "
+                                   "data-in-flight %d + buffer %d + "
+                                   "credits-in-flight %d != depth %d",
+                                   what, cl.from, cl.to, vc, credits[i],
+                                   data[i], buffer[i], back[i], depth_)});
+            }
         }
     }
 }

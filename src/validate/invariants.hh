@@ -109,10 +109,7 @@ class CreditConservationChecker : public Checker
 
   private:
     const FabricCensus &census_;
-    const noc::Network &net_;
-    /** Per census link, the sending router's output-VC credits (null
-     *  for an NI sender). */
-    std::vector<const int *> routerCredits_;
+    int depth_; //!< VC depth: every identity's total
 };
 
 /** STT-RAM-aware busy-window and held-packet soundness. */

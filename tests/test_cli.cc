@@ -272,6 +272,18 @@ TEST(Cli, FuzzRejectsUnknownFlagWithHint)
     EXPECT_NE(out.find("did you mean '--runs'?"), std::string::npos);
 }
 
+TEST(Cli, FuzzDrawsEveryMeshPeopleRun)
+{
+    // The seed-1 batch reaches the 4x4 system, the paper's 8x8 mesh and
+    // both rectangles within its first five cases, and runs them clean.
+    std::string err;
+    ASSERT_EQ(runStderr("../tools/stacknoc_fuzz --runs 5 --seed 1", &err),
+              0)
+        << err;
+    for (const char *mesh : {"mesh=4x4", "mesh=8x8", "mesh=8x4", "mesh=4x8"})
+        EXPECT_NE(err.find(mesh), std::string::npos) << mesh << "\n" << err;
+}
+
 TEST(Cli, StatsFlagDumpsGroups)
 {
     std::string out;

@@ -2,12 +2,14 @@
  * @file
  * The validation subsystem itself: the hub's sweep/fail-fast machinery,
  * checkers staying silent on healthy scenarios, intentionally injected
- * bugs (a busy counter, a second owner, a leaked credit, a dropped and a
- * duplicated flit) being caught at the next sweep and re-reported while
- * they persist, the incremental MESI check agreeing with the full tag
- * census, the sharded engine's paper-size mesh staying clean with its
- * 1-thread digest, and the differential golden model of bank service
- * order agreeing with the full simulator.
+ * bugs (a busy counter, a second owner, a credit leaked on each kind of
+ * link, a dropped and a duplicated flit) being caught at the next sweep
+ * and re-reported while they persist, with the network bugs' full
+ * report lists pinned on the 4x4 and the paper's 8x8 mesh, the
+ * incremental MESI check agreeing with the full tag census, the sharded
+ * engine's paper-size mesh staying clean with its 1-thread digest, and
+ * the differential golden model of bank service order agreeing with the
+ * full simulator.
  */
 
 #include <gtest/gtest.h>
@@ -286,18 +288,115 @@ TEST(Checkers, InjectedSecondOwnerIsCaught)
     expectCaughtAndReReported(sys, "mesi-legality", "owners");
 }
 
-TEST(Checkers, InjectedCreditLeakIsCaught)
+/**
+ * A checked tpcc system on a @p mesh x @p mesh core layer with
+ * fail-fast off. Packet ids restart, so its reports name the same
+ * packets whatever ran before it in the process.
+ */
+std::unique_ptr<system::CmpSystem>
+pinnedSystem(int mesh)
 {
     auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
                            /*fail_fast=*/false);
-    system::CmpSystem sys(cfg);
-    sys.run(500);
-    ASSERT_TRUE(sys.validation()->violations().empty());
+    cfg.meshWidth = mesh;
+    cfg.meshHeight = mesh;
+    noc::resetPacketIds();
+    return std::make_unique<system::CmpSystem>(cfg);
+}
 
-    // Router 5 is interior in the 4x4 core layer: East leads to 6.
-    sys.network().router(5).corruptOutCreditForTest(noc::Dir::East, 0, -1);
-    expectCaughtAndReReported(sys, "credit-conservation",
-                              "link 5->6 vc 0");
+/**
+ * Every report of the two sweeps after a corruption planted at the
+ * current cycle, "[cycle N] checker: message" in report order. A bug
+ * must be caught at the first sweep after it and re-reported while it
+ * persists; pinning both sweeps' full output also pins each message's
+ * text and the order the checkers emit them in.
+ */
+std::vector<std::string>
+nextTwoSweeps(system::CmpSystem &sys)
+{
+    const auto &hub = *sys.validation();
+    const std::size_t before = hub.violations().size();
+    sys.run(2);
+    std::vector<std::string> lines;
+    for (std::size_t i = before; i < hub.violations().size(); ++i) {
+        const auto &v = hub.violations()[i];
+        lines.push_back("[cycle " + std::to_string(v.cycle) + "] " +
+                        v.checker + ": " + v.message);
+    }
+    return lines;
+}
+
+/** One planted bug's pinned reports on one mesh (see nextTwoSweeps).
+ *  Every network bug is pinned on the 4x4 system and the paper's 8x8
+ *  mesh. */
+struct Pinned
+{
+    int mesh;
+    std::vector<std::string> reports;
+};
+
+/**
+ * Plant a credit leak with @p plant after 500 cycles of each pinned
+ * mesh and expect its pinned reports.
+ */
+template <typename Plant>
+void
+expectPinnedCreditLeak(const std::vector<Pinned> &pinned, Plant plant)
+{
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(testing::Message() << p.mesh << "x" << p.mesh);
+        auto sys = pinnedSystem(p.mesh);
+        sys->run(500);
+        ASSERT_TRUE(sys->validation()->violations().empty());
+        plant(sys->network());
+        EXPECT_EQ(nextTwoSweeps(*sys), p.reports);
+    }
+}
+
+TEST(Checkers, InjectedCreditLeakIsCaught)
+{
+    // Router 5's East port leads to router 6 on both meshes.
+    const std::vector<std::string> reports{
+        "[cycle 500] credit-conservation: link 5->6 vc 0: credits 4 + "
+        "data-in-flight 0 + buffer 0 + credits-in-flight 0 != depth 5",
+        "[cycle 501] credit-conservation: link 5->6 vc 0: credits 4 + "
+        "data-in-flight 0 + buffer 0 + credits-in-flight 0 != depth 5"};
+    expectPinnedCreditLeak({{4, reports}, {8, reports}},
+                           [](noc::Network &net) {
+                               net.router(5).corruptOutCreditForTest(
+                                   noc::Dir::East, 0, -1);
+                           });
+}
+
+TEST(Checkers, InjectedNiToRouterCreditLeakIsCaught)
+{
+    const std::vector<std::string> reports{
+        "[cycle 500] credit-conservation: ni-to-router 5->5 vc 0: "
+        "credits 4 + data-in-flight 0 + buffer 0 + credits-in-flight 0 "
+        "!= depth 5",
+        "[cycle 501] credit-conservation: ni-to-router 5->5 vc 0: "
+        "credits 4 + data-in-flight 0 + buffer 0 + credits-in-flight 0 "
+        "!= depth 5"};
+    expectPinnedCreditLeak({{4, reports}, {8, reports}},
+                           [](noc::Network &net) {
+                               net.ni(5).corruptInjCreditForTest(0, -1);
+                           });
+}
+
+TEST(Checkers, InjectedRouterToNiCreditLeakIsCaught)
+{
+    const std::vector<std::string> reports{
+        "[cycle 500] credit-conservation: router-to-ni 5->5 vc 0: "
+        "credits 4 + data-in-flight 0 + buffer 0 + credits-in-flight 0 "
+        "!= depth 5",
+        "[cycle 501] credit-conservation: router-to-ni 5->5 vc 0: "
+        "credits 4 + data-in-flight 0 + buffer 0 + credits-in-flight 0 "
+        "!= depth 5"};
+    expectPinnedCreditLeak({{4, reports}, {8, reports}},
+                           [](noc::Network &net) {
+                               net.router(5).corruptOutCreditForTest(
+                                   noc::Dir::Local, 0, -1);
+                           });
 }
 
 /**
@@ -365,42 +464,94 @@ runUntilBufferedRun(system::CmpSystem &sys, std::size_t flits,
     return {};
 }
 
+/**
+ * After 500 cycles of each pinned mesh, run until a router VC holds
+ * a run of @p flits flits in at most @p max_size, drop (or duplicate)
+ * its second flit, and expect the pinned reports.
+ */
+void
+expectPinnedFlitBug(const std::vector<Pinned> &pinned, std::size_t flits,
+                    std::size_t max_size, bool duplicate)
+{
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(testing::Message() << p.mesh << "x" << p.mesh);
+        auto sys = pinnedSystem(p.mesh);
+        sys->run(500);
+        const BufferedRun run = runUntilBufferedRun(*sys, flits, max_size);
+        ASSERT_NE(run.router, kInvalidNode);
+        ASSERT_TRUE(sys->validation()->violations().empty());
+        sys->network().router(run.router).corruptBufferedFlitForTest(
+            run.dir, run.vc, 1, duplicate);
+        EXPECT_EQ(nextTwoSweeps(*sys), p.reports);
+    }
+}
+
 TEST(Checkers, InjectedDroppedFlitIsCaught)
 {
-    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
-                           /*fail_fast=*/false);
-    system::CmpSystem sys(cfg);
-    sys.run(500);
     // Flits k-1, k, k+1 buffered: dropping k leaves a hole between
     // two flits that are still in the fabric.
-    const BufferedRun run = runUntilBufferedRun(sys, 3, 5);
-    ASSERT_NE(run.router, kInvalidNode);
-    ASSERT_TRUE(sys.validation()->violations().empty());
-
-    sys.network().router(run.router).corruptBufferedFlitForTest(
-        run.dir, run.vc, 1, /*duplicate=*/false);
-    expectCaughtAndReReported(sys, "packet-conservation", "flit gap");
+    expectPinnedFlitBug(
+        {{4,
+          {"[cycle 503] packet-conservation: flit gap (mask 0x1d): "
+           "pkt 18691697672217 cls=DataResp 16->11 bank=0 flits=9",
+           "[cycle 503] credit-conservation: ni-to-router 16->16 vc 4: "
+           "credits 0 + data-in-flight 1 + buffer 3 + credits-in-flight 0 "
+           "!= depth 5",
+           "[cycle 504] packet-conservation: flit gap (mask 0x1d): "
+           "pkt 18691697672217 cls=DataResp 16->11 bank=0 flits=9",
+           "[cycle 504] credit-conservation: ni-to-router 16->16 vc 4: "
+           "credits 0 + data-in-flight 0 + buffer 3 + credits-in-flight 1 "
+           "!= depth 5"}},
+         {8,
+          {"[cycle 500] packet-conservation: flit gap (mask 0x1df): "
+           "pkt 71468255805464 cls=MemResp 64->117 bank=53 flits=9",
+           "[cycle 500] credit-conservation: ni-to-router 64->64 vc 4: "
+           "credits 0 + data-in-flight 1 + buffer 2 + credits-in-flight 1 "
+           "!= depth 5",
+           "[cycle 501] packet-conservation: flit gap (mask 0x1df): "
+           "pkt 71468255805464 cls=MemResp 64->117 bank=53 flits=9",
+           "[cycle 501] credit-conservation: ni-to-router 64->64 vc 4: "
+           "credits 0 + data-in-flight 1 + buffer 2 + credits-in-flight 1 "
+           "!= depth 5"}}},
+        3, 5, /*duplicate=*/false);
 }
 
 TEST(Checkers, InjectedDuplicateFlitIsCaught)
 {
-    auto cfg = smallConfig(system::scenarios::sttram4TsbWb(),
-                           /*fail_fast=*/false);
-    system::CmpSystem sys(cfg);
-    sys.run(500);
     // Duplicate a non-tail flit of a VC with room for the copy plus
     // one arrival per sweep, so the router's own buffer-overflow panic
-    // cannot pre-empt the checker.
-    const BufferedRun run = runUntilBufferedRun(
-        sys, 2,
-        static_cast<std::size_t>(sys.network().params().vcDepth) - 3);
-    ASSERT_NE(run.router, kInvalidNode);
-    ASSERT_TRUE(sys.validation()->violations().empty());
-
-    sys.network().router(run.router).corruptBufferedFlitForTest(
-        run.dir, run.vc, 1, /*duplicate=*/true);
-    expectCaughtAndReReported(sys, "packet-conservation",
-                              "duplicate flit seq");
+    // cannot pre-empt the checker. A report names the node of the copy
+    // later in walk order, so it follows the copies as they move.
+    const auto room =
+        static_cast<std::size_t>(noc::NocParams{}.vcDepth) - 3;
+    expectPinnedFlitBug(
+        {{4,
+          {"[cycle 568] packet-conservation: duplicate flit seq 1 at "
+           "node 16: pkt 18691697672220 cls=DataResp 16->11 bank=0 "
+           "flits=9",
+           "[cycle 568] credit-conservation: ni-to-router 16->16 vc 4: "
+           "credits 1 + data-in-flight 1 + buffer 3 + credits-in-flight 1 "
+           "!= depth 5",
+           "[cycle 569] packet-conservation: duplicate flit seq 1 at "
+           "node 0: pkt 18691697672220 cls=DataResp 16->11 bank=0 "
+           "flits=9",
+           "[cycle 569] credit-conservation: ni-to-router 16->16 vc 4: "
+           "credits 1 + data-in-flight 1 + buffer 3 + credits-in-flight 1 "
+           "!= depth 5"}},
+         {8,
+          {"[cycle 503] packet-conservation: duplicate flit seq 7 at "
+           "node 85: pkt 79164837199892 cls=MemResp 71->125 bank=61 "
+           "flits=9",
+           "[cycle 503] credit-conservation: link 77->85 vc 4: credits 0 "
+           "+ data-in-flight 0 + buffer 3 + credits-in-flight 3 != "
+           "depth 5",
+           "[cycle 504] packet-conservation: duplicate flit seq 7 at "
+           "node 93: pkt 79164837199892 cls=MemResp 71->125 bank=61 "
+           "flits=9",
+           "[cycle 504] credit-conservation: link 77->85 vc 4: credits 0 "
+           "+ data-in-flight 0 + buffer 2 + credits-in-flight 4 != "
+           "depth 5"}}},
+        2, room, /*duplicate=*/true);
 }
 
 /** A bare 4x4x2 network with sinks and every network checker on. */

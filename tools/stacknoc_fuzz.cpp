@@ -3,10 +3,12 @@
  * stacknoc_fuzz — randomized scenario fuzzing under the runtime
  * invariant checkers.
  *
- * Each run draws a random design point (regions, scheme, delay mode,
- * parent hops, technology, write buffer and depth, read priority, TSB
- * placement, admission caps, workload, duration, seed) from a master
- * seed, builds the system with every checker enabled, and simulates.
+ * Each run draws a random design point (mesh, regions, scheme, delay
+ * mode, parent hops, technology, write buffer and depth, read priority,
+ * TSB placement, admission caps, workload, duration, seed) from a
+ * master seed, builds the system with every checker enabled, and
+ * simulates. The meshes are the ones people run: 4x4, the paper's 8x8,
+ * 8x4 and 4x8.
  * Any invariant violation fails the run, and so, with --threads N > 1,
  * does a stats digest other than the same case's on one thread. The
  * fuzzer then bisects the duration down to the shortest failing prefix
@@ -97,7 +99,8 @@ drawCase(std::mt19937_64 &rng, bool with_faults)
     };
 
     system::RunSpec fc;
-    fc.mesh = {4, 4};
+    fc.mesh = pick(system::MeshSize{4, 4}, system::MeshSize{8, 8},
+                   system::MeshSize{8, 4}, system::MeshSize{4, 8});
     fc.regions = pick(0, 4, 8, 16);
     fc.scheme = *fc.regions == 0 ? "none"
                                  : pick("none", "ss", "rca", "wb");
