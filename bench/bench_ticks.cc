@@ -16,7 +16,6 @@
 #include <string>
 
 #include "common/cli.hh"
-#include "noc/packet.hh"
 #include "system/cmp_system.hh"
 #include "system/run_spec.hh"
 
@@ -34,7 +33,6 @@ struct Result
 Result
 measure(system::SystemConfig cfg, Cycle warmup, Cycle cycles, bool elide)
 {
-    noc::resetPacketIds();
     cfg.elide = elide;
     system::CmpSystem sys(cfg);
     sys.warmup(warmup);

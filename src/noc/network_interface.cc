@@ -6,6 +6,13 @@
 
 namespace stacknoc::noc {
 
+namespace {
+
+/** Packet ids are (node + 1) << kIdSeqBits | sequence. */
+constexpr int kIdSeqBits = 40;
+
+} // namespace
+
 NetworkInterface::NetworkInterface(std::string niname, NodeId id,
                                    const NocParams &params,
                                    stats::Group &net_stats)
@@ -48,6 +55,10 @@ NetworkInterface::send(PacketPtr pkt, Cycle now)
     panic_if(pkt == nullptr, "NI %d: null packet", id_);
     panic_if(pkt->src != id_, "NI %d: packet source mismatch (%s)", id_,
              pkt->toString().c_str());
+    const std::uint64_t seq = ++idsMinted_;
+    panic_if(seq >> kIdSeqBits != 0, "NI %d: packet id stream overflowed",
+             id_);
+    pkt->id = static_cast<std::uint64_t>(id_ + 1) << kIdSeqBits | seq;
     pkt->createdAt = now;
     injectQueue_.push_back(std::move(pkt));
     wake();

@@ -130,8 +130,9 @@ class NetworkInterface final : public Ticking, public PacketSender
     void setFaultInjector(fault::FaultInjector *fi) { faults_ = fi; }
 
     /**
-     * Queue @p pkt for injection. Always succeeds (the injection queue is
-     * unbounded; the network applies backpressure through credits).
+     * Number @p pkt from this node's id stream and queue it for
+     * injection. Always succeeds (the injection queue is unbounded; the
+     * network applies backpressure through credits).
      */
     void send(PacketPtr pkt, Cycle now) override;
 
@@ -316,6 +317,10 @@ class NetworkInterface final : public Ticking, public PacketSender
     NetworkClient *memClient_ = nullptr;
     ProbeSink *probeSink_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
+
+    /** This node's packet-id stream: packets numbered so far. Only
+     *  components at this node send here, so one shard writes it. */
+    std::uint64_t idsMinted_ = 0;
 
     Ring<PacketPtr> injectQueue_; //!< unbounded; grows when full
     std::vector<InjVc> injVcs_;

@@ -1,7 +1,5 @@
 #include "noc/packet.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace stacknoc::noc {
@@ -93,58 +91,13 @@ isLineTransfer(PacketClass cls)
     }
 }
 
-// One id stream per source node: slot 0 is kInvalidNode (tests may mint
-// packets with no source), slots 1..4096 are nodes 0..4095. Streams are
-// plain (non-atomic) because each is only ever advanced by components at
-// its node, which all tick on the same shard; distinct streams are
-// distinct memory locations, so no two threads touch the same counter.
-constexpr int kIdStreamShift = 40;
-std::array<std::uint64_t, kMaxIdStreams> next_seq{};
-
 } // namespace
-
-void
-resetPacketIds()
-{
-    next_seq.fill(0);
-}
-
-std::vector<std::pair<std::uint32_t, std::uint64_t>>
-savePacketIdStreams()
-{
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-    for (std::size_t i = 0; i < kMaxIdStreams; ++i) {
-        if (next_seq[i] != 0)
-            out.emplace_back(static_cast<std::uint32_t>(i), next_seq[i]);
-    }
-    return out;
-}
-
-void
-restorePacketIdStreams(
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> &streams)
-{
-    next_seq.fill(0);
-    for (const auto &[idx, seq] : streams) {
-        panic_if(idx >= kMaxIdStreams,
-                 "restorePacketIdStreams: stream %u out of range", idx);
-        next_seq[idx] = seq;
-    }
-}
 
 PacketPtr
 makePacket(PacketClass cls, NodeId src, NodeId dest, BlockAddr addr,
            int data_flits)
 {
-    const auto stream = static_cast<std::size_t>(src + 1);
-    panic_if(src < -1 || stream >= kMaxIdStreams,
-             "makePacket: source node %d outside the id-stream range",
-             src);
-    const std::uint64_t seq = ++next_seq[stream];
-    panic_if(seq >= (1ULL << kIdStreamShift),
-             "makePacket: id stream for node %d overflowed", src);
     auto pkt = std::make_shared<Packet>();
-    pkt->id = (static_cast<std::uint64_t>(stream) << kIdStreamShift) | seq;
     pkt->cls = cls;
     pkt->src = src;
     pkt->dest = dest;

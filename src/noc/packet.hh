@@ -10,12 +10,9 @@
 #ifndef STACKNOC_NOC_PACKET_HH
 #define STACKNOC_NOC_PACKET_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -88,7 +85,7 @@ struct ProtoInfo
  */
 struct Packet
 {
-    std::uint64_t id = 0;          //!< globally unique, for debug/probes
+    std::uint64_t id = 0;          //!< unique in its system; 0 until sent
     PacketClass cls = PacketClass::ReadReq;
     NodeId src = kInvalidNode;     //!< source node
     NodeId dest = kInvalidNode;    //!< destination node
@@ -152,14 +149,14 @@ constexpr int kStoreWriteFlits = 2;
 
 /**
  * Convenience factory. Sizes the packet from its class (1, 2 or 9
- * flits) and assigns a fresh id.
- *
- * Ids are drawn from per-source-node streams
- * (id = (src + 1) << 40 | sequence), not one global counter. All
- * components that create packets with a given src are co-located at
- * that node — and therefore co-sharded by the parallel execution
- * engine — so each stream advances in a deterministic order and packet
- * ids are bit-identical between the sequential and sharded engines.
+ * flits). The id stays 0 until the source node's NetworkInterface
+ * queues the packet: send() numbers it from that NI's id stream
+ * (id = (src + 1) << 40 | sequence). Every creator sends a packet the
+ * moment it makes one, through the NI at its own node, so a stream
+ * advances in creation order. The streams belong to the system, so
+ * ids do not depend on what else ran in the process, and all creators
+ * at a node tick on one shard, so ids are bit-identical between the
+ * sequential and sharded engines.
  *
  * @param data_flits total flits of a line-transfer packet (default 9).
  */
@@ -167,28 +164,11 @@ PacketPtr makePacket(PacketClass cls, NodeId src, NodeId dest,
                      BlockAddr addr = 0, int data_flits = 9);
 
 /**
- * Rewind every per-source id stream to zero, so consecutive in-process
- * simulations mint identical packet ids. Test/tool use only, between
- * runs; never while a simulation is live.
+ * No-op. Packet ids live in each system's NIs, so there is nothing to
+ * rewind; this stays only because perfbench/perfbench.cc still calls
+ * it. Delete it with that call.
  */
-void resetPacketIds();
-
-/** Id streams: one per source node plus slot 0 for kInvalidNode. */
-constexpr std::size_t kMaxIdStreams = 4097;
-
-/**
- * Snapshot the per-source id streams as (stream index, next sequence)
- * pairs for the non-zero streams. Checkpoint use only, between runs.
- */
-std::vector<std::pair<std::uint32_t, std::uint64_t>> savePacketIdStreams();
-
-/**
- * Restore the id streams saved by savePacketIdStreams(). Streams not
- * listed are rewound to zero, so a restored process mints exactly the
- * ids the checkpointed run would have.
- */
-void restorePacketIdStreams(
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> &streams);
+inline void resetPacketIds() {}
 
 } // namespace stacknoc::noc
 

@@ -16,7 +16,6 @@
 
 #include <unistd.h>
 
-#include "noc/packet.hh"
 #include "server/protocol.hh"
 #include "snapshot/checkpoint.hh"
 #include "snapshot/state_io.hh"
@@ -114,7 +113,6 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
         return;
     }
 
-    noc::resetPacketIds();
     auto sysPtr = std::make_unique<system::CmpSystem>(cfg);
 
     const std::uint64_t warmKey =
@@ -156,7 +154,6 @@ runJob(std::ostream &out, std::uint64_t id, const JobRequest &req,
                 // never fail the job — rebuild and warm up from cold.
                 fallbackReason = err;
                 sysPtr.reset();
-                noc::resetPacketIds();
                 sysPtr = std::make_unique<system::CmpSystem>(cfg);
             }
         } else if (errno != 0 && errno != ENOENT) {

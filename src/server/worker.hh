@@ -38,9 +38,8 @@
  * checkpoint publish), so a retried attempt can restore warm state
  * and prove digest parity.
  *
- * Workers are processes, not threads, because the packet-id streams
- * are process-global: one simulation per address space keeps job
- * results independent of scheduling.
+ * Workers are processes, not threads, for crash isolation and deadline
+ * kills: a crashed or killed job takes down only its own worker.
  */
 
 #ifndef STACKNOC_SERVER_WORKER_HH

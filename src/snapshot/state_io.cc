@@ -431,18 +431,30 @@ template <class Ar, class Sys>
 void
 StateIO::wholeSystem(Ar &ar, Sys &sys)
 {
-    // The packet-id streams are process-global, not part of the system.
+    // Each NI's packet-id stream as (node + 1, packets numbered), for
+    // the streams that numbered any, in node order. Unlisted streams
+    // restore to zero.
+    auto &net = *sys.net_;
+    const int nodes = sys.shape_.totalNodes();
     std::vector<std::pair<std::uint32_t, std::uint64_t>> idStreams;
-    if constexpr (!Ar::kLoading)
-        idStreams = noc::savePacketIdStreams();
+    for (NodeId n = 0; n < nodes; ++n) {
+        auto &minted = net.ni(n).idsMinted_;
+        if constexpr (Ar::kLoading)
+            minted = 0;
+        else if (minted != 0)
+            idStreams.emplace_back(static_cast<std::uint32_t>(n + 1),
+                                   minted);
+    }
     ar.seq(idStreams, [&](auto &st) {
         ar.u32(st.first);
         ar.u64(st.second);
-        if (st.first >= noc::kMaxIdStreams)
+        if (st.first == 0 || st.first > static_cast<std::uint32_t>(nodes))
             throw SnapshotError("packet id stream index out of range");
     });
-    if constexpr (Ar::kLoading)
-        noc::restorePacketIdStreams(idStreams);
+    if constexpr (Ar::kLoading) {
+        for (const auto &[stream, seq] : idStreams)
+            net.ni(static_cast<NodeId>(stream - 1)).idsMinted_ = seq;
+    }
 
     ar.u64(sys.sim_.now_);
 
@@ -457,9 +469,6 @@ StateIO::wholeSystem(Ar &ar, Sys &sys)
         bank(ar, refs, *b);
     for (const auto &m : sys.mcs_)
         mc(ar, refs, *m);
-
-    auto &net = *sys.net_;
-    const int nodes = sys.shape_.totalNodes();
     for (NodeId n = 0; n < nodes; ++n)
         router(ar, refs, net.router(n));
     for (NodeId n = 0; n < nodes; ++n)

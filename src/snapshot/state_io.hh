@@ -7,7 +7,7 @@
  * L1s, L2 banks (directory, TBEs, bank controllers), memory controllers,
  * every router/NI/link of the network, the bank-aware policy and its
  * estimator, the RCA fabric, the fault-injector site streams, the
- * global packet-id streams, and the engines' idle-elision active sets.
+ * NIs' packet-id streams, and the engines' idle-elision active sets.
  *
  * Design: one transfer function per component, a template instantiated
  * once for saving and once for loading (see the class comment). The

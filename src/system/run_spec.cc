@@ -129,7 +129,7 @@ const Field kFields[] = {
      "1", 0, 0, nullptr, nullptr, kShared | kRepro,
      "tick every component every cycle (no idle elision)"},
     {"real_tags", "--real-tags", nullptr, "", &RunSpec::realTags,
-     "0", 0, 0, nullptr, nullptr, kShared,
+     "0", 0, 0, nullptr, nullptr, kShared | kRepro,
      "use real L2 tag arrays instead of annotations"},
     {"fault_spec", "--fault-spec", nullptr, "SPEC", &RunSpec::faultSpec,
      nullptr, 0, 0, nullptr, checkFaultSpec, kShared | kRepro,

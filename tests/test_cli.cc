@@ -274,14 +274,16 @@ TEST(Cli, FuzzRejectsUnknownFlagWithHint)
 
 TEST(Cli, FuzzDrawsEveryMeshPeopleRun)
 {
-    // The seed-1 batch reaches the 4x4 system, the paper's 8x8 mesh and
-    // both rectangles within its first five cases, and runs them clean.
+    // The seed-1 batch reaches the 4x4 system, the paper's 8x8 mesh,
+    // both rectangles and both L2 tag models within its first seven
+    // cases, and runs them clean.
     std::string err;
-    ASSERT_EQ(runStderr("../tools/stacknoc_fuzz --runs 5 --seed 1", &err),
+    ASSERT_EQ(runStderr("../tools/stacknoc_fuzz --runs 7 --seed 1", &err),
               0)
         << err;
-    for (const char *mesh : {"mesh=4x4", "mesh=8x8", "mesh=8x4", "mesh=4x8"})
-        EXPECT_NE(err.find(mesh), std::string::npos) << mesh << "\n" << err;
+    for (const char *key : {"mesh=4x4", "mesh=8x8", "mesh=8x4", "mesh=4x8",
+                            "real_tags=0", "real_tags=1"})
+        EXPECT_NE(err.find(key), std::string::npos) << key << "\n" << err;
 }
 
 TEST(Cli, StatsFlagDumpsGroups)

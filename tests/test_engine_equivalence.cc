@@ -25,7 +25,6 @@
 
 #include "engine/shard_plan.hh"
 #include "fault/fault_spec.hh"
-#include "noc/packet.hh"
 #include "system/cmp_system.hh"
 #include "telemetry/trace.hh"
 
@@ -103,9 +102,6 @@ RunDigest
 runOnce(std::uint64_t seed, int threads, bool elide = true,
         bool with_faults = false, Cycle warmup = 200, Cycle cycles = 1500)
 {
-    // Fresh id streams so in-process runs mint identical packet ids.
-    noc::resetPacketIds();
-
     telemetry::MemoryTraceSink sink;
     telemetry::PacketTracer tracer(1 << 14, 1);
     tracer.setSink(&sink);
@@ -229,7 +225,6 @@ TEST(EngineEquivalence, SequentialRunsAreReproducible)
 
 TEST(ShardPlan, EveryComponentAssignedExactlyOnce)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(baseConfig(1, 1));
     Simulator &sim = sys.simulator();
 
@@ -261,7 +256,6 @@ TEST(ShardPlan, EveryComponentAssignedExactlyOnce)
 
 TEST(ShardPlan, EqualAffinityKeysAreCoSharded)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(baseConfig(1, 1));
     Simulator &sim = sys.simulator();
 
@@ -285,7 +279,6 @@ TEST(ShardPlan, EqualAffinityKeysAreCoSharded)
 
 TEST(ShardPlan, CrossLayerTsbPairsAreCoSharded)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(baseConfig(1, 1));
     Simulator &sim = sys.simulator();
     noc::Network &net = sys.network();
@@ -315,7 +308,6 @@ TEST(ShardPlan, CrossLayerTsbPairsAreCoSharded)
 
 TEST(ShardPlan, ShardsAreContiguousBalancedKeyRanges)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(baseConfig(1, 1));
     Simulator &sim = sys.simulator();
 
@@ -351,7 +343,6 @@ TEST(ShardPlan, ShardsAreContiguousBalancedKeyRanges)
 
 TEST(ShardPlan, PaperMeshCrossShardRouterLinks)
 {
-    noc::resetPacketIds();
     system::SystemConfig cfg;
     cfg.scenario = system::scenarios::sttram4TsbWb();
     ASSERT_EQ(cfg.meshWidth, 8);

@@ -15,7 +15,6 @@
 #include "fault/fault_injector.hh"
 #include "fault/fault_spec.hh"
 #include "fault/watchdog.hh"
-#include "noc/packet.hh"
 #include "system/cmp_system.hh"
 
 namespace stacknoc {
@@ -157,7 +156,6 @@ faultConfig(const std::string &spec_text, int threads = 1,
 
 TEST(FaultSystem, WriteRetryAccountingReconciles)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(faultConfig("stt_write_ber=1e-2"));
     sys.run(8000);
 
@@ -177,7 +175,6 @@ TEST(FaultSystem, WriteRetryAccountingReconciles)
 
 TEST(FaultSystem, LowRateRunStaysInvariantClean)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(
         faultConfig("stt_write_ber=1e-3,link_flit_ber=2e-4,"
                     "tsb_flit_ber=1e-4"));
@@ -195,7 +192,6 @@ TEST(FaultSystem, LowRateRunStaysInvariantClean)
 
 TEST(FaultSystem, ExtremeRateAbandonsWrites)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(
         faultConfig("stt_write_ber=0.9,stt_write_retries=1"));
     sys.run(6000);
@@ -210,7 +206,6 @@ TEST(FaultSystem, ExtremeRateAbandonsWrites)
 
 TEST(FaultSystem, HoldModeBusyNackConservesPackets)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(faultConfig("stt_write_ber=5e-2", 1,
                                       sttnoc::DelayMode::Hold));
     sys.run(8000);
@@ -226,7 +221,6 @@ TEST(FaultSystem, ResultsBitIdenticalAcrossThreadCounts)
     const char *spec =
         "stt_write_ber=1e-2,link_flit_ber=2e-4,tsb_flit_ber=1e-4";
     auto digest = [&](int threads) {
-        noc::resetPacketIds();
         system::CmpSystem sys(faultConfig(spec, threads));
         sys.warmup(500);
         sys.run(4000);
@@ -247,7 +241,6 @@ TEST(FaultSystem, ZeroRateSpecMatchesNoSpec)
     // shared statistic groups (everything except the extra "faults"
     // group itself) are bit-identical to a run without an injector.
     auto shared_digest = [&](bool with_injector) {
-        noc::resetPacketIds();
         system::SystemConfig cfg = faultConfig("");
         if (with_injector) {
             cfg.faultsEnabled = true; // all-zero spec, forced on
@@ -271,7 +264,6 @@ TEST(FaultSystem, ZeroRateSpecMatchesNoSpec)
 
 TEST(Watchdog, WedgedRouterTriggersDeadlockDiagnosis)
 {
-    noc::resetPacketIds();
     // Wedge a cache-layer router forever; traffic through it stops
     // draining and the watchdog must fire (recorded, not fatal, so the
     // test can inspect the diagnosis).
@@ -293,7 +285,6 @@ TEST(Watchdog, WedgedRouterTriggersDeadlockDiagnosis)
 
 TEST(Watchdog, StarvationBoundCatchesAgedPacket)
 {
-    noc::resetPacketIds();
     system::SystemConfig cfg =
         faultConfig("router_stuck=16:500-100000000");
     cfg.validate = false;
@@ -311,7 +302,6 @@ TEST(Watchdog, StarvationBoundCatchesAgedPacket)
 
 TEST(Watchdog, QuietOnHealthyRun)
 {
-    noc::resetPacketIds();
     system::SystemConfig cfg = faultConfig("stt_write_ber=1e-3");
     cfg.watchdogEnabled = true;
     cfg.watchdog.stallCycles = 2000;

@@ -50,7 +50,7 @@ TEST(Packet, FactorySizes)
     EXPECT_EQ(data->numFlits, 9);
     auto coh = noc::makePacket(PacketClass::CohData, 0, 1);
     EXPECT_EQ(coh->numFlits, 9);
-    EXPECT_NE(rd->id, wb->id);
+    EXPECT_EQ(rd->id, 0u); // numbered by its source NI on send
 }
 
 TEST(Packet, RestrictedAndWriteClassification)
@@ -242,6 +242,24 @@ TEST(Network, SameVnetSameSrcDstOrderPreserved)
     // when queue order assigns VCs; verify arrival cycle monotonicity.
     for (std::size_t i = 1; i < sink.received.size(); ++i)
         EXPECT_GE(sink.received[i].second, sink.received[i - 1].second);
+}
+
+TEST(Network, SourceNiNumbersPacketIds)
+{
+    // Each NI numbers what it sends from its own stream,
+    // id = (node + 1) << 40 | sequence, and a new network starts afresh.
+    for (int round = 0; round < 2; ++round) {
+        NetFixture f;
+        auto a = noc::makePacket(PacketClass::ReadReq, 2, 9);
+        auto b = noc::makePacket(PacketClass::ReadReq, 2, 9);
+        auto c = noc::makePacket(PacketClass::ReadReq, 5, 9);
+        f.net.ni(2).send(a, 0);
+        f.net.ni(5).send(c, 0);
+        f.net.ni(2).send(b, 0);
+        EXPECT_EQ(a->id, (3ull << 40) | 1);
+        EXPECT_EQ(b->id, (3ull << 40) | 2);
+        EXPECT_EQ(c->id, (6ull << 40) | 1);
+    }
 }
 
 TEST(Network, DrainsCompletely)

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "fault/fault_spec.hh"
-#include "noc/packet.hh"
 #include "system/cmp_system.hh"
 #include "system/scenario.hh"
 #include "telemetry/power.hh"
@@ -160,7 +159,6 @@ powerConfig(int threads = 1, const std::string &fault_spec = "")
 
 TEST(EnergyProbe, StreamingSumReconcilesWithComputeEnergy)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(powerConfig());
     sys.warmup(1000);
     sys.run(5000);
@@ -214,7 +212,6 @@ TEST(EnergyProbe, FaultyRunReportsStrictlyMoreEnergy)
     // shed more dynamic energy than the recovery work adds — deferred
     // work, not an accounting gap.)
     auto twin = [](const std::string &fault_spec) {
-        noc::resetPacketIds();
         system::SystemConfig cfg = powerConfig(1, fault_spec);
         cfg.apps = {"swaptions"};
         return cfg;
@@ -291,7 +288,6 @@ telemetryDigest(const system::CmpSystem &sys)
 TEST(EnergyProbe, BitIdenticalAcrossEngineThreadCounts)
 {
     auto digest = [](int threads) {
-        noc::resetPacketIds();
         system::CmpSystem sys(powerConfig(threads));
         sys.warmup(500);
         sys.run(4000);
@@ -310,7 +306,6 @@ TEST(EnergyProbe, ObserverOnlyDigestIdentity)
     // leg turns the activity table off too, so its counter reads are
     // checked as observer-only as well.
     auto run = [](bool power_on) {
-        noc::resetPacketIds();
         system::SystemConfig cfg = powerConfig(2);
         cfg.power = power_on;
         cfg.thermal = power_on;
@@ -327,7 +322,6 @@ TEST(EnergyProbe, ObserverOnlyDigestIdentity)
 
 TEST(ThermalProbe, RecordsFramesAndRanksHotBanks)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(powerConfig(1));
     sys.warmup(1000);
     sys.run(5000);
@@ -371,7 +365,6 @@ counterOf(const stats::Group *group, const char *name)
 
 TEST(ActivityTable, FinalizeClosesThePartialIntervalForEveryView)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(powerConfig());
     sys.warmup(1000);
     auto switched = [&sys] {
@@ -416,7 +409,6 @@ TEST(ActivityTable, WindowTotalsEqualTheStatsCounters)
         for (const int threads : {1, 4}) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
                          " faults='" + spec + "'");
-            noc::resetPacketIds();
             system::CmpSystem sys(powerConfig(threads, spec));
             sys.warmup(500);
             sys.run(3000);

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "noc/packet.hh"
 #include "system/cmp_system.hh"
 #include "telemetry/profile.hh"
 
@@ -140,7 +139,6 @@ smallConfig(int threads, bool profile)
 void
 expectPhaseSumTracksWall(int threads)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallConfig(threads, true));
     sys.warmup(300);
     sys.run(2000);
@@ -170,7 +168,6 @@ TEST(ProfiledSystem, PhaseSumTracksWallSharded)
 
 TEST(ProfiledSystem, SequentialAttributesKinds)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallConfig(1, true));
     sys.run(500);
     const auto *prof = sys.profiler();
@@ -187,7 +184,6 @@ TEST(ProfiledSystem, SequentialAttributesKinds)
 
 TEST(ProfiledSystem, ShardedFillsShardSlots)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallConfig(4, true));
     sys.run(500);
     const auto *prof = sys.profiler();
@@ -244,7 +240,6 @@ TEST(ProfiledSystem, ProfilerIsObserverOnly)
 {
     std::string with_profile;
     {
-        noc::resetPacketIds();
         system::CmpSystem sys(smallConfig(2, true));
         sys.warmup(200);
         sys.run(800);
@@ -252,7 +247,6 @@ TEST(ProfiledSystem, ProfilerIsObserverOnly)
     }
     std::string without_profile;
     {
-        noc::resetPacketIds();
         system::CmpSystem sys(smallConfig(2, false));
         sys.warmup(200);
         sys.run(800);
@@ -263,7 +257,6 @@ TEST(ProfiledSystem, ProfilerIsObserverOnly)
 
 TEST(ProfiledSystem, TableMentionsEveryPhase)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallConfig(2, true));
     sys.run(200);
     std::ostringstream os;

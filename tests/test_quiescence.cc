@@ -358,7 +358,6 @@ TEST(Quiescence, IdleNetworkIsQuiescentAndTrafficWakesIt)
 std::string
 runNetworkScenario(bool double_tick_quiescent)
 {
-    noc::resetPacketIds();
     NetFixture f;
     for (int cycle = 0; cycle < 400; ++cycle) {
         const Cycle now = f.sim.now();
@@ -564,7 +563,6 @@ smallSystem()
 
 TEST(Quiescence, CoresNeverReportQuiescent)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallSystem());
     sys.run(300);
     const Cycle now = sys.simulator().now();
@@ -590,7 +588,6 @@ TEST(Quiescence, CoresNeverReportQuiescent)
 
 TEST(Quiescence, ScheduleIsKindBatchedInOrdinalOrder)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(smallSystem());
     const engine::ShardPlan plan =
         engine::buildShardPlan(sys.simulator(), 1);
@@ -624,7 +621,6 @@ TEST(Quiescence, ShardedRunReturnsWithNothingStaged)
     // parity the last cycle had.
     auto cfg = smallSystem();
     cfg.threads = 4;
-    noc::resetPacketIds();
     system::CmpSystem sys(cfg);
     for (Cycle cycles : {301u, 1u}) {
         sys.run(cycles);

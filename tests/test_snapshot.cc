@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "fault/fault_spec.hh"
-#include "noc/packet.hh"
 #include "snapshot/checkpoint.hh"
 #include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
@@ -67,7 +66,6 @@ baseConfig(std::uint64_t seed, int threads, bool elide,
 std::uint64_t
 runUninterrupted(const system::SystemConfig &cfg)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(cfg);
     sys.warmup(kWarmup);
     sys.run(kCycles);
@@ -78,7 +76,6 @@ runUninterrupted(const system::SystemConfig &cfg)
 std::string
 captureCheckpoint(const system::SystemConfig &cfg)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(cfg);
     sys.warmupBegin();
     sys.run(kWarmup);
@@ -93,7 +90,6 @@ captureCheckpoint(const system::SystemConfig &cfg)
 std::uint64_t
 runRestored(const system::SystemConfig &cfg, const std::string &ckpt)
 {
-    noc::resetPacketIds();
     system::CmpSystem sys(cfg);
     std::istringstream in(ckpt, std::ios::binary);
     const std::string err = snapshot::restoreCheckpoint(
@@ -201,7 +197,6 @@ TEST(Snapshot, ResaveIsByteIdentical)
     for (const bool faults : {false, true}) {
         const auto cfg = baseConfig(7, 1, true, faults);
         const std::string ckpt = captureCheckpoint(cfg);
-        noc::resetPacketIds();
         system::CmpSystem sys(cfg);
         std::istringstream in(ckpt, std::ios::binary);
         ASSERT_EQ(snapshot::restoreCheckpoint(
@@ -223,7 +218,6 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch)
 
     const auto restoreErr = [&](const std::string &bytes,
                                 std::uint64_t expect) {
-        noc::resetPacketIds();
         system::CmpSystem sys(cfg);
         std::istringstream in(bytes, std::ios::binary);
         return snapshot::restoreCheckpoint(sys, in, expect);
@@ -304,15 +298,53 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch)
     // Counts larger than the bytes left are rejected before allocating.
     expectOneLine(crafted(firstRing, 0xFFFFFFFFu), "count exceeds");
     expectOneLine(crafted(0, 0xFFFFFFFFu), "count exceeds");
-    // An id-stream index outside the table is rejected, not a panic.
-    expectOneLine(crafted(4, 0xFFFFu), "id stream index out of range");
+    // An id-stream index that names no NI of the 32-node system is
+    // rejected, not a panic: 0 has no source node, 33 is one past the
+    // last, and 0xFFFF is far beyond it.
+    for (const std::uint32_t index : {0u, 33u, 0xFFFFu})
+        expectOneLine(crafted(4, index), "id stream index out of range");
+}
+
+TEST(Snapshot, InterleavedSystemsMatchTheirSoloRuns)
+{
+    // Two systems advanced in turn, one cycle at a time, in one
+    // process: each must save the bytes and reach the digest of its
+    // solo run. Packet ids that leaked between systems would show up
+    // in the id streams and the in-flight packets of the checkpoints.
+    const auto cfgA = baseConfig(7, 1, true, false);
+    const auto cfgB = baseConfig(8, 4, true, true);
+    system::CmpSystem a(cfgA);
+    system::CmpSystem b(cfgB);
+    a.warmupBegin();
+    b.warmupBegin();
+    for (Cycle c = 0; c < kWarmup; ++c) {
+        a.run(1);
+        b.run(1);
+    }
+    a.warmupEnd();
+    b.warmupEnd();
+    const auto save = [](system::CmpSystem &sys,
+                         const system::SystemConfig &cfg) {
+        std::ostringstream out(std::ios::binary);
+        snapshot::saveCheckpoint(sys, out,
+                                 snapshot::warmConfigDigest(cfg, kWarmup));
+        return out.str();
+    };
+    EXPECT_TRUE(save(a, cfgA) == captureCheckpoint(cfgA));
+    EXPECT_TRUE(save(b, cfgB) == captureCheckpoint(cfgB));
+
+    for (Cycle c = 0; c < kCycles; ++c) {
+        a.run(1);
+        b.run(1);
+    }
+    EXPECT_EQ(snapshot::statsDigest(a), runUninterrupted(cfgA));
+    EXPECT_EQ(snapshot::statsDigest(b), runUninterrupted(cfgB));
 }
 
 TEST(Snapshot, RefusesValidationSystems)
 {
     auto cfg = baseConfig(1, 1, true, false);
     cfg.validate = true;
-    noc::resetPacketIds();
     system::CmpSystem sys(cfg);
     sys.warmupBegin();
     sys.run(64);

@@ -136,7 +136,6 @@ TEST(Checkers, SilentOnShardedPaperMesh)
         cfg.meshHeight = 8;
         cfg.threads = threads;
         cfg.validation.period = 1;
-        noc::resetPacketIds();
         system::CmpSystem sys(cfg);
         sys.warmup(500);
         sys.run(1500);
@@ -290,8 +289,8 @@ TEST(Checkers, InjectedSecondOwnerIsCaught)
 
 /**
  * A checked tpcc system on a @p mesh x @p mesh core layer with
- * fail-fast off. Packet ids restart, so its reports name the same
- * packets whatever ran before it in the process.
+ * fail-fast off. Packet ids belong to the system, so its reports name
+ * the same packets whatever ran before it in the process.
  */
 std::unique_ptr<system::CmpSystem>
 pinnedSystem(int mesh)
@@ -300,7 +299,6 @@ pinnedSystem(int mesh)
                            /*fail_fast=*/false);
     cfg.meshWidth = mesh;
     cfg.meshHeight = mesh;
-    noc::resetPacketIds();
     return std::make_unique<system::CmpSystem>(cfg);
 }
 

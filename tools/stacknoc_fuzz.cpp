@@ -5,7 +5,8 @@
  *
  * Each run draws a random design point (mesh, regions, scheme, delay
  * mode, parent hops, technology, write buffer and depth, read priority,
- * TSB placement, admission caps, workload, duration, seed) from a
+ * TSB placement, admission caps, real or annotated L2 tags, workload,
+ * duration, seed) from a
  * master seed, builds the system with every checker enabled, and
  * simulates. The meshes are the ones people run: 4x4, the paper's 8x8,
  * 8x4 and 4x8.
@@ -42,7 +43,6 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "noc/packet.hh"
 #include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
 #include "system/run_spec.hh"
@@ -124,6 +124,7 @@ drawCase(std::mt19937_64 &rng, bool with_faults)
     // Bias toward the elision engine (the shipping default) while still
     // fuzzing the full-walk path; the mode is pinned in reproducers.
     fc.elide = pick(1, 1, 1, 0) != 0;
+    fc.realTags = pick(0, 1) != 0;
     if (with_faults)
         fc.faultSpec = drawFaultSpec(rng);
     return fc;
@@ -147,10 +148,6 @@ runCase(system::RunSpec fc, Cycle cycles, bool fail_fast = false)
     std::size_t failures = 0;
     std::uint64_t digest = 0;
     for (const std::uint64_t threads : {g_threads, std::uint64_t{1}}) {
-        // Fresh id streams per run, so bisection replays the exact
-        // packets of the original failure and consecutive runs can't
-        // overflow a stream.
-        noc::resetPacketIds();
         fc.threads = threads;
         system::SystemConfig cfg;
         if (const std::string err = fc.toConfig(cfg); !err.empty())
