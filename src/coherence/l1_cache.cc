@@ -82,23 +82,7 @@ L1Cache::sendRequest(noc::PacketClass cls, CohKind kind, BlockAddr addr,
 
 bool
 L1Cache::access(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                std::function<void(Cycle)> on_done, Cycle now)
-{
-    return accessImpl(is_write, addr, l2_hit_hint,
-                      Completion{nullptr, std::move(on_done)}, now);
-}
-
-bool
-L1Cache::access(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                std::shared_ptr<bool> done_flag, Cycle now)
-{
-    return accessImpl(is_write, addr, l2_hit_hint,
-                      Completion{std::move(done_flag), nullptr}, now);
-}
-
-bool
-L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                    Completion on_done, Cycle now)
+                std::uint64_t token, Cycle now)
 {
     // Conservative idle-elision wake: hits schedule a delayed completion
     // that only this cache's tick can fire.
@@ -122,8 +106,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
                 e->dirty = true;
             }
             hits_.inc();
-            delayed_.emplace_back(now + config_.hitLatency,
-                                  std::move(on_done));
+            delayed_.emplace_back(now + config_.hitLatency, token);
             return true;
         }
         // Store hit on a Shared block: upgrade.
@@ -134,7 +117,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
         upgrades_.inc();
         setState(*e, L1State::SM);
         e->pinned = true;
-        mshrs_.emplace(addr, Mshr{true, now, std::move(on_done)});
+        mshrs_.emplace(addr, Mshr{true, now, token});
         sendRequest(noc::PacketClass::WriteReq, CohKind::GetM, addr,
                     l2_hit_hint, now);
         return true;
@@ -159,8 +142,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
         if (l2_hit_hint)
             store->info.flags |= kFlagL2Hit;
         out_.send(std::move(store), now);
-        delayed_.emplace_back(now + config_.hitLatency,
-                              std::move(on_done));
+        delayed_.emplace_back(now + config_.hitLatency, token);
         return true;
     }
 
@@ -198,7 +180,7 @@ L1Cache::accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
     setState(*fresh, L1State::IS);
     fresh->pinned = true;
     fresh->dirty = false;
-    mshrs_.emplace(addr, Mshr{false, now, std::move(on_done)});
+    mshrs_.emplace(addr, Mshr{false, now, token});
     sendRequest(noc::PacketClass::ReadReq, CohKind::GetS, addr,
                 l2_hit_hint, now);
     return true;
@@ -219,8 +201,7 @@ L1Cache::completeMiss(BlockAddr addr, L1State final_state, Cycle now)
         e->dirty = true;
     missLatency_.sample(now - it->second.startedAt);
     missLatencyHist_.sample(now - it->second.startedAt);
-    if (it->second.onDone)
-        it->second.onDone(now);
+    complete(it->second.token, now);
     mshrs_.erase(it);
 
     // Three-phase transaction: tell the home directory the grant is
@@ -321,7 +302,7 @@ L1Cache::tick(Cycle now)
 {
     for (auto it = delayed_.begin(); it != delayed_.end();) {
         if (now >= it->first) {
-            it->second(now);
+            complete(it->second, now);
             it = delayed_.erase(it);
         } else {
             ++it;

@@ -11,7 +11,6 @@
 #define STACKNOC_COHERENCE_L1_CACHE_HH
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -95,25 +94,28 @@ class L1Cache final : public Ticking, public noc::NetworkClient
             stats::Group &group);
 
     /**
+     * Where completions go: called once per accepted access with its
+     * token, at the cycle the operation completes. The owning core binds
+     * it once, at construction.
+     */
+    using CompletionSink = std::function<void(std::uint64_t token, Cycle)>;
+
+    /** Route every completion to @p sink (replaces any earlier sink). */
+    void bindCompletionSink(CompletionSink sink) { sink_ = std::move(sink); }
+
+    /**
      * Start a memory operation.
      *
      * @param is_write store (needs M) vs load (needs S/E/M).
      * @param addr block address.
      * @param l2_hit_hint trace annotation: would this hit in L2?
-     * @param on_done invoked once when the operation completes.
+     * @param token handed back to the completion sink when the operation
+     *        completes (the core passes the op's sequence number). A
+     *        plain value, so a pending completion checkpoints as is.
      * @return false when the core must retry next cycle.
      */
     bool access(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                std::function<void(Cycle)> on_done, Cycle now);
-
-    /**
-     * Same as above, but the completion is a plain done-flag set when
-     * the operation finishes. This is the production (core) path: flag
-     * completions survive checkpoint save/restore, whereas the
-     * std::function form cannot be serialised.
-     */
-    bool access(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                std::shared_ptr<bool> done_flag, Cycle now);
+                std::uint64_t token, Cycle now);
 
     void deliver(noc::PacketPtr pkt, Cycle now) override;
     void tick(Cycle now) override;
@@ -170,37 +172,21 @@ class L1Cache final : public Ticking, public noc::NetworkClient
   private:
     friend class snapshot::StateIO; //!< checkpoint save/restore
 
-    /**
-     * A pending completion: either a serialisable done-flag (production
-     * core path) or an opaque callback (test harnesses). Checkpointing
-     * refuses callback completions — only flags can be re-bound on load.
-     */
-    struct Completion
-    {
-        std::shared_ptr<bool> flag;
-        std::function<void(Cycle)> fn;
-
-        void
-        operator()(Cycle t)
-        {
-            if (flag)
-                *flag = true;
-            if (fn)
-                fn(t);
-        }
-
-        explicit operator bool() const { return flag != nullptr || !!fn; }
-    };
-
     struct Mshr
     {
         bool isWrite;
         Cycle startedAt;
-        Completion onDone;
+        std::uint64_t token;
     };
 
-    bool accessImpl(bool is_write, BlockAddr addr, bool l2_hit_hint,
-                    Completion on_done, Cycle now);
+    /** Hand @p token to the sink. */
+    void
+    complete(std::uint64_t token, Cycle now)
+    {
+        if (sink_)
+            sink_(token, now);
+    }
+
     void sendRequest(noc::PacketClass cls, CohKind kind, BlockAddr addr,
                      bool l2_hit_hint, Cycle now);
     void completeMiss(BlockAddr addr, L1State final_state, Cycle now);
@@ -246,7 +232,9 @@ class L1Cache final : public Ticking, public noc::NetworkClient
 
     std::unordered_map<BlockAddr, Mshr> mshrs_;
     std::unordered_set<BlockAddr> pendingPutM_;
-    std::vector<std::pair<Cycle, Completion>> delayed_;
+    /** Hit and store completions: (due cycle, token). */
+    std::vector<std::pair<Cycle, std::uint64_t>> delayed_;
+    CompletionSink sink_;
     TagChangeLog tagLog_;
 
     stats::Counter &hits_;

@@ -24,6 +24,7 @@ L2Bank::L2Bank(std::string bname, BankId bank, NodeId node,
     : Ticking(std::move(bname)), bank_(bank), node_(node), out_(out),
       config_(config),
       ctrl_(config.tech, config.bankCtrl, group,
+            [this](BlockAddr addr, Cycle t) { respondAndFinish(addr, t); },
             "l2bank" + std::to_string(bank), node),
       rng_(config.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(bank)),
       getS_(group.counter("l2_gets")),
@@ -60,33 +61,16 @@ L2Bank::sendToCore(CoreId core, noc::PacketClass cls, CohKind kind,
 }
 
 void
-L2Bank::bankRead(BlockAddr addr, std::function<void(Cycle)> done,
-                 Cycle now)
+L2Bank::bankAccess(bool is_write, BlockAddr addr, Cycle now)
 {
     mem::BankRequest req;
-    req.isWrite = false;
+    req.isWrite = is_write;
     req.addr = addr;
     if (auto it = tbes_.find(addr); it != tbes_.end()) {
         req.tracePktId = it->second.pktId;
         req.traceCls = it->second.pktCls;
     }
-    req.onDone = std::move(done);
-    ctrl_.enqueue(std::move(req), now);
-}
-
-void
-L2Bank::bankWrite(BlockAddr addr, std::function<void(Cycle)> done,
-                  Cycle now)
-{
-    mem::BankRequest req;
-    req.isWrite = true;
-    req.addr = addr;
-    if (auto it = tbes_.find(addr); it != tbes_.end()) {
-        req.tracePktId = it->second.pktId;
-        req.traceCls = it->second.pktCls;
-    }
-    req.onDone = std::move(done);
-    ctrl_.enqueue(std::move(req), now);
+    ctrl_.enqueue(req, now);
 }
 
 NodeId
@@ -409,8 +393,7 @@ void
 L2Bank::startPutM(Tbe &, BlockAddr addr, Cycle now)
 {
     // A long STT-RAM write.
-    bankWrite(addr, [this, addr](Cycle t) { respondAndFinish(addr, t); },
-              now);
+    bankAccess(true, addr, now);
 }
 
 void
@@ -422,9 +405,7 @@ L2Bank::startWriteL2(Tbe &tbe, BlockAddr addr, Cycle now)
     auto d = dir_.find(addr);
     if (d == dir_.end()) {
         if (tbe.l2Hit) {
-            bankWrite(addr,
-                      [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                      now);
+            bankAccess(true, addr, now);
             return;
         }
         // Miss: fetch the line from memory, then merge-write it.
@@ -477,9 +458,7 @@ L2Bank::serveFromL2(BlockAddr addr, Cycle now)
 {
     Tbe &tbe = tbes_.at(addr);
     if (tbe.l2Hit) {
-        bankRead(addr,
-                 [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                 now);
+        bankAccess(false, addr, now);
         return;
     }
     l2Misses_.inc();
@@ -535,8 +514,7 @@ L2Bank::handleMemResp(noc::PacketPtr pkt, Cycle now)
     // The fill occupies the bank's write port — with STT-RAM this is a
     // full 33-cycle write.
     it->second.phase = Phase::BankAccess;
-    bankWrite(addr, [this, addr](Cycle t) { respondAndFinish(addr, t); },
-              now);
+    bankAccess(true, addr, now);
 }
 
 void
@@ -556,9 +534,7 @@ L2Bank::afterInvAcks(BlockAddr addr, Cycle now)
     Tbe &tbe = tbes_.at(addr);
     tbe.phase = Phase::BankAccess;
     if (tbe.kind == CohKind::WriteL2) {
-        bankWrite(addr,
-                  [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                  now);
+        bankAccess(true, addr, now);
         return;
     }
     if (tbe.upgrade) {
@@ -572,8 +548,7 @@ L2Bank::afterInvAcks(BlockAddr addr, Cycle now)
         tbe.phase = Phase::WaitUnblock; // hold until installed
         return;
     }
-    bankRead(addr, [this, addr](Cycle t) { respondAndFinish(addr, t); },
-             now);
+    bankAccess(false, addr, now);
 }
 
 void
@@ -585,22 +560,13 @@ L2Bank::handleRecallPayload(BlockAddr addr, bool dirty, Cycle now)
         // Merge the recalled line (dirty or not) with the store and
         // write it: one long bank write either way.
         dir_.erase(addr);
-        bankWrite(addr,
-                  [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                  now);
+        bankAccess(true, addr, now);
         return;
     }
-    if (dirty) {
-        // Absorb the owner's modified data into the bank (a long write),
-        // then answer the waiting requester from the updated copy.
-        bankWrite(addr,
-                  [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                  now);
-    } else {
-        bankRead(addr,
-                 [this, addr](Cycle t) { respondAndFinish(addr, t); },
-                 now);
-    }
+    // Dirty: absorb the owner's modified data into the bank (a long
+    // write), then answer the waiting requester from the updated copy.
+    // Clean: read the bank's own copy.
+    bankAccess(dirty, addr, now);
 }
 
 void

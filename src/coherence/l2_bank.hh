@@ -177,9 +177,7 @@ class L2Bank final : public Ticking, public noc::NetworkClient
     const mem::BankController &bankController() const { return ctrl_; }
 
   private:
-    /** Checkpointing rebuilds the bank-controller completion callbacks
-     *  (always respondAndFinish bound to this bank + an address). */
-    friend class snapshot::StateIO;
+    friend class snapshot::StateIO; //!< checkpoint save/restore
 
     enum class Phase {
         BankAccess,  //!< waiting for the data array
@@ -228,10 +226,8 @@ class L2Bank final : public Ticking, public noc::NetworkClient
     void sendToCore(CoreId core, noc::PacketClass cls, CohKind kind,
                     BlockAddr addr, Cycle now, std::uint16_t aux = 0,
                     std::uint8_t flags = 0);
-    void bankRead(BlockAddr addr, std::function<void(Cycle)> done,
-                  Cycle now);
-    void bankWrite(BlockAddr addr, std::function<void(Cycle)> done,
-                   Cycle now);
+    /** Queue a bank read or write; it completes in respondAndFinish. */
+    void bankAccess(bool is_write, BlockAddr addr, Cycle now);
     NodeId mcFor(BlockAddr addr) const;
 
     BankId bank_;

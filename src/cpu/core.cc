@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include "common/logging.hh"
+
 namespace stacknoc::cpu {
 
 Core::Core(std::string cname, CoreId id, coherence::L1Cache &l1,
@@ -12,6 +14,19 @@ Core::Core(std::string cname, CoreId id, coherence::L1Cache &l1,
       stallCyclesStat_(group.counter("commit_stall_cycles"))
 {
     rob_.reserve(static_cast<std::size_t>(config_.robEntries));
+    l1_.bindCompletionSink(
+        [this](std::uint64_t seq, Cycle t) { memDone(seq, t); });
+}
+
+void
+Core::memDone(std::uint64_t seq, Cycle)
+{
+    if (seq < headSeq_)
+        return;
+    panic_if(seq - headSeq_ >= rob_.size(),
+             "core %d: completion for unfetched instruction %llu", id_,
+             static_cast<unsigned long long>(seq));
+    rob_[seq - headSeq_].done = true;
 }
 
 void
@@ -20,11 +35,11 @@ Core::commit(Cycle now)
     (void)now;
     int n = 0;
     while (n < config_.commitWidth && !rob_.empty()) {
-        RobEntry &head = rob_.front();
-        const bool head_done = !head.op.isMem || (head.done && *head.done);
-        if (!head_done)
+        const RobEntry &head = rob_.front();
+        if (head.op.isMem && !head.done)
             break;
         rob_.pop_front();
+        ++headSeq_;
         if (issueCursor_ > 0)
             --issueCursor_;
         ++committed_;
@@ -59,15 +74,12 @@ Core::issue(Cycle now)
             continue;
         }
         // Dependent loads serialise behind the previous load.
-        if (e.op.dependsOnPrev && lastMemDone_ && !*lastMemDone_)
+        if (e.op.dependsOnPrev && !seqDone(lastLoadSeq_))
             return;
-        e.done = std::make_shared<bool>(false);
-        // Pass the flag itself (not a lambda over it) so the pending
-        // completion is a plain datum the checkpointer can serialise.
-        const bool ok = l1_.access(e.op.isWrite, e.op.addr, e.op.l2Hit,
-                                   e.done, now);
-        if (!ok) {
-            e.done.reset();
+        // The token is the op's sequence number: a plain datum the
+        // checkpointer saves as is.
+        const std::uint64_t seq = headSeq_ + scan;
+        if (!l1_.access(e.op.isWrite, e.op.addr, e.op.l2Hit, seq, now)) {
             if (e.op.isWrite) {
                 store_blocked = true; // keep looking for a load
                 ++scan;
@@ -81,9 +93,9 @@ Core::issue(Cycle now)
         // wait for the write to reach the cache hierarchy. Loads block
         // the ROB head until their data returns.
         if (e.op.isWrite)
-            *e.done = true;
+            e.done = true;
         else
-            lastMemDone_ = e.done;
+            lastLoadSeq_ = seq;
         if (scan == issueCursor_)
             ++issueCursor_;
         return; // at most one memory operation per cycle

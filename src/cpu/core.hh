@@ -14,8 +14,6 @@
 #ifndef STACKNOC_CPU_CORE_HH
 #define STACKNOC_CPU_CORE_HH
 
-#include <memory>
-
 #include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/ticking.hh"
@@ -97,6 +95,13 @@ class Core final : public Ticking
     /** Occupancy of the instruction window. */
     std::size_t robOccupancy() const { return rob_.size(); }
 
+    /**
+     * The L1's completion of the memory operation with sequence number
+     * @p seq (its access token). A token below the ROB head is a store
+     * that already committed through the store buffer and is ignored.
+     */
+    void memDone(std::uint64_t seq, Cycle now);
+
   private:
     friend class snapshot::StateIO; //!< checkpoint save/restore
 
@@ -104,9 +109,15 @@ class Core final : public Ticking
     {
         TraceOp op;
         bool issued = false;
-        /** Shared with the L1 completion callback. */
-        std::shared_ptr<bool> done;
+        bool done = false; //!< memory op completed (set by memDone)
     };
+
+    /** @return whether the op with sequence number @p seq completed. */
+    bool
+    seqDone(std::uint64_t seq) const
+    {
+        return seq < headSeq_ || rob_[seq - headSeq_].done;
+    }
 
     void commit(Cycle now);
     void issue(Cycle now);
@@ -120,8 +131,12 @@ class Core final : public Ticking
      *  which fetch() never exceeds, so the ring never grows. */
     Ring<RobEntry> rob_;
     std::size_t issueCursor_ = 0; //!< oldest possibly-unissued ROB index
-    /** Completion flag of the most recently issued memory operation. */
-    std::shared_ptr<bool> lastMemDone_;
+    /** Sequence number of the ROB head; entry i holds headSeq_ + i.
+     *  Instructions are numbered from 1 in fetch order. */
+    std::uint64_t headSeq_ = 1;
+    /** Sequence number of the most recently issued load; 0 (below any
+     *  head) until the first one issues. */
+    std::uint64_t lastLoadSeq_ = 0;
     std::uint64_t committed_ = 0;
 
     stats::Counter &committedStat_;

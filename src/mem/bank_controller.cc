@@ -10,9 +10,10 @@ namespace stacknoc::mem {
 
 BankController::BankController(CacheTech tech,
                                const BankControllerConfig &config,
-                               stats::Group &group,
+                               stats::Group &group, DoneFn on_done,
                                std::string stat_prefix, NodeId node)
-    : bank_(tech, group), config_(config), node_(node),
+    : bank_(tech, group), config_(config), onDone_(std::move(on_done)),
+      node_(node),
       queueLatency_(group.average("bank_queue_latency")),
       served_(group.counter("bank_requests_served")),
       bufferHits_(group.counter("write_buffer_hits")),
@@ -133,8 +134,7 @@ BankController::completeDue(Cycle now)
             current_->doneAt = bank_.startWrite(now);
         } else {
             served_.inc();
-            if (current_->req.onDone)
-                current_->req.onDone(now);
+            onDone_(current_->req.addr, now);
             current_.reset();
         }
     }
@@ -152,8 +152,7 @@ BankController::completeDue(Cycle now)
     for (auto it = delayed_.begin(); it != delayed_.end();) {
         if (now >= it->at) {
             served_.inc();
-            if (it->req.onDone)
-                it->req.onDone(now);
+            onDone_(it->req.addr, now);
             it = delayed_.erase(it);
         } else {
             ++it;

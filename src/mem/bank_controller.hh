@@ -38,8 +38,6 @@ struct BankRequest
     bool isWrite = false;
     BlockAddr addr = 0;
     Cycle enqueuedAt = 0;
-    /** Invoked once when the access completes. */
-    std::function<void(Cycle)> onDone;
     /** Network packet that carried this request (telemetry only). */
     std::uint64_t tracePktId = kNoTracePkt;
     std::uint8_t traceCls = 0;
@@ -70,21 +68,28 @@ struct BankControllerConfig
 
 /**
  * Serialises requests onto a BankModel. Owners call tick() once per
- * cycle and enqueue() at any time; completions fire the request's onDone.
+ * cycle and enqueue() at any time. Every completion calls the one owner
+ * callback bound at construction with the request's address, so a
+ * queued request is plain data.
  */
 class BankController
 {
   public:
+    /** Called once per completed request: (its address, the cycle). */
+    using DoneFn = std::function<void(BlockAddr, Cycle)>;
+
     /**
      * @param tech bank technology.
      * @param config front-end configuration.
      * @param group shared statistics group for all banks.
+     * @param on_done the owner's completion callback.
      * @param stat_prefix when non-empty, adds a per-bank
      *        "<prefix>.queue_latency_hist" histogram to @p group.
      * @param node node this bank sits at (stamped on trace events).
      */
     BankController(CacheTech tech, const BankControllerConfig &config,
-                   stats::Group &group, std::string stat_prefix = "",
+                   stats::Group &group, DoneFn on_done,
+                   std::string stat_prefix = "",
                    NodeId node = kInvalidNode);
 
     /**
@@ -173,6 +178,7 @@ class BankController
 
     BankModel bank_;
     BankControllerConfig config_;
+    DoneFn onDone_;
 
     std::deque<BankRequest> queue_;
     std::optional<InFlight> current_;        //!< demand op on the bank

@@ -16,7 +16,7 @@
  * Version policy: the format version bumps on ANY change to the payload
  * encoding (field added/removed/reordered anywhere in StateIO) or to
  * the warm-config canonicalisation; Snapshot.PayloadBytesArePinned
- * holds the version-1 bytes. Readers reject other versions with a
+ * holds the current version's bytes. Readers reject other versions with a
  * one-line reason rather than attempting migration — checkpoints are
  * warm-state caches, always re-creatable from the scenario and seed.
  */
@@ -39,7 +39,7 @@ struct SystemConfig;
 namespace stacknoc::snapshot {
 
 /** Bumped on any payload or canonicalisation change. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 /** The 8-byte container magic. */
 extern const char kCheckpointMagic[8];

@@ -2,20 +2,19 @@
  * @file
  * The back-reference table shared by every component's transfer.
  *
- * Two kinds of state are aliased between components and must keep their
- * sharing structure across a checkpoint round trip:
+ * Packets are the one kind of state aliased between components: one
+ * Packet may sit in several places at once (a router VC buffer
+ * flit-by-flit, a Tbe blocked queue, an NI committedPkt), and must keep
+ * that sharing across a checkpoint round trip. Completions are plain
+ * values and need no table: an L1 access token is the core's sequence
+ * number of the op, and a bank request names its block address, which
+ * the owning bank's one completion callback takes.
  *
- *  - PacketPtr: one Packet may sit in several places at once (a router
- *    VC buffer flit-by-flit, a Tbe blocked queue, an NI committedPkt).
- *  - std::shared_ptr<bool> completion flags: a Core ROB entry and the
- *    L1 MSHR that will complete it point at the same bool (and
- *    lastMemDone_ may alias it again).
- *
- * Each pointer travels as a tag: null, a new object (its body follows
- * and it takes the next index of its kind), or a back-reference to an
+ * Each packet pointer travels as a tag: null, a new packet (its body
+ * follows and it takes the next index), or a back-reference to an
  * earlier index. Refs is one table for both directions, like the
- * archives (serialize.hh): saving maps objects to indices, loading maps
- * indices back to the rebuilt objects, and each body is listed once.
+ * archives (serialize.hh): saving maps packets to indices, loading maps
+ * indices back to the rebuilt packets, and each body is listed once.
  */
 
 #ifndef STACKNOC_SNAPSHOT_CONTEXT_HH
@@ -23,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "noc/packet.hh"
@@ -45,90 +43,72 @@ class Refs
     void
     packet(Ar &ar, P &pkt)
     {
-        share(ar, pkt, packets_, "packet", [&ar](auto &p) {
-            ar.u64(p.id);
-            ar.u8(p.cls);
-            ar.i32(p.src);
-            ar.i32(p.dest);
-            ar.i32(p.numFlits);
-            ar.u64(p.addr);
-            ar.i32(p.destBank);
-            ar.u8(p.info.kind);
-            ar.u8(p.info.flags);
-            ar.u16(p.info.aux);
-            ar.u32(p.info.origin);
-            ar.u64(p.createdAt);
-            ar.u64(p.injectedAt);
-            ar.u64(p.ejectedAt);
-            ar.i16(p.probeStamp);
-            ar.i32(p.probeParent);
-            ar.u64(p.firstHeldAt);
-        });
-    }
-
-    template <class Ar, class P>
-    void
-    flag(Ar &ar, P &flag)
-    {
-        share(ar, flag, flags_, "flag", [&ar](auto &f) { ar.b(f); });
-    }
-
-  private:
-    /** One index space per pointee kind. */
-    struct Table
-    {
-        std::map<const void *, std::uint32_t> index; //!< saving
-        std::vector<std::shared_ptr<void>> objects;   //!< loading
-    };
-
-    template <class Ar, class P, class Body>
-    static void
-    share(Ar &ar, P &ptr, Table &t, const char *what, Body &&body)
-    {
         if constexpr (!Ar::kLoading) {
-            if (!ptr) {
+            if (!pkt) {
                 ar.u8(tag::kNull);
                 return;
             }
-            const auto [it, fresh] = t.index.emplace(
-                ptr.get(), static_cast<std::uint32_t>(t.index.size()));
+            const auto [it, fresh] = index_.emplace(
+                pkt.get(), static_cast<std::uint32_t>(index_.size()));
             if (!fresh) {
                 ar.u8(tag::kRef);
                 ar.u32(it->second);
                 return;
             }
             ar.u8(tag::kNew);
-            body(*ptr);
+            body(ar, *pkt);
         } else {
-            using T = typename P::element_type;
             std::uint8_t kind = 0;
             ar.u8(kind);
             switch (kind) {
               case tag::kNull:
-                ptr = nullptr;
+                pkt = nullptr;
                 return;
               case tag::kRef: {
                 std::uint32_t idx = 0;
                 ar.u32(idx);
-                if (idx >= t.objects.size())
-                    throw SnapshotError(std::string("bad ") + what
-                                        + " back-reference");
-                ptr = std::static_pointer_cast<T>(t.objects[idx]);
+                if (idx >= packets_.size())
+                    throw SnapshotError("bad packet back-reference");
+                pkt = packets_[idx];
                 return;
               }
               case tag::kNew:
-                ptr = std::make_shared<T>();
-                t.objects.push_back(ptr);
-                body(*ptr);
+                pkt = std::make_shared<noc::Packet>();
+                packets_.push_back(pkt);
+                body(ar, *pkt);
                 return;
               default:
-                throw SnapshotError(std::string("bad ") + what + " tag");
+                throw SnapshotError("bad packet tag");
             }
         }
     }
 
-    Table packets_;
-    Table flags_;
+  private:
+    template <class Ar, class P>
+    static void
+    body(Ar &ar, P &p)
+    {
+        ar.u64(p.id);
+        ar.u8(p.cls);
+        ar.i32(p.src);
+        ar.i32(p.dest);
+        ar.i32(p.numFlits);
+        ar.u64(p.addr);
+        ar.i32(p.destBank);
+        ar.u8(p.info.kind);
+        ar.u8(p.info.flags);
+        ar.u16(p.info.aux);
+        ar.u32(p.info.origin);
+        ar.u64(p.createdAt);
+        ar.u64(p.injectedAt);
+        ar.u64(p.ejectedAt);
+        ar.i16(p.probeStamp);
+        ar.i32(p.probeParent);
+        ar.u64(p.firstHeldAt);
+    }
+
+    std::map<const noc::Packet *, std::uint32_t> index_; //!< saving
+    std::vector<noc::PacketPtr> packets_;                //!< loading
 };
 
 } // namespace stacknoc::snapshot

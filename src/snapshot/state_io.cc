@@ -48,9 +48,20 @@ StateIO::stream(Ar &ar, C &st)
 
 // -------------------------------------------------------------------- cpu
 
+template <class C>
+void
+StateIO::fetchedOrThrow(const C &core, std::uint64_t seq, const char *what)
+{
+    // Below the head is a committed op; past the ROB tail is an op the
+    // core has not fetched, which a completion must never index.
+    if (seq >= core.headSeq_ && seq - core.headSeq_ >= core.rob_.size())
+        throw SnapshotError(std::string(what)
+                            + " names an instruction not yet fetched");
+}
+
 template <class Ar, class C>
 void
-StateIO::core(Ar &ar, Refs &refs, C &core)
+StateIO::core(Ar &ar, C &core)
 {
     ar.seq(core.rob_, [&](auto &e) {
         ar.b(e.op.isMem);
@@ -59,27 +70,26 @@ StateIO::core(Ar &ar, Refs &refs, C &core)
         ar.b(e.op.l2Hit);
         ar.b(e.op.dependsOnPrev);
         ar.b(e.issued);
-        refs.flag(ar, e.done);
+        ar.b(e.done);
     });
     ar.u64(core.issueCursor_);
-    refs.flag(ar, core.lastMemDone_);
+    ar.u64(core.headSeq_);
+    ar.u64(core.lastLoadSeq_);
+    if constexpr (Ar::kLoading)
+        fetchedOrThrow(core, core.lastLoadSeq_, "last-load sequence");
     ar.u64(core.committed_);
 }
 
 // -------------------------------------------------------------- coherence
 
-template <class Ar, class C>
+template <class Ar, class C, class Core>
 void
-StateIO::l1(Ar &ar, Refs &refs, C &l1)
+StateIO::l1(Ar &ar, C &l1, const Core &core)
 {
-    const auto completion = [&](auto &c) {
-        if constexpr (!Ar::kLoading) {
-            if (c.fn)
-                throw SnapshotError(
-                    "non-serialisable L1 completion callback (test-only "
-                    "std::function path cannot be checkpointed)");
-        }
-        refs.flag(ar, c.flag);
+    const auto token = [&](auto &t) {
+        ar.u64(t);
+        if constexpr (Ar::kLoading)
+            fetchedOrThrow(core, t, "L1 completion token");
     };
 
     tags(ar, l1.tags_);
@@ -87,12 +97,12 @@ StateIO::l1(Ar &ar, Refs &refs, C &l1)
         ar.u64(addr);
         ar.b(m.isWrite);
         ar.u64(m.startedAt);
-        completion(m.onDone);
+        token(m.token);
     });
     ar.sorted(l1.pendingPutM_, [&](auto &addr) { ar.u64(addr); });
     ar.seq(l1.delayed_, [&](auto &d) {
         ar.u64(d.first);
-        completion(d.second);
+        token(d.second);
     });
 }
 
@@ -131,14 +141,14 @@ StateIO::bank(Ar &ar, Refs &refs, C &bank)
     ar.present(bank.tags_ != nullptr, "L2 real-tags mode");
     if (bank.tags_)
         tags(ar, *bank.tags_);
-    bankCtrl(ar, bank.ctrl_, bank);
+    bankCtrl(ar, bank.ctrl_);
 }
 
 // -------------------------------------------------------------------- mem
 
-template <class Ar, class C, class Bank>
+template <class Ar, class C>
 void
-StateIO::bankCtrl(Ar &ar, C &ctrl, Bank &owner)
+StateIO::bankCtrl(Ar &ar, C &ctrl)
 {
     const auto request = [&](auto &req) {
         ar.b(req.isWrite);
@@ -146,19 +156,6 @@ StateIO::bankCtrl(Ar &ar, C &ctrl, Bank &owner)
         ar.u64(req.enqueuedAt);
         ar.u64(req.tracePktId);
         ar.u8(req.traceCls);
-        // The production completion is always the owning L2Bank's
-        // respondAndFinish bound to req.addr; only its presence travels.
-        bool hasDone = static_cast<bool>(req.onDone);
-        ar.b(hasDone);
-        if constexpr (Ar::kLoading) {
-            if (hasDone) {
-                coherence::L2Bank *b = &owner;
-                const BlockAddr addr = req.addr;
-                req.onDone = [b, addr](Cycle t) {
-                    b->respondAndFinish(addr, t);
-                };
-            }
-        }
     };
 
     ar.u64(ctrl.bank_.busyUntil_);
@@ -462,9 +459,9 @@ StateIO::wholeSystem(Ar &ar, Sys &sys)
     for (const auto &st : sys.streams_)
         stream(ar, *st);
     for (const auto &c : sys.cores_)
-        core(ar, refs, *c);
-    for (const auto &c : sys.l1s_)
-        l1(ar, refs, *c);
+        core(ar, *c);
+    for (std::size_t i = 0; i < sys.l1s_.size(); ++i)
+        l1(ar, *sys.l1s_[i], *sys.cores_[i]);
     for (const auto &b : sys.banks_)
         bank(ar, refs, *b);
     for (const auto &m : sys.mcs_)

@@ -59,9 +59,9 @@ class Refs;
  * payload is whatever those field lists say. The few steps that belong
  * to one direction are spelled out under `if constexpr (Ar::kLoading)`
  * or its negation: loading rebuilds the routers' derived pipeline state,
- * rebinds the bank controllers' completions and leaves the active set
- * of an engine that does not elide untouched; saving refuses test-only
- * L1 callbacks, staged channel values and validation-enabled systems.
+ * checks that every completion token names a fetched instruction and
+ * leaves the active set of an engine that does not elide untouched;
+ * saving refuses staged channel values and validation-enabled systems.
  */
 class StateIO
 {
@@ -69,7 +69,7 @@ class StateIO
     /**
      * Serialise the complete behavioural state of @p sys into @p s.
      * @throws SnapshotError when the system holds non-serialisable
-     * state (validation enabled, or a test-only callback completion).
+     * state (validation enabled, or staged channel values).
      */
     static void save(const system::CmpSystem &sys, Saver &s);
 
@@ -89,11 +89,11 @@ class StateIO
     // helpers) because friendship does not transfer to free functions.
     template <class Ar, class Sys> static void wholeSystem(Ar &, Sys &);
     template <class Ar, class C> static void stream(Ar &, C &);
-    template <class Ar, class C> static void core(Ar &, Refs &, C &);
-    template <class Ar, class C> static void l1(Ar &, Refs &, C &);
+    template <class Ar, class C> static void core(Ar &, C &);
+    template <class Ar, class C, class Core>
+    static void l1(Ar &, C &, const Core &core);
     template <class Ar, class C> static void bank(Ar &, Refs &, C &);
-    template <class Ar, class C, class Bank>
-    static void bankCtrl(Ar &, C &, Bank &owner);
+    template <class Ar, class C> static void bankCtrl(Ar &, C &);
     template <class Ar, class C> static void mc(Ar &, Refs &, C &);
     template <class Ar, class C> static void router(Ar &, Refs &, C &);
     template <class Ar, class C> static void ni(Ar &, Refs &, C &);
@@ -103,6 +103,11 @@ class StateIO
     template <class Ar, class C> static void fabric(Ar &, C &);
     template <class Ar, class C> static void faults(Ar &, C &);
     template <class Ar, class Sys> static void activeSet(Ar &, Sys &);
+
+    /** Load only: throw unless @p seq is committed or in the ROB. */
+    template <class C>
+    static void fetchedOrThrow(const C &core, std::uint64_t seq,
+                               const char *what);
 
     /** Load only: recompute a router's masks, counts and occupancy. */
     static void rebuildDerived(noc::Router &r);

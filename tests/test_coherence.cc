@@ -67,7 +67,11 @@ struct L1Fixture
 {
     L1Fixture() : group("cache"), l1("l1.0", 0, sender, HomeMap{}, cfg(),
                                      group)
-    {}
+    {
+        l1.bindCompletionSink([this](std::uint64_t, Cycle) {
+            ++completions;
+        });
+    }
 
     static coherence::L1Config
     cfg()
@@ -93,18 +97,16 @@ struct L1Fixture
     FakeSender sender;
     L1Cache l1;
     int completions = 0;
+    std::uint64_t tokens = 0;
 
-    std::function<void(Cycle)>
-    done()
-    {
-        return [this](Cycle) { ++completions; };
-    }
+    /** A fresh access token. */
+    std::uint64_t token() { return ++tokens; }
 };
 
 TEST(L1, ReadMissSendsGetSAndCompletesOnData)
 {
     L1Fixture f;
-    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.done(), 10));
+    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.token(), 10));
     EXPECT_EQ(f.l1.state(0x40), L1State::IS);
     auto gets = f.sender.findLast(CohKind::GetS);
     ASSERT_NE(gets, nullptr);
@@ -122,12 +124,12 @@ TEST(L1, ReadMissSendsGetSAndCompletesOnData)
 TEST(L1, ExclusiveGrantAllowsSilentWriteUpgrade)
 {
     L1Fixture f;
-    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.done(), 0));
+    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.token(), 0));
     f.grant(0x40, Grant::E, 20);
     EXPECT_EQ(f.l1.state(0x40), L1State::E);
     // Store hit on E: no network traffic, straight to M.
     const auto traffic_before = f.sender.sent.size();
-    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.done(), 25));
+    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.token(), 25));
     f.l1.tick(27); // hit completes after hitLatency
     EXPECT_EQ(f.completions, 2);
     EXPECT_EQ(f.l1.state(0x40), L1State::M);
@@ -137,9 +139,9 @@ TEST(L1, ExclusiveGrantAllowsSilentWriteUpgrade)
 TEST(L1, StoreHitOnSharedUpgrades)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::S, 20);
-    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.done(), 25));
+    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.token(), 25));
     EXPECT_EQ(f.l1.state(0x40), L1State::SM);
     auto getm = f.sender.findLast(CohKind::GetM);
     ASSERT_NE(getm, nullptr);
@@ -154,7 +156,7 @@ TEST(L1, StoreHitOnSharedUpgrades)
 TEST(L1, StoreMissIsFireAndForgetStoreWrite)
 {
     L1Fixture f;
-    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.done(), 0));
+    EXPECT_TRUE(f.l1.access(true, 0x40, true, f.token(), 0));
     // Completes locally at hit latency without any MSHR.
     EXPECT_EQ(f.l1.mshrsInUse(), 0);
     f.l1.tick(2);
@@ -172,9 +174,9 @@ TEST(L1, StoreMissIsFireAndForgetStoreWrite)
 void
 makeModified(L1Fixture &f, BlockAddr addr, Cycle t)
 {
-    ASSERT_TRUE(f.l1.access(false, addr, true, f.done(), t));
+    ASSERT_TRUE(f.l1.access(false, addr, true, f.token(), t));
     f.grant(addr, Grant::E, t + 5);
-    ASSERT_TRUE(f.l1.access(true, addr, true, f.done(), t + 6));
+    ASSERT_TRUE(f.l1.access(true, addr, true, f.token(), t + 6));
     f.l1.tick(t + 9);
     ASSERT_EQ(f.l1.state(addr), L1State::M);
 }
@@ -187,37 +189,37 @@ TEST(L1, DirtyEvictionSendsPutMAndBlocksRefetchUntilWbAck)
     makeModified(f, 0x40, 0);
     makeModified(f, 0x42, 20);
     // A third block in the same set evicts LRU 0x40 -> PutM.
-    f.l1.access(false, 0x44, true, f.done(), 40);
+    f.l1.access(false, 0x44, true, f.token(), 40);
     auto putm = f.sender.findLast(CohKind::PutM);
     ASSERT_NE(putm, nullptr);
     EXPECT_EQ(putm->addr, 0x40u);
     EXPECT_EQ(putm->cls, PacketClass::WritebackReq);
     EXPECT_EQ(putm->numFlits, noc::kWritebackFlits);
     // Re-fetching 0x40 is refused while its PutM is unacknowledged.
-    EXPECT_FALSE(f.l1.access(false, 0x40, true, f.done(), 45));
+    EXPECT_FALSE(f.l1.access(false, 0x40, true, f.token(), 45));
     auto wback = noc::makePacket(PacketClass::Ack, 64, 0, 0x40);
     setKind(*wback, CohKind::WbAck, 0);
     f.l1.deliver(std::move(wback), 50);
     f.grant(0x44, Grant::E, 55); // release the MSHR/way first
-    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.done(), 60));
+    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.token(), 60));
 }
 
 TEST(L1, CleanEvictionIsSilent)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::S, 10);
-    f.l1.access(false, 0x42, true, f.done(), 20);
+    f.l1.access(false, 0x42, true, f.token(), 20);
     f.grant(0x42, Grant::E, 30);
     const auto before = f.sender.countOf(CohKind::PutM);
-    f.l1.access(false, 0x44, true, f.done(), 40); // evicts S or E block
+    f.l1.access(false, 0x44, true, f.token(), 40); // evicts S or E block
     EXPECT_EQ(f.sender.countOf(CohKind::PutM), before);
 }
 
 TEST(L1, GrantTriggersUnblockToHome)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     EXPECT_EQ(f.sender.countOf(CohKind::Unblock), 0u);
     f.grant(0x40, Grant::E, 20);
     auto unblock = f.sender.findLast(CohKind::Unblock);
@@ -230,9 +232,9 @@ TEST(L1, GrantTriggersUnblockToHome)
 TEST(L1, UpgradeAckAlsoUnblocks)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::S, 10);
-    f.l1.access(true, 0x40, true, f.done(), 20); // SM upgrade
+    f.l1.access(true, 0x40, true, f.token(), 20); // SM upgrade
     auto ack = noc::makePacket(PacketClass::Ack, 64, 0, 0x40);
     setKind(*ack, CohKind::UpgradeAck, 0);
     f.l1.deliver(std::move(ack), 40);
@@ -242,7 +244,7 @@ TEST(L1, UpgradeAckAlsoUnblocks)
 TEST(L1, InvalidationOfSharedBlock)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::S, 10);
     auto inv = noc::makePacket(PacketClass::CohCtrl, 64, 0, 0x40);
     setKind(*inv, CohKind::Inv, 0);
@@ -254,9 +256,9 @@ TEST(L1, InvalidationOfSharedBlock)
 TEST(L1, InvalidationDuringUpgradeFallsBackToIM)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::S, 10);
-    f.l1.access(true, 0x40, true, f.done(), 20); // SM
+    f.l1.access(true, 0x40, true, f.token(), 20); // SM
     auto inv = noc::makePacket(PacketClass::CohCtrl, 64, 0, 0x40);
     setKind(*inv, CohKind::Inv, 0);
     f.l1.deliver(std::move(inv), 25);
@@ -284,7 +286,7 @@ TEST(L1, RecallOfModifiedReturnsDirtyData)
 TEST(L1, RecallOfExclusiveAcksClean)
 {
     L1Fixture f;
-    f.l1.access(false, 0x40, true, f.done(), 0);
+    f.l1.access(false, 0x40, true, f.token(), 0);
     f.grant(0x40, Grant::E, 10);
     auto recall = noc::makePacket(PacketClass::CohCtrl, 64, 0, 0x40);
     setKind(*recall, CohKind::Recall, 0);
@@ -300,7 +302,7 @@ TEST(L1, RecallAfterEvictionFlagsPutMInFlight)
     L1Fixture f;
     makeModified(f, 0x40, 0);
     makeModified(f, 0x42, 20);
-    f.l1.access(false, 0x44, true, f.done(), 40); // PutM(0x40) in flight
+    f.l1.access(false, 0x44, true, f.token(), 40); // PutM(0x40) in flight
     auto recall = noc::makePacket(PacketClass::CohCtrl, 64, 0, 0x40);
     setKind(*recall, CohKind::Recall, 0);
     f.l1.deliver(std::move(recall), 45);
@@ -313,20 +315,20 @@ TEST(L1, MshrLimitRejectsExcessMisses)
 {
     L1Fixture f;
     // 4 MSHRs; issue 4 misses to different sets, the 5th is refused.
-    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.done(), 0));
-    EXPECT_TRUE(f.l1.access(false, 0x41, true, f.done(), 0));
-    EXPECT_TRUE(f.l1.access(false, 0x42, true, f.done(), 0));
-    EXPECT_TRUE(f.l1.access(false, 0x43, true, f.done(), 0));
-    EXPECT_FALSE(f.l1.access(false, 0x45, true, f.done(), 0));
+    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.token(), 0));
+    EXPECT_TRUE(f.l1.access(false, 0x41, true, f.token(), 0));
+    EXPECT_TRUE(f.l1.access(false, 0x42, true, f.token(), 0));
+    EXPECT_TRUE(f.l1.access(false, 0x43, true, f.token(), 0));
+    EXPECT_FALSE(f.l1.access(false, 0x45, true, f.token(), 0));
     EXPECT_EQ(f.group.counter("l1_retries").value(), 1u);
 }
 
 TEST(L1, ConflictingOutstandingAccessRejected)
 {
     L1Fixture f;
-    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.done(), 0));
-    EXPECT_FALSE(f.l1.access(true, 0x40, true, f.done(), 1));
-    EXPECT_FALSE(f.l1.access(false, 0x40, true, f.done(), 1));
+    EXPECT_TRUE(f.l1.access(false, 0x40, true, f.token(), 0));
+    EXPECT_FALSE(f.l1.access(true, 0x40, true, f.token(), 1));
+    EXPECT_FALSE(f.l1.access(false, 0x40, true, f.token(), 1));
 }
 
 /** A sender whose backlog is externally scripted. */
@@ -343,11 +345,11 @@ TEST(L1, StoreBufferBackpressureRejectsStores)
     BackloggedSender sender;
     L1Cache l1("l1.0", 0, sender, HomeMap{}, L1Fixture::cfg(), group);
     sender.fakeBacklog = coherence::kStoreBufferDepth;
-    EXPECT_FALSE(l1.access(true, 0x40, true, std::function<void(Cycle)>{}, 0));
+    EXPECT_FALSE(l1.access(true, 0x40, true, 0, 0));
     // Loads are unaffected by store-buffer pressure.
-    EXPECT_TRUE(l1.access(false, 0x41, true, std::function<void(Cycle)>{}, 0));
+    EXPECT_TRUE(l1.access(false, 0x41, true, 0, 0));
     sender.fakeBacklog = 0;
-    EXPECT_TRUE(l1.access(true, 0x40, true, std::function<void(Cycle)>{}, 1));
+    EXPECT_TRUE(l1.access(true, 0x40, true, 0, 1));
 }
 
 // ---------------------------------------------------------------------

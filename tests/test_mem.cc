@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/bank_controller.hh"
 #include "mem/bank_model.hh"
 #include "mem/memory_controller.hh"
@@ -67,39 +70,50 @@ TEST(BankModel, AbortFreesBank)
     EXPECT_EQ(g.counter("bank_write_aborts").value(), 1u);
 }
 
-struct DoneRecorder
+/** A test bank's owner callback: records every (address, cycle). */
+struct DoneLog
 {
-    std::vector<Cycle> at;
-    std::function<void(Cycle)>
-    cb()
+    std::vector<std::pair<BlockAddr, Cycle>> done;
+
+    BankController::DoneFn
+    sink()
     {
-        return [this](Cycle t) { at.push_back(t); };
+        return [this](BlockAddr addr, Cycle t) {
+            done.emplace_back(addr, t);
+        };
+    }
+
+    /** Completion cycles of @p addr, oldest first. */
+    std::vector<Cycle>
+    at(BlockAddr addr) const
+    {
+        std::vector<Cycle> out;
+        for (const auto &[a, t] : done) {
+            if (a == addr)
+                out.push_back(t);
+        }
+        return out;
     }
 };
 
 TEST(BankController, PlainFifoSerialisesRequests)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g);
-    DoneRecorder r1, r2, r3;
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g,
+                        log.sink());
 
-    BankRequest w{true, 0x10, 0, r1.cb()};
-    BankRequest rd{false, 0x20, 0, r2.cb()};
-    BankRequest rd2{false, 0x30, 0, r3.cb()};
-    ctrl.enqueue(std::move(w), 0);
-    ctrl.enqueue(std::move(rd), 0);
-    ctrl.enqueue(std::move(rd2), 0);
+    ctrl.enqueue(BankRequest{true, 0x10}, 0);
+    ctrl.enqueue(BankRequest{false, 0x20}, 0);
+    ctrl.enqueue(BankRequest{false, 0x30}, 0);
 
     for (Cycle t = 0; t <= 100; ++t)
         ctrl.tick(t);
     // Write starts at 0 (done 33), read at 33 (done 36), read at 36
     // (done 39).
-    ASSERT_EQ(r1.at.size(), 1u);
-    ASSERT_EQ(r2.at.size(), 1u);
-    ASSERT_EQ(r3.at.size(), 1u);
-    EXPECT_EQ(r1.at[0], 33u);
-    EXPECT_EQ(r2.at[0], 36u);
-    EXPECT_EQ(r3.at[0], 39u);
+    const std::vector<std::pair<BlockAddr, Cycle>> expect{
+        {0x10, 33}, {0x20, 36}, {0x30, 39}};
+    EXPECT_EQ(log.done, expect);
     EXPECT_TRUE(ctrl.idle(101));
     EXPECT_EQ(g.counter("bank_requests_served").value(), 3u);
 }
@@ -107,10 +121,11 @@ TEST(BankController, PlainFifoSerialisesRequests)
 TEST(BankController, QueueLatencyMeasuresWaiting)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g);
-    DoneRecorder r;
-    ctrl.enqueue(BankRequest{true, 1, 0, nullptr}, 0);
-    ctrl.enqueue(BankRequest{false, 2, 0, r.cb()}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g,
+                        log.sink());
+    ctrl.enqueue(BankRequest{true, 1}, 0);
+    ctrl.enqueue(BankRequest{false, 2}, 0);
     for (Cycle t = 0; t <= 40; ++t)
         ctrl.tick(t);
     // The read waited 33 cycles behind the write.
@@ -120,12 +135,14 @@ TEST(BankController, QueueLatencyMeasuresWaiting)
 TEST(BankController, GapAfterWriteDistribution)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g);
-    ctrl.enqueue(BankRequest{true, 1, 0, nullptr}, 100);   // write
-    ctrl.enqueue(BankRequest{false, 2, 0, nullptr}, 110);  // gap 10
-    ctrl.enqueue(BankRequest{false, 3, 0, nullptr}, 120);  // after a read
-    ctrl.enqueue(BankRequest{true, 4, 0, nullptr}, 200);   // write
-    ctrl.enqueue(BankRequest{false, 5, 0, nullptr}, 240);  // gap 40
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, BankControllerConfig{}, g,
+                        log.sink());
+    ctrl.enqueue(BankRequest{true, 1}, 100);   // write
+    ctrl.enqueue(BankRequest{false, 2}, 110);  // gap 10
+    ctrl.enqueue(BankRequest{false, 3}, 120);  // after a read
+    ctrl.enqueue(BankRequest{true, 4}, 200);   // write
+    ctrl.enqueue(BankRequest{false, 5}, 240);  // gap 40
     const auto &d = g.distribution("gap_after_write",
                                    {16, 33, 66, 99, 132, 165});
     EXPECT_EQ(d.total(), 2u);   // only accesses following a write
@@ -145,51 +162,54 @@ buffConfig()
 TEST(WriteBuffer, WritesCompleteAtBufferSpeed)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, buffConfig(), g);
-    DoneRecorder w;
-    ctrl.enqueue(BankRequest{true, 0x1, 0, w.cb()}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, buffConfig(), g, log.sink());
+    ctrl.enqueue(BankRequest{true, 0x1}, 0);
     for (Cycle t = 0; t <= 10; ++t)
         ctrl.tick(t);
     // 1-cycle check + 3-cycle SRAM buffer write: far below 33 cycles.
-    ASSERT_EQ(w.at.size(), 1u);
-    EXPECT_LE(w.at[0], 5u);
+    ASSERT_EQ(log.at(0x1).size(), 1u);
+    EXPECT_LE(log.at(0x1)[0], 5u);
     EXPECT_EQ(ctrl.bufferDepth(), 1u); // still draining to STT-RAM
     for (Cycle t = 11; t <= 60; ++t)
         ctrl.tick(t);
     EXPECT_EQ(ctrl.bufferDepth(), 0u); // drained
+    EXPECT_EQ(log.done.size(), 1u);    // the drain completes no request
 }
 
 TEST(WriteBuffer, ReadHitsInBuffer)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, buffConfig(), g);
-    DoneRecorder rd;
-    ctrl.enqueue(BankRequest{true, 0x1, 0, nullptr}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, buffConfig(), g, log.sink());
+    ctrl.enqueue(BankRequest{true, 0x1}, 0);
     ctrl.tick(0);
     ctrl.tick(1); // write admitted into buffer at cycle 1
-    ctrl.enqueue(BankRequest{false, 0x1, 0, rd.cb()}, 2);
+    ctrl.enqueue(BankRequest{false, 0x1}, 2);
     for (Cycle t = 2; t <= 10; ++t)
         ctrl.tick(t);
-    ASSERT_EQ(rd.at.size(), 1u);
-    EXPECT_LE(rd.at[0], 7u);
+    // The buffered write completes first, then the read it serves.
+    const std::vector<Cycle> done = log.at(0x1);
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_LE(done[1], 7u);
     EXPECT_EQ(g.counter("write_buffer_hits").value(), 1u);
 }
 
 TEST(WriteBuffer, ReadPreemptsDrainWrite)
 {
     stats::Group g("cache");
-    BankController ctrl(CacheTech::SttRam, buffConfig(), g);
-    ctrl.enqueue(BankRequest{true, 0x1, 0, nullptr}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, buffConfig(), g, log.sink());
+    ctrl.enqueue(BankRequest{true, 0x1}, 0);
     for (Cycle t = 0; t <= 6; ++t)
         ctrl.tick(t); // write buffered and drain started
-    DoneRecorder rd;
-    ctrl.enqueue(BankRequest{false, 0x2, 0, rd.cb()}, 7);
+    ctrl.enqueue(BankRequest{false, 0x2}, 7);
     for (Cycle t = 7; t <= 60; ++t)
         ctrl.tick(t);
     EXPECT_EQ(g.counter("write_buffer_preemptions").value(), 1u);
-    ASSERT_EQ(rd.at.size(), 1u);
+    ASSERT_EQ(log.at(0x2).size(), 1u);
     // The read did not wait for the 33-cycle drain to finish.
-    EXPECT_LE(rd.at[0], 12u);
+    EXPECT_LE(log.at(0x2)[0], 12u);
     EXPECT_EQ(ctrl.bufferDepth(), 0u); // drain restarted and finished
 }
 
@@ -198,17 +218,17 @@ TEST(WriteBuffer, NoPreemptionWhenDisabled)
     stats::Group g("cache");
     auto cfg = buffConfig();
     cfg.readPreemption = false;
-    BankController ctrl(CacheTech::SttRam, cfg, g);
-    ctrl.enqueue(BankRequest{true, 0x1, 0, nullptr}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, cfg, g, log.sink());
+    ctrl.enqueue(BankRequest{true, 0x1}, 0);
     for (Cycle t = 0; t <= 6; ++t)
         ctrl.tick(t);
-    DoneRecorder rd;
-    ctrl.enqueue(BankRequest{false, 0x2, 0, rd.cb()}, 7);
+    ctrl.enqueue(BankRequest{false, 0x2}, 7);
     for (Cycle t = 7; t <= 80; ++t)
         ctrl.tick(t);
     EXPECT_EQ(g.counter("write_buffer_preemptions").value(), 0u);
-    ASSERT_EQ(rd.at.size(), 1u);
-    EXPECT_GT(rd.at[0], 33u); // had to wait out the drain
+    ASSERT_EQ(log.at(0x2).size(), 1u);
+    EXPECT_GT(log.at(0x2)[0], 33u); // had to wait out the drain
 }
 
 TEST(WriteBuffer, FullBufferBackpressuresWrites)
@@ -216,10 +236,10 @@ TEST(WriteBuffer, FullBufferBackpressuresWrites)
     stats::Group g("cache");
     auto cfg = buffConfig();
     cfg.writeBufferEntries = 2;
-    BankController ctrl(CacheTech::SttRam, cfg, g);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, cfg, g, log.sink());
     for (int i = 0; i < 4; ++i)
-        ctrl.enqueue(BankRequest{true, static_cast<BlockAddr>(i), 0,
-                                 nullptr}, 0);
+        ctrl.enqueue(BankRequest{true, static_cast<BlockAddr>(i)}, 0);
     for (Cycle t = 0; t <= 5; ++t)
         ctrl.tick(t);
     EXPECT_EQ(ctrl.bufferDepth(), 2u);
@@ -227,6 +247,7 @@ TEST(WriteBuffer, FullBufferBackpressuresWrites)
     for (Cycle t = 6; t <= 200; ++t)
         ctrl.tick(t);
     EXPECT_TRUE(ctrl.idle(201)); // everything eventually drains
+    EXPECT_EQ(log.done.size(), 4u);
 }
 
 TEST(ReadPriority, QueuedReadsOvertakeQueuedWrites)
@@ -234,19 +255,19 @@ TEST(ReadPriority, QueuedReadsOvertakeQueuedWrites)
     stats::Group g("cache");
     BankControllerConfig cfg;
     cfg.readPriority = true;
-    BankController ctrl(CacheTech::SttRam, cfg, g);
-    DoneRecorder rd;
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, cfg, g, log.sink());
     // Bank starts write #1 at t=0; write #2 and a read queue behind it.
-    ctrl.enqueue(BankRequest{true, 1, 0, nullptr}, 0);
+    ctrl.enqueue(BankRequest{true, 1}, 0);
     ctrl.tick(0);
-    ctrl.enqueue(BankRequest{true, 2, 0, nullptr}, 1);
-    ctrl.enqueue(BankRequest{false, 3, 0, rd.cb()}, 2);
+    ctrl.enqueue(BankRequest{true, 2}, 1);
+    ctrl.enqueue(BankRequest{false, 3}, 2);
     for (Cycle t = 1; t <= 120; ++t)
         ctrl.tick(t);
-    ASSERT_EQ(rd.at.size(), 1u);
+    ASSERT_EQ(log.at(3).size(), 1u);
     // FIFO would serve the read at 33+33+3 = 69; read priority brings
     // it right after the (possibly preempted) first write.
-    EXPECT_LE(rd.at[0], 40u);
+    EXPECT_LE(log.at(3)[0], 40u);
     EXPECT_TRUE(ctrl.idle(121));
 }
 
@@ -255,18 +276,19 @@ TEST(ReadPriority, ReadPreemptsInServiceWrite)
     stats::Group g("cache");
     BankControllerConfig cfg;
     cfg.readPriority = true;
-    BankController ctrl(CacheTech::SttRam, cfg, g);
-    ctrl.enqueue(BankRequest{true, 1, 0, nullptr}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, cfg, g, log.sink());
+    ctrl.enqueue(BankRequest{true, 1}, 0);
     ctrl.tick(0); // 33-cycle write starts
-    DoneRecorder rd;
-    ctrl.enqueue(BankRequest{false, 2, 0, rd.cb()}, 10);
+    ctrl.enqueue(BankRequest{false, 2}, 10);
     for (Cycle t = 1; t <= 120; ++t)
         ctrl.tick(t);
     EXPECT_EQ(g.counter("write_buffer_preemptions").value(), 1u);
-    ASSERT_EQ(rd.at.size(), 1u);
-    EXPECT_LE(rd.at[0], 16u); // did not wait the write out
+    ASSERT_EQ(log.at(2).size(), 1u);
+    EXPECT_LE(log.at(2)[0], 16u); // did not wait the write out
     // The aborted write restarted and completed.
     EXPECT_EQ(g.counter("bank_writes").value(), 2u); // original + retry
+    EXPECT_EQ(log.at(1).size(), 1u);
     EXPECT_TRUE(ctrl.idle(121));
 }
 
@@ -275,15 +297,14 @@ TEST(ReadPriority, WritesStillCompleteUnderReadPressure)
     stats::Group g("cache");
     BankControllerConfig cfg;
     cfg.readPriority = true;
-    BankController ctrl(CacheTech::SttRam, cfg, g);
-    DoneRecorder wr;
-    ctrl.enqueue(BankRequest{true, 1, 0, wr.cb()}, 0);
+    DoneLog log;
+    BankController ctrl(CacheTech::SttRam, cfg, g, log.sink());
+    ctrl.enqueue(BankRequest{true, 1}, 0);
     for (int i = 0; i < 5; ++i)
-        ctrl.enqueue(BankRequest{false, static_cast<BlockAddr>(10 + i),
-                                 0, nullptr}, 0);
+        ctrl.enqueue(BankRequest{false, static_cast<BlockAddr>(10 + i)}, 0);
     for (Cycle t = 0; t <= 200; ++t)
         ctrl.tick(t);
-    EXPECT_EQ(wr.at.size(), 1u); // the write eventually lands
+    EXPECT_EQ(log.at(1).size(), 1u); // the write eventually lands
     EXPECT_TRUE(ctrl.idle(201));
 }
 
@@ -297,13 +318,13 @@ TEST(WriteBuffer, SramBankGainsLittle)
         stats::Group g("cache");
         BankControllerConfig cfg;
         cfg.writeBuffer = use_buffer;
-        BankController ctrl(CacheTech::Sram, cfg, g);
-        DoneRecorder rd;
-        ctrl.enqueue(BankRequest{true, 1, 0, nullptr}, 0);
-        ctrl.enqueue(BankRequest{false, 2, 0, rd.cb()}, 0);
+        DoneLog log;
+        BankController ctrl(CacheTech::Sram, cfg, g, log.sink());
+        ctrl.enqueue(BankRequest{true, 1}, 0);
+        ctrl.enqueue(BankRequest{false, 2}, 0);
         for (Cycle t = 0; t <= 50; ++t)
             ctrl.tick(t);
-        return rd.at.at(0);
+        return log.at(2).at(0);
     };
     const Cycle plain = last_done(false);
     const Cycle buffered = last_done(true);

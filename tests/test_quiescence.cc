@@ -515,11 +515,11 @@ TEST(Quiescence, L1AccessWakesAndQuiescentTickIsNoop)
     std::uint8_t flag = 0;
     l1.bindWakeFlag(&flag);
     int completions = 0;
-    auto done = [&](Cycle) { ++completions; };
+    l1.bindCompletionSink([&](std::uint64_t, Cycle) { ++completions; });
 
     // A miss wakes (conservatively) but completes via deliver(), so the
     // L1 may stay quiescent: its tick only fires delayed hits.
-    EXPECT_TRUE(l1.access(false, 0x40, true, done, 10));
+    EXPECT_TRUE(l1.access(false, 0x40, true, 1, 10));
     EXPECT_EQ(flag, 1) << "access() must wake the L1";
     auto data = noc::makePacket(PacketClass::DataResp, 64, 0, 0x40);
     setKind(*data, CohKind::Data, 0);
@@ -529,7 +529,7 @@ TEST(Quiescence, L1AccessWakesAndQuiescentTickIsNoop)
 
     // A hit schedules a delayed completion: not quiescent until the
     // tick that fires it.
-    EXPECT_TRUE(l1.access(false, 0x40, true, done, 40));
+    EXPECT_TRUE(l1.access(false, 0x40, true, 2, 40));
     EXPECT_FALSE(l1.quiescent(40));
     Cycle t = 40;
     for (; t < 60 && !l1.quiescent(t); ++t)

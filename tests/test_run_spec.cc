@@ -305,9 +305,11 @@ struct Recorded
 // Recorded before RunSpec existed: the golden corpus as stacknoc_run
 // built it (4x4, 200 warm-up cycles) and the default sweep grid (8x8,
 // 3000) — MRAM-64TSB without the --regions 4 the sweep used to force.
+// The leading v= field is snapshot::kFormatVersion, re-recorded when it
+// bumps.
 const Recorded kRecorded[] = {
     {"MRAM-64TSB", "tpcc", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
+     "v=2;mesh=4x4;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
      "=-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0"
      ";vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff0"
      "000000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0x"
@@ -316,7 +318,7 @@ const Recorded kRecorded[] = {
      "0;victim_dirty=0x3fd3333333333333;caps=8,32;warmup=200;faults=of"
      "f"},
     {"MRAM-64TSB", "tpcc,lbm,mcf,libquantum", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
+     "v=2;mesh=4x4;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
      "=-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0"
      ";vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquant"
      "um,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,;seed=1;strea"
@@ -326,7 +328,7 @@ const Recorded kRecorded[] = {
      "2,32;dram=320,64;real_tags=0;victim_dirty=0x3fd3333333333333;cap"
      "s=8,32;warmup=200;faults=off"},
     {"MRAM-4TSB", "tpcc", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
+     "v=2;mesh=4x4;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
      "-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0;"
      "vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff00"
      "00000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0x3"
@@ -334,7 +336,7 @@ const Recorded kRecorded[] = {
      "33333333,0x3fd6666666666666;l1=64,4,2,32;dram=320,64;real_tags=0"
      ";victim_dirty=0x3fd3333333333333;caps=8,32;warmup=200;faults=off"},
     {"MRAM-4TSB", "tpcc,lbm,mcf,libquantum", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
+     "v=2;mesh=4x4;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
      "-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0;"
      "vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantu"
      "m,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,;seed=1;stream"
@@ -344,7 +346,7 @@ const Recorded kRecorded[] = {
      ",32;dram=320,64;real_tags=0;victim_dirty=0x3fd3333333333333;caps"
      "=8,32;warmup=200;faults=off"},
     {"MRAM-4TSB-WB", "tpcc", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
+     "v=2;mesh=4x4;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
      "me=2;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority="
      "0;vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff"
      "0000000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0"
@@ -353,7 +355,7 @@ const Recorded kRecorded[] = {
      "=0;victim_dirty=0x3fd3333333333333;caps=8,32;warmup=200;faults=o"
      "ff"},
     {"MRAM-4TSB-WB", "tpcc,lbm,mcf,libquantum", 4, 200,
-     "v=1;mesh=4x4;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
+     "v=2;mesh=4x4;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
      "me=2;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority="
      "0;vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquan"
      "tum,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,;seed=1;stre"
@@ -363,7 +365,7 @@ const Recorded kRecorded[] = {
      ",2,32;dram=320,64;real_tags=0;victim_dirty=0x3fd3333333333333;ca"
      "ps=8,32;warmup=200;faults=off"},
     {"MRAM-64TSB", "tpcc", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
+     "v=2;mesh=8x8;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
      "=-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0"
      ";vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff0"
      "000000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0x"
@@ -372,7 +374,7 @@ const Recorded kRecorded[] = {
      "0;victim_dirty=0x3fd3333333333333;caps=8,32;warmup=3000;faults=o"
      "ff"},
     {"MRAM-64TSB", "tpcc,lbm,mcf,libquantum", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
+     "v=2;mesh=8x8;scenario=MRAM-64TSB;tech=1;tsb=0;placement=0;scheme"
      "=-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0"
      ";vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquant"
      "um,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,"
@@ -386,7 +388,7 @@ const Recorded kRecorded[] = {
      "3333,0x3fd6666666666666;l1=64,4,2,32;dram=320,64;real_tags=0;vic"
      "tim_dirty=0x3fd3333333333333;caps=8,32;warmup=3000;faults=off"},
     {"MRAM-4TSB", "tpcc", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
+     "v=2;mesh=8x8;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
      "-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0;"
      "vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff00"
      "00000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0x3"
@@ -395,7 +397,7 @@ const Recorded kRecorded[] = {
      ";victim_dirty=0x3fd3333333333333;caps=8,32;warmup=3000;faults=of"
      "f"},
     {"MRAM-4TSB", "tpcc,lbm,mcf,libquantum", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
+     "v=2;mesh=8x8;scenario=MRAM-4TSB;tech=1;tsb=4;placement=0;scheme="
      "-1;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority=0;"
      "vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantu"
      "m,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,l"
@@ -409,7 +411,7 @@ const Recorded kRecorded[] = {
      "333,0x3fd6666666666666;l1=64,4,2,32;dram=320,64;real_tags=0;vict"
      "im_dirty=0x3fd3333333333333;caps=8,32;warmup=3000;faults=off"},
     {"MRAM-4TSB-WB", "tpcc", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
+     "v=2;mesh=8x8;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
      "me=2;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority="
      "0;vcs=2,2,1,1,;apps=tpcc,;seed=1;stream=0x3fd3333333333333,0x3ff"
      "0000000000000,0x3fc999999999999a,4096,64,0x3febd70a3d70a3d7,24,0"
@@ -418,7 +420,7 @@ const Recorded kRecorded[] = {
      "=0;victim_dirty=0x3fd3333333333333;caps=8,32;warmup=3000;faults="
      "off"},
     {"MRAM-4TSB-WB", "tpcc,lbm,mcf,libquantum", 8, 3000,
-     "v=1;mesh=8x8;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
+     "v=2;mesh=8x8;scenario=MRAM-4TSB-WB;tech=1;tsb=4;placement=0;sche"
      "me=2;parent_hops=2;delay_mode=0;write_buffer=0:20;read_priority="
      "0;vcs=2,2,1,1,;apps=tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquan"
      "tum,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf,libquantum,tpcc,lbm,mcf"

@@ -169,17 +169,17 @@ TEST(Snapshot, WarmDigestIgnoresEngineKnobs)
 TEST(Snapshot, PayloadBytesArePinned)
 {
     // The payload is an on-disk format: these bytes are what format
-    // version 1 means. A change that moves them, for either leg, must
+    // version 2 means. A change that moves them, for either leg, must
     // bump snapshot::kFormatVersion and re-record both pins.
-    EXPECT_EQ(snapshot::kFormatVersion, 1u);
+    EXPECT_EQ(snapshot::kFormatVersion, 2u);
     struct Pin
     {
         bool faults;
         std::size_t size;
         std::uint64_t fnv;
     };
-    for (const Pin &pin : {Pin{false, 179385, 0x67810bae4039e3d1ull},
-                          Pin{true, 180188, 0x026d868499442895ull}}) {
+    for (const Pin &pin : {Pin{false, 179465, 0x135179d5f406d71eull},
+                          Pin{true, 180263, 0xaa782b625864f275ull}}) {
         const std::string payload =
             captureCheckpoint(baseConfig(7, 1, true, pin.faults))
                 .substr(kHeaderBytes);
@@ -236,11 +236,15 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch)
     EXPECT_NE(restoreErr(bad, digest).find("bad magic"),
               std::string::npos);
 
-    // Unsupported format version.
-    bad = ckpt;
-    bad[8] = static_cast<char>(snapshot::kFormatVersion + 1);
-    EXPECT_NE(restoreErr(bad, digest).find("version"),
-              std::string::npos);
+    // Unsupported format versions: the previous one and the next.
+    for (const std::uint32_t v : {snapshot::kFormatVersion - 1,
+                                  snapshot::kFormatVersion + 1}) {
+        bad = ckpt;
+        bad[8] = static_cast<char>(v);
+        EXPECT_NE(restoreErr(bad, digest).find("version"),
+                  std::string::npos)
+            << v;
+    }
 
     // Payload corruption is caught by the checksum.
     bad = ckpt;
@@ -303,6 +307,52 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch)
     // last, and 0xFFFF is far beyond it.
     for (const std::uint32_t index : {0u, 33u, 0xFFFFu})
         expectOneLine(crafted(4, index), "id stream index out of range");
+
+    // Completion tokens past the ROB tail name instructions the core
+    // has not fetched; the loader refuses them before any completion
+    // could index past the ring. Walk the 16 workload streams (60 fixed
+    // bytes, the bank cursors, the history rings, historyIdx) to the
+    // cores. A core is its ROB (u32 count, 14 bytes each), then issue
+    // cursor, head sequence, last-load sequence and committed count.
+    // An L1 is its tag array (two u32 shape counts, i32, u64, 20 bytes
+    // per frame), the MSHRs (u32 count; u64 addr, bool, u64 start, u64
+    // token each), the pending PutMs (u32 count, u64 each) and the
+    // delayed completions (u32 count; u64 due, u64 token each).
+    std::size_t off = 4 + 12 * std::size_t{nIds} + 8;
+    for (int st = 0; st < 16; ++st) {
+        off += 60;
+        off += 4 + 12 * std::size_t{u32At(off)};
+        const std::uint32_t nRings = u32At(off);
+        off += 4;
+        for (std::uint32_t r = 0; r < nRings; ++r)
+            off += 4 + 8 * std::size_t{u32At(off)};
+        off += 8;
+    }
+    const std::size_t lastLoad = off + 4 + 14 * std::size_t{u32At(off)} + 16;
+    for (int c = 0; c < 16; ++c)
+        off += 4 + 14 * std::size_t{u32At(off)} + 32;
+    std::size_t token = 0;
+    for (int c = 0; c < 16 && token == 0; ++c) {
+        off += 20 + 20 * std::size_t{u32At(off)} * u32At(off + 4);
+        const std::uint32_t nMshrs = u32At(off);
+        off += 4;
+        if (nMshrs > 0)
+            token = off + 17;
+        off += 25 * std::size_t{nMshrs};
+        off += 4 + 8 * std::size_t{u32At(off)};
+        const std::uint32_t nDelayed = u32At(off);
+        off += 4;
+        if (token == 0 && nDelayed > 0)
+            token = off + 8;
+        off += 16 * std::size_t{nDelayed};
+    }
+    ASSERT_NE(token, 0u) << "no pending L1 completion at the boundary";
+    expectOneLine(crafted(lastLoad, 0xFFFFFFFFu),
+                  "last-load sequence names an instruction not yet "
+                  "fetched");
+    expectOneLine(crafted(token, 0xFFFFFFFFu),
+                  "L1 completion token names an instruction not yet "
+                  "fetched");
 }
 
 TEST(Snapshot, InterleavedSystemsMatchTheirSoloRuns)

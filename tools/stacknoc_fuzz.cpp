@@ -11,7 +11,11 @@
  * simulates. The meshes are the ones people run: 4x4, the paper's 8x8,
  * 8x4 and 4x8.
  * Any invariant violation fails the run, and so, with --threads N > 1,
- * does a stats digest other than the same case's on one thread. The
+ * does a stats digest other than the same case's on one thread. A case
+ * with a warm-up also runs a checkpoint leg without checkers: save at
+ * the warm-up boundary, restore into a fresh system, run the measured
+ * cycles; a restore error or another digest than the validated run's
+ * fails it. The
  * fuzzer then bisects the duration down to the shortest failing prefix
  * and writes a replayable reproducer file: the case's RunSpec key=value
  * rendering.
@@ -43,6 +47,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "snapshot/checkpoint.hh"
 #include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
 #include "system/run_spec.hh"
@@ -138,9 +143,43 @@ describe(const system::RunSpec &fc)
 }
 
 /**
+ * The checkpoint leg, all at --threads: warm @p fc up without checkers
+ * (a validation system refuses checkpoints), save at the boundary,
+ * restore into a fresh system and run @p cycles.
+ * @return the save or restore error, or "" with @p digest set.
+ */
+std::string
+restoredDigest(system::RunSpec fc, Cycle cycles, std::uint64_t &digest)
+{
+    fc.threads = g_threads;
+    system::SystemConfig cfg;
+    if (const std::string err = fc.toConfig(cfg); !err.empty())
+        cli::reject(kTool, err);
+    const std::uint64_t key = snapshot::warmConfigDigest(cfg, fc.warmup);
+    std::stringstream ckpt(std::ios::in | std::ios::out |
+                           std::ios::binary);
+    try {
+        system::CmpSystem warm(cfg);
+        warm.warmup(fc.warmup);
+        snapshot::saveCheckpoint(warm, ckpt, key);
+    } catch (const snapshot::SnapshotError &e) {
+        return e.what();
+    }
+    system::CmpSystem sys(cfg);
+    if (std::string err = snapshot::restoreCheckpoint(sys, ckpt, key);
+        !err.empty())
+        return err;
+    sys.run(cycles);
+    digest = snapshot::statsDigest(sys);
+    return "";
+}
+
+/**
  * @return failures seen when running @p fc for @p cycles cycles: its
  * invariant violations, plus one when a run on --threads N > 1 ends
- * with another stats digest than the same case on one thread.
+ * with another stats digest than the same case on one thread, plus one
+ * when the checkpoint leg of a case with a warm-up fails to restore or
+ * ends with another digest than the validated run.
  */
 std::size_t
 runCase(system::RunSpec fc, Cycle cycles, bool fail_fast = false)
@@ -167,6 +206,17 @@ runCase(system::RunSpec fc, Cycle cycles, bool fail_fast = false)
             std::fprintf(stderr, "  stats digest on %llu threads differs "
                          "from 1 thread\n",
                          static_cast<unsigned long long>(g_threads));
+            ++failures;
+        }
+    }
+    if (fc.warmup > 0) {
+        std::uint64_t restored = 0;
+        const std::string err = restoredDigest(fc, cycles, restored);
+        if (!err.empty() || restored != digest) {
+            std::fprintf(stderr, "  checkpoint leg: %s\n",
+                         err.empty() ? "restored run's stats digest "
+                                       "differs from the validated run"
+                                     : err.c_str());
             ++failures;
         }
     }
