@@ -114,9 +114,21 @@ TEST(Cli, ClientRejectsBadJobBeforeConnecting)
                        b.field);
 }
 
-TEST(Cli, SweepRejectsNonNumericRegions)
+TEST(Cli, SweepRejectsBadInputWithExit2)
 {
-    expectRejected("../tools/stacknoc_sweep --regions abc", "--regions");
+    // The speedup and profile flags are gone: rejected like any typo.
+    const BadInput bad[] = {
+        {"--regions abc", "--regions"},
+        {"--no-speedup", "--no-speedup"},
+        {"--speedup-threads 4", "--speedup-threads"},
+        {"--no-profile", "--no-profile"},
+    };
+    for (const BadInput &b : bad)
+        expectRejected(std::string("../tools/stacknoc_sweep ") + b.args,
+                       b.field);
+    std::string err;
+    EXPECT_EQ(runStderr("../tools/stacknoc_sweep --help", &err), 0);
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
 }
 
 TEST(Cli, FuzzReplayRejectsBadReproducer)
@@ -144,22 +156,33 @@ jsonStrings(const std::string &doc, const std::string &key)
     return out;
 }
 
+/**
+ * Run a --no-thermal stacknoc_sweep over @p schemes with @p extra flags
+ * into @p out. @return the artifact's text; @p err gets stderr.
+ */
+std::string
+sweep(const std::string &schemes, const std::string &extra,
+      const std::string &out, std::string *err)
+{
+    const int rc = runStderr("../tools/stacknoc_sweep --schemes " +
+                                 schemes + " --mixes tpcc --cycles 300 "
+                                 "--warmup 0 --no-thermal " + extra +
+                                 " --out " + out,
+                             err);
+    EXPECT_EQ(rc, 0) << *err;
+    std::ifstream in(out);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 TEST(Cli, SweepKeepsEachScenariosOwnRegionCount)
 {
     // Regression: the sweep used to force --regions 4, which turned
     // every MRAM-64TSB point into MRAM-4TSB.
+    const std::string grid = "MRAM-64TSB,MRAM-4TSB";
     const std::string out = "cli_sweep_regions.json";
     std::string err;
-    ASSERT_EQ(runStderr("../tools/stacknoc_sweep --schemes "
-                        "MRAM-64TSB,MRAM-4TSB --mixes tpcc --cycles 300 "
-                        "--warmup 0 --no-speedup --no-thermal "
-                        "--no-profile --jobs 2 --out " + out,
-                        &err),
-              0)
-        << err;
-    std::ifstream in(out);
-    const std::string doc((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+    const std::string doc = sweep(grid, "--jobs 2", out, &err);
     const auto configs = jsonStrings(doc, "config_digest");
     const auto stats = jsonStrings(doc, "stats_digest");
     ASSERT_EQ(configs.size(), 2u) << doc;
@@ -167,6 +190,17 @@ TEST(Cli, SweepKeepsEachScenariosOwnRegionCount)
     EXPECT_NE(configs[0], configs[1]);
     EXPECT_NE(stats[0], stats[1]);
     EXPECT_NE(doc.find("\"regions\":0"), std::string::npos) << doc;
+
+    // The artifact is a function of the grid alone: no host timing.
+    EXPECT_EQ(sweep(grid, "--jobs 1", out, &err), doc);
+
+    // A --resume completion of an artifact that holds only the second
+    // point runs the first and writes both in grid order.
+    sweep("MRAM-4TSB", "--jobs 1", out, &err);
+    const std::string resumed = sweep(grid, "--resume --jobs 1", out, &err);
+    EXPECT_NE(err.find("resume skips 1"), std::string::npos) << err;
+    EXPECT_EQ(jsonStrings(resumed, "config_digest"), configs) << resumed;
+    EXPECT_EQ(jsonStrings(resumed, "stats_digest"), stats) << resumed;
     std::remove(out.c_str());
 }
 
@@ -258,18 +292,13 @@ TEST(Cli, RunAcceptsTheScenarioNameItPrints)
 
 TEST(Cli, FuzzRejectsUnknownFlagWithHint)
 {
-    std::string out;
-    const std::string cmd =
-        "../tools/stacknoc_fuzz --rnus 3 2>&1";
-    std::FILE *p = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    std::array<char, 512> buf;
-    out.clear();
-    while (std::fgets(buf.data(), buf.size(), p))
-        out += buf.data();
-    EXPECT_NE(::pclose(p), 0);
-    EXPECT_NE(out.find("unknown option '--rnus'"), std::string::npos);
-    EXPECT_NE(out.find("did you mean '--runs'?"), std::string::npos);
+    expectRejected("../tools/stacknoc_fuzz --rnus 3", "--rnus");
+    std::string err;
+    runStderr("../tools/stacknoc_fuzz --rnus 3", &err);
+    EXPECT_NE(err.find("did you mean '--runs'?"), std::string::npos)
+        << err;
+    EXPECT_EQ(runStderr("../tools/stacknoc_fuzz --help", &err), 0);
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
 }
 
 TEST(Cli, FuzzDrawsEveryMeshPeopleRun)

@@ -607,8 +607,7 @@ TEST(L2, AdmissionCapBoundsDemandRequests)
 {
     L2Fixture f;
     // Demand reads are capped...
-    for (int i = 0; i < f.bank.bankController().bank().params().readCycles
-                            * 0 + 8; ++i) {
+    for (int i = 0; i < L2Config{}.requestCap; ++i) {
         auto pkt = f.request(CohKind::GetS, i, 0x1000 + i);
         EXPECT_TRUE(f.bank.tryAccept(*pkt));
     }

@@ -15,8 +15,7 @@ observability contracts end to end:
     volatile wall-clock members);
   * --ckpt-cap-bytes evicts least-recently-used checkpoints, counted in
     ckpt_evictions_total;
-  * tools/perf_sentinel.py validates the live scrape and exits non-zero
-    on a synthetically degraded throughput baseline.
+  * tools/perf_sentinel.py validates the live scrape.
 
 Same conventions as test_server_smoke.py: pytest-style, no pytest
 dependency; ctest invokes ``python3 tests/test_server_metrics.py SERVE
@@ -324,41 +323,6 @@ def test_client_watch_and_error_exit():
         assert bad == [], bad
     finally:
         srv.shutdown()
-
-
-def test_sentinel_baseline_diff():
-    repo = os.path.join(TOOLS, os.pardir)
-    baseline = os.path.join(repo, "BENCH_throughput.json")
-    assert os.path.exists(baseline)
-
-    # Committed baseline vs itself: clean pass.
-    proc = sentinel("--baseline", baseline, "--fresh", baseline)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    # Synthetically degraded throughput: non-zero exit.
-    with open(baseline, encoding="utf-8") as f:
-        doc = json.load(f)
-    for run in doc.get("runs", []):
-        if "ticks_per_sec" in run:
-            run["ticks_per_sec"] *= 0.5
-    with tempfile.NamedTemporaryFile("w", suffix=".json",
-                                     delete=False) as f:
-        json.dump(doc, f)
-        degraded = f.name
-    try:
-        proc = sentinel("--baseline", baseline, "--fresh", degraded)
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "ticks/sec" in proc.stdout
-        # A broken stats digest is a hard failure too.
-        doc["runs"][0]["ticks_per_sec"] = 10**9
-        doc["runs"][0]["stats_digest"] = "0xdeadbeefdeadbeef"
-        with open(degraded, "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        proc = sentinel("--baseline", baseline, "--fresh", degraded)
-        assert proc.returncode == 1
-        assert "determinism" in proc.stdout
-    finally:
-        os.unlink(degraded)
 
 
 def main():

@@ -135,16 +135,6 @@ def test_profile_section_excluded_by_default():
     assert "identical" in out
 
 
-def test_include_perf_compares_wall_clock_sections():
-    a = json.loads(json.dumps(BASE))
-    a["perf"] = {"wall_seconds": 1.0}
-    b = json.loads(json.dumps(BASE))
-    b["perf"] = {"wall_seconds": 2.0}
-    code, out = run_diff(a, b, "--include-perf")
-    assert code == 1
-    assert "perf.wall_seconds" in out
-
-
 def test_perf_exclusion_is_exact_prefix():
     # A group that merely starts with "perf" must still be compared.
     a = json.loads(json.dumps(BASE))

@@ -276,7 +276,7 @@ minimizeCase(system::RunSpec fc)
 }
 
 [[noreturn]] void
-usage()
+usage(int status)
 {
     std::fprintf(stderr, R"(usage: stacknoc_fuzz [options]
   --runs N        randomized runs (default 50)
@@ -292,17 +292,18 @@ usage()
                   for any N
   --faults        fault-campaign mode: every case also draws a bounded
                   --fault-spec (see docs/RESILIENCE.md)
+  --help          print this usage and exit
 
 Each case randomly draws the engine's idle-elision mode (biased toward
 on, the shipping default); the drawn mode is pinned in reproducers via
 the elide= key so replays execute the exact engine path.
 )");
-    std::exit(2);
+    std::exit(status);
 }
 
 const std::vector<std::string> kKnownOptions = {
     "--runs", "--seed", "--out", "--replay", "--threads", "--jobs",
-    "--faults", "--one", "--repro",
+    "--faults", "--one", "--repro", "--help",
 };
 
 /**
@@ -365,9 +366,12 @@ main(int argc, char **argv)
             one_path = args.value(arg);
         } else if (arg == "--repro") {
             repro_prefix = args.value(arg);
+        } else if (arg == "--help" || arg == "-h") {
+            usage(0);
         } else {
+            // One line, like every other rejection (--help has usage).
             cli::reportUnknownOption(kTool, arg, kKnownOptions);
-            usage();
+            return 2;
         }
     }
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * stacknoc_sweep — campaign runner for throughput baselines.
+ * stacknoc_sweep — campaign runner over a design-point grid.
  *
  * Fans a scenario grid (scheme x regions x app mix x seed) across
  * parallel stacknoc_run child processes, harvests each child's JSON
- * stats, and writes one merged benchmark artifact (fig6-style IPC and
- * latency per design point plus wall-clock sims/sec). It also measures
- * the sharded engine's speedup on one fig6 scenario (1 thread vs
- * --speedup-threads) and records it alongside the grid, seeding the
- * perf trajectory tracked in BENCH_throughput.json.
+ * stats, and writes one merged artifact: fig6-style IPC, latency and
+ * energy per design point, in grid order. Every field is a simulated
+ * quantity, so the artifact is a function of the grid alone: the same
+ * bytes at any --jobs and over either transport.
  *
  * Every run record carries a config_digest — the campaign-server cache
  * key for that design point — which makes campaigns resumable:
@@ -18,7 +17,7 @@
  * repeated sweeps hit the server's result cache and sweep points
  * sharing a warm configuration reuse warm checkpoints.
  *
- *   stacknoc_sweep --out BENCH_throughput.json
+ *   stacknoc_sweep --out sweep.json
  *   stacknoc_sweep --schemes MRAM-4TSB,MRAM-4TSB-WB --seeds 3 --jobs 8
  *   stacknoc_sweep --server /tmp/stacknoc.sock --resume
  */
@@ -56,7 +55,6 @@ struct SweepJob
     system::RunSpec spec;
     std::string mix;  //!< spec.apps as the comma list given
     int regions = 0;  //!< effective region count (for the record)
-    std::string tag;  //!< "grid" or "speedup"
 };
 
 struct SweepResult
@@ -71,13 +69,9 @@ struct SweepResult
     double instrThroughput = 0.0;
     double avgNetLatency = 0.0;
     double p95NetLatency = 0.0;
-    double wallSeconds = 0.0;
-    double ticksPerSec = 0.0;
     double activeFraction = 0.0; //!< child's perf.active_fraction
     double totalEnergyUJ = 0.0; //!< child's metrics.energy_uj.total
     double peakTempC = 0.0;     //!< child's thermal.peak_c (0 if off)
-    /** Engine-phase wall-time breakdown (child's profile.phases). */
-    std::vector<std::pair<std::string, double>> phases;
 };
 
 struct SweepOptions
@@ -91,11 +85,7 @@ struct SweepOptions
     system::RunSpec base; //!< --cycles/--warmup/--threads for every point
     int jobs = 0; //!< 0 = hardware concurrency
     std::string runner;
-    std::string out = "BENCH_throughput.json";
-    std::string speedupScenario = "MRAM-4TSB-WB";
-    int speedupThreads = 4;
-    bool speedup = true;
-    bool profile = true;
+    std::string out = "sweep.json";
     bool thermal = true;
     bool resume = false;
     std::string server; //!< stacknoc_serve socket; empty = children
@@ -115,7 +105,7 @@ splitList(const std::string &list, char sep)
 }
 
 [[noreturn]] void
-usage()
+usage(int status)
 {
     std::fprintf(stderr, R"(usage: stacknoc_sweep [options]
   --schemes A,B,..   scenario names (default MRAM-64TSB,MRAM-4TSB,MRAM-4TSB-WB)
@@ -125,36 +115,31 @@ usage()
   --seeds N          seeds 1..N per design point (default 1)
 %s  --jobs N           parallel child processes (default: hw threads)
   --runner PATH      stacknoc_run binary (default: next to this binary)
-  --out FILE         merged artifact (default BENCH_throughput.json)
-  --speedup-scenario NAME  fig6 scenario for the 1-vs-N thread speedup
-                     measurement (default MRAM-4TSB-WB)
-  --speedup-threads N  parallel-engine thread count to measure (default 4)
-  --no-speedup       skip the speedup measurement
-  --no-profile       don't fold the engine-phase profile into run records
+  --out FILE         merged artifact (default sweep.json)
   --no-thermal       don't run children with --thermal (run records then
-                     carry zero total_energy_uj / peak_temp_c)
+                     carry zero peak_temp_c)
   --resume           reload an existing --out artifact and skip grid
                      points whose config_digest is already present with
                      ok:true (interrupted campaigns pick up where they
                      stopped)
   --server SOCKET    submit jobs to a running stacknoc_serve on this
                      Unix socket instead of spawning child processes
-                     (run records then carry no thermal/profile data)
+                     (run records then carry zero peak_temp_c)
   --connect-retries N    with --server: re-attempt a refused/missing
                      socket up to N times (default 0)
   --connect-backoff-ms N base connect retry backoff, doubled per retry
                      (default 100)
+  --help             print this usage and exit
 )",
                  system::RunSpec::usage(system::kSweepArgs).c_str());
-    std::exit(2);
+    std::exit(status);
 }
 
 const std::vector<std::string> kKnownOptions = {
     "--schemes", "--regions", "--mixes", "--seeds", "--cycles",
     "--warmup", "--jobs", "--threads", "--runner", "--out",
-    "--speedup-scenario", "--speedup-threads", "--no-speedup",
-    "--no-profile", "--no-thermal", "--resume", "--server",
-    "--connect-retries", "--connect-backoff-ms",
+    "--no-thermal", "--resume", "--server", "--connect-retries",
+    "--connect-backoff-ms", "--help",
 };
 
 /** The campaign-server cache key of @p job, as the artifact records it. */
@@ -219,8 +204,6 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     for (std::string &a : job.spec.toArgv(system::kRunArgs))
         args.push_back(std::move(a));
     args.insert(args.end(), {"--digest", "--json-stats", json_path});
-    if (opt.profile)
-        args.push_back("--profile");
     if (opt.thermal)
         args.push_back("--thermal"); // implies --power
 
@@ -263,8 +246,6 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     res.instrThroughput = num(metrics, "instruction_throughput");
     res.avgNetLatency = num(metrics, "avg_network_latency");
     res.p95NetLatency = num(metrics, "p95_network_latency");
-    res.wallSeconds = num(perf, "wall_seconds");
-    res.ticksPerSec = num(perf, "ticks_per_sec");
     res.activeFraction = num(perf, "active_fraction");
     if (const auto *energy = metrics->find("energy_uj");
         energy && energy->isObject())
@@ -272,15 +253,6 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     if (const auto *thermal = doc->find("thermal");
         thermal && thermal->isObject())
         res.peakTempC = num(thermal, "peak_c");
-    if (const auto *profile = doc->find("profile");
-        profile && profile->isObject()) {
-        if (const auto *phases = profile->find("phases");
-            phases && phases->isObject()) {
-            for (const auto &[name, v] : phases->members())
-                if (v.isNumber())
-                    res.phases.emplace_back(name, v.asDouble());
-        }
-    }
     if (const auto *run = doc->find("run"); run && run->isObject())
         if (const auto *d = run->find("stats_digest");
             d && d->isString())
@@ -376,8 +348,6 @@ runJobsViaServer(const SweepOptions &opt,
             res.instrThroughput = num("instruction_throughput");
             res.avgNetLatency = num("avg_network_latency");
             res.p95NetLatency = num("p95_network_latency");
-            res.wallSeconds = num("wall_seconds");
-            res.ticksPerSec = num("ticks_per_sec");
             res.activeFraction = num("active_fraction");
             res.totalEnergyUJ = num("total_energy_uj");
             if (const auto *d = data->find("stats_digest");
@@ -399,12 +369,13 @@ runJobsViaServer(const SweepOptions &opt,
 
 /**
  * Load ok:true grid records from a previous artifact, keyed by
- * config_digest, so --resume can skip and re-emit them verbatim.
+ * config_digest, so --resume can skip them and re-emit their values
+ * (the re-serialisation sorts each record's keys).
  */
-std::map<std::string, std::string>
+std::map<std::string, telemetry::JsonValue>
 loadResume(const std::string &path)
 {
-    std::map<std::string, std::string> records;
+    std::map<std::string, telemetry::JsonValue> records;
     std::ifstream in(path);
     if (!in)
         return records;
@@ -427,8 +398,7 @@ loadResume(const std::string &path)
         const auto *digest = r.find("config_digest");
         if (ok && ok->type() == telemetry::JsonValue::Type::Bool &&
             ok->asBool() && digest && digest->isString())
-            records[digest->asString()] =
-                server::jsonValueToString(r);
+            records[digest->asString()] = r;
     }
     return records;
 }
@@ -450,20 +420,9 @@ writeRun(telemetry::JsonWriter &w, const SweepResult &r)
     w.kv("instruction_throughput", r.instrThroughput);
     w.kv("avg_network_latency", r.avgNetLatency);
     w.kv("p95_network_latency", r.p95NetLatency);
-    w.kv("wall_seconds", r.wallSeconds);
-    w.kv("ticks_per_sec", r.ticksPerSec);
     w.kv("active_fraction", r.activeFraction);
     w.kv("total_energy_uj", r.totalEnergyUJ);
     w.kv("peak_temp_c", r.peakTempC);
-    w.key("profile_phases");
-    if (r.phases.empty()) {
-        w.null();
-    } else {
-        w.beginObject();
-        for (const auto &[name, seconds] : r.phases)
-            w.kv(name, seconds);
-        w.endObject();
-    }
     w.endObject();
 }
 
@@ -506,14 +465,6 @@ main(int argc, char **argv)
             opt.runner = args.value(arg);
         } else if (arg == "--out") {
             opt.out = args.value(arg);
-        } else if (arg == "--speedup-scenario") {
-            opt.speedupScenario = args.value(arg);
-        } else if (arg == "--speedup-threads") {
-            opt.speedupThreads = static_cast<int>(args.number(arg, 2, 1024));
-        } else if (arg == "--no-speedup") {
-            opt.speedup = false;
-        } else if (arg == "--no-profile") {
-            opt.profile = false;
         } else if (arg == "--no-thermal") {
             opt.thermal = false;
         } else if (arg == "--resume") {
@@ -526,9 +477,12 @@ main(int argc, char **argv)
         } else if (arg == "--connect-backoff-ms") {
             opt.connectBackoffMs =
                 static_cast<int>(args.number(arg, 0, 3600000));
+        } else if (arg == "--help" || arg == "-h") {
+            usage(0);
         } else {
+            // One line, like every other rejection (--help has usage).
             cli::reportUnknownOption(kTool, arg, kKnownOptions);
-            usage();
+            return 2;
         }
     }
 
@@ -547,68 +501,52 @@ main(int argc, char **argv)
             opt.jobs = 4;
     }
 
-    // Build the job list: the full grid, then the speedup pair. A
-    // point without --regions keeps its scenario's own region count.
-    std::vector<SweepJob> jobs;
-    auto add = [&](const std::string &scenario,
-                   std::optional<std::uint64_t> regions,
-                   const std::string &mix, std::uint64_t seed,
-                   std::uint64_t threads, const char *tag) {
-        SweepJob j;
-        j.spec = opt.base;
-        j.spec.scenario = scenario;
-        j.spec.regions = regions;
-        j.spec.apps = splitList(mix, ',');
-        j.spec.seed = seed;
-        j.spec.threads = threads;
-        j.mix = mix;
-        j.tag = tag;
-        system::SystemConfig cfg;
-        if (const std::string err = j.spec.toConfig(cfg); !err.empty())
-            cli::reject(kTool, err);
-        j.regions = cfg.scenario.tsbRegions;
-        jobs.push_back(std::move(j));
-    };
+    // Build the grid. A point without --regions keeps its scenario's
+    // own region count.
     std::vector<std::optional<std::uint64_t>> regionAxis(
         opt.regions.begin(), opt.regions.end());
     if (regionAxis.empty())
         regionAxis.emplace_back();
+    std::vector<SweepJob> grid;
     for (const auto &scheme : opt.schemes)
         for (const auto &regions : regionAxis)
             for (const auto &mix : opt.mixes)
-                for (int s = 1; s <= opt.seeds; ++s)
-                    add(scheme, regions, mix, static_cast<std::uint64_t>(s),
-                        opt.base.threads, "grid");
-    if (opt.speedup)
-        for (const std::uint64_t t :
-             {std::uint64_t{1}, std::uint64_t(opt.speedupThreads)})
-            add(opt.speedupScenario, regionAxis.front(), opt.mixes.front(),
-                1, t, "speedup");
+                for (int s = 1; s <= opt.seeds; ++s) {
+                    SweepJob j;
+                    j.spec = opt.base;
+                    j.spec.scenario = scheme;
+                    j.spec.regions = regions;
+                    j.spec.apps = splitList(mix, ',');
+                    j.spec.seed = static_cast<std::uint64_t>(s);
+                    j.mix = mix;
+                    system::SystemConfig cfg;
+                    if (const std::string err = j.spec.toConfig(cfg);
+                        !err.empty())
+                        cli::reject(kTool, err);
+                    j.regions = cfg.scenario.tsbRegions;
+                    grid.push_back(std::move(j));
+                }
 
     // --resume: skip grid points an earlier (interrupted) campaign
-    // already completed; their records are re-emitted verbatim.
-    std::vector<std::string> resumedRecords;
-    if (opt.resume) {
-        const auto prior = loadResume(opt.out);
-        if (!prior.empty()) {
-            std::vector<SweepJob> pending;
-            for (const auto &j : jobs) {
-                if (j.tag == "grid") {
-                    if (const auto it = prior.find(configDigest(j));
-                        it != prior.end()) {
-                        resumedRecords.push_back(it->second);
-                        continue;
-                    }
-                }
-                pending.push_back(j);
-            }
-            std::fprintf(stderr,
-                         "sweep: resume skips %zu completed grid "
-                         "point(s) from %s\n",
-                         resumedRecords.size(), opt.out.c_str());
-            jobs = std::move(pending);
-        }
+    // already completed; their records keep their grid positions.
+    std::map<std::string, telemetry::JsonValue> prior;
+    if (opt.resume)
+        prior = loadResume(opt.out);
+    std::vector<const telemetry::JsonValue *> resumed(grid.size());
+    std::vector<SweepJob> jobs;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        if (const auto it = prior.find(configDigest(grid[i]));
+            it != prior.end())
+            resumed[i] = &it->second;
+        else
+            jobs.push_back(grid[i]);
     }
+    const std::size_t skipped = grid.size() - jobs.size();
+    if (!prior.empty())
+        std::fprintf(stderr,
+                     "sweep: resume skips %zu completed grid "
+                     "point(s) from %s\n",
+                     skipped, opt.out.c_str());
 
     std::vector<SweepResult> results(jobs.size());
     if (!opt.server.empty()) {
@@ -672,89 +610,42 @@ main(int argc, char **argv)
             firstExit = r.exitCode > 0 ? r.exitCode : 1;
     }
 
-    // Merge into the benchmark artifact.
+    // Merge into the artifact, in grid order.
     std::ofstream out(opt.out);
     fatal_if(!out, "cannot open '%s'", opt.out.c_str());
     telemetry::JsonWriter w(out);
     w.beginObject();
     w.kv("bench", "throughput");
     w.kv("tool", "stacknoc_sweep");
-    // Version 5: run records gain exit_code, config_digest (the
-    // campaign-server cache key, also the --resume identity) and
-    // stats_digest. Version 4 added active_fraction; version 3 added
-    // total_energy_uj and peak_temp_c; version 2 added profile_phases.
-    // Readers should ignore unknown fields but may key behavior off
-    // this stamp; older readers keep working, the new fields only add.
-    w.kv("schema_version", 5);
+    // Version 6: the wall-clock fields (wall_seconds, ticks_per_sec,
+    // profile_phases, grid.hardware_threads, speedup) are gone, so the
+    // artifact depends on the grid alone. Version 5 added exit_code,
+    // config_digest (the campaign-server cache key, also the --resume
+    // identity) and stats_digest; version 4 active_fraction; version 3
+    // total_energy_uj and peak_temp_c.
+    w.kv("schema_version", 6);
     w.key("grid");
     w.beginObject();
     w.kv("cycles", opt.base.cycles);
     w.kv("warmup", opt.base.warmup);
     w.kv("seeds", opt.seeds);
     w.kv("threads", opt.base.threads);
-    // Interprets the speedup number: a 4-thread engine on a 1-core host
-    // cannot beat sequential no matter how good the sharding is.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    w.kv("hardware_threads", hw);
-    if (opt.speedup && hw < opt.speedupThreads) {
-        w.kv("limitation",
-             detail::format(
-                 "recorded on a %d-hardware-thread host: the %d-thread "
-                 "speedup measurement is oversubscribed and expected "
-                 "to be <= 1x; re-record on a multi-core host for a "
-                 "meaningful parallel-engine number",
-                 hw, opt.speedupThreads));
-    }
     w.endObject();
     w.key("runs");
     w.beginArray();
-    for (const auto &rec : resumedRecords) {
-        std::string err;
-        if (const auto v = telemetry::JsonValue::parse(rec, &err))
-            server::writeJsonValue(w, *v);
+    for (std::size_t i = 0, fresh = 0; i < grid.size(); ++i) {
+        if (resumed[i])
+            server::writeJsonValue(w, *resumed[i]);
+        else
+            writeRun(w, results[fresh++]);
     }
-    for (const auto &r : results)
-        if (r.job.tag == "grid")
-            writeRun(w, r);
     w.endArray();
-
-    w.key("speedup");
-    const SweepResult *base = nullptr, *par = nullptr;
-    for (const auto &r : results) {
-        if (r.job.tag != "speedup")
-            continue;
-        (r.job.spec.threads == 1 ? base : par) = &r;
-    }
-    if (base && par && base->ok && par->ok) {
-        w.beginObject();
-        w.kv("scenario", base->job.spec.scenario);
-        w.kv("mix", base->job.mix);
-        w.kv("cycles", opt.base.cycles);
-        w.kv("base_threads", 1);
-        w.kv("base_ticks_per_sec", base->ticksPerSec);
-        w.kv("par_threads", par->job.spec.threads);
-        w.kv("par_ticks_per_sec", par->ticksPerSec);
-        const double speedup = base->ticksPerSec > 0.0
-                                   ? par->ticksPerSec / base->ticksPerSec
-                                   : 0.0;
-        w.kv("speedup", speedup);
-        w.endObject();
-        std::fprintf(stderr,
-                     "sweep: speedup %dT vs 1T on %s = %.2fx "
-                     "(%.0f vs %.0f ticks/s)\n",
-                     static_cast<int>(par->job.spec.threads),
-                     base->job.spec.scenario.c_str(),
-                     speedup, par->ticksPerSec, base->ticksPerSec);
-    } else {
-        w.null();
-    }
     w.endObject();
     out << "\n";
 
     std::printf("sweep: %zu job(s) (%zu resumed), %d failed, "
                 "artifact %s\n",
-                results.size() + resumedRecords.size(),
-                resumedRecords.size(), failed, opt.out.c_str());
+                grid.size(), skipped, failed, opt.out.c_str());
     // A failed campaign exits with the first child's specific code so
     // callers can tell a simulation abort from a bad checkpoint (2),
     // a missing binary (127) or a crash (128+signal).

@@ -10,8 +10,7 @@ relative deltas for numbers:
 
 The top-level "perf" and "profile" sections hold wall-clock
 measurements that differ between any two runs by construction, so they
-are excluded by default — which makes a plain invocation a determinism
-check. Pass --include-perf to compare them too.
+are never compared — which makes every invocation a determinism check.
 
 Exit status: 0 when identical (under the threshold), 1 when any
 difference was reported, 2 on usage/parse errors. Also works on JSONL
@@ -68,7 +67,7 @@ def one_sided_sections(a, b):
             if (a.get(s) is None) != (b.get(s) is None)]
 
 
-def diff_documents(a, b, threshold, section, include_perf=False):
+def diff_documents(a, b, threshold, section):
     """Print differing leaves; return the number reported."""
     skipped = one_sided_sections(a, b)
     for s in skipped:
@@ -81,9 +80,8 @@ def diff_documents(a, b, threshold, section, include_perf=False):
     for path in sorted(fa.keys() | fb.keys()):
         if section and not path.startswith(section):
             continue
-        if not include_perf and any(
-                path == s or path.startswith(s + ".")
-                for s in WALL_CLOCK_SECTIONS):
+        if any(path == s or path.startswith(s + ".")
+               for s in WALL_CLOCK_SECTIONS):
             continue
         if any(path == s or path.startswith(s + ".")
                for s in skipped):
@@ -117,9 +115,6 @@ def main():
                     help="hide numeric diffs below this relative delta")
     ap.add_argument("--section", default="",
                     help="only compare paths under this dotted prefix")
-    ap.add_argument("--include-perf", action="store_true",
-                    help="also compare the wall-clock 'perf' and "
-                         "'profile' sections (excluded by default)")
     args = ap.parse_args()
 
     docs_a = load_documents(args.base)
@@ -133,8 +128,7 @@ def main():
     for i, (a, b) in enumerate(zip(docs_a, docs_b)):
         if len(docs_a) > 1:
             print(f"--- document {i} ---")
-        reported += diff_documents(a, b, args.threshold, args.section,
-                                   args.include_perf)
+        reported += diff_documents(a, b, args.threshold, args.section)
     if reported == 0:
         print("identical")
     return 1 if reported else 0
